@@ -12,11 +12,6 @@
 //!   packet every 8 192 cycles) driven through [`Network::run_for`],
 //!   where idle-gap jumping and express transit pay for the whole
 //!   redesign: cost scales with work, not with the simulated horizon.
-//! * **PDES region scaling** — the same pre-loaded saturation backlog the
-//!   `bench-summary` scaling lane times, released through
-//!   [`ParallelNetwork`] at 1/2/4/8 column regions (DESIGN.md §12).
-//!   Speedups over the serial engine require real hardware threads; on a
-//!   1-core host this group measures the synchronization overhead floor.
 //!
 //! `bench-summary` (`cargo run -p ioguard-bench --bin bench-summary`)
 //! times the same workloads against the retained per-cycle reference
@@ -26,9 +21,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use ioguard_noc::network::{Delivery, Network, NetworkConfig, NocFabric};
+use ioguard_noc::network::{Delivery, Network, NetworkConfig};
 use ioguard_noc::packet::Packet;
-use ioguard_noc::parallel::ParallelNetwork;
 use ioguard_noc::topology::NodeId;
 use ioguard_sim::rng::Xoshiro256StarStar;
 
@@ -102,34 +96,6 @@ fn run_sparse(packets: u64, gap: u64) -> u64 {
     net.now().raw()
 }
 
-/// Fills every NI queue of a deep-queue 8×8 mesh to refusal, then releases
-/// the whole backlog through `run_until_idle` — `rounds` times — on the
-/// PDES engine at `regions` column regions. Returns (flit-hops, cycles).
-fn run_preloaded_parallel(regions: usize, rounds: u64) -> (u64, u64) {
-    let mut config = NetworkConfig::mesh(8, 8);
-    config.injection_depth = 256;
-    let mut net = ParallelNetwork::new(config, regions).expect("benchmark mesh is valid");
-    let nodes: Vec<NodeId> = net.mesh().iter_nodes().collect();
-    let mut out: Vec<Delivery> = Vec::new();
-    let mut next_id = 1u64;
-    for _ in 0..rounds {
-        for &src in &nodes {
-            loop {
-                let dst = NodeId::new(7 - src.x, 7 - src.y);
-                let packet = Packet::request(next_id, src, dst, PAYLOAD_FLITS)
-                    .expect("benchmark packet is valid");
-                if NocFabric::inject(&mut net, packet).is_err() {
-                    break; // NI full: this node's backlog is loaded.
-                }
-                next_id += 1;
-            }
-        }
-        out.clear();
-        net.run_until_idle_into(10_000_000, &mut out);
-    }
-    (net.stats().flit_hops, net.now().raw())
-}
-
 fn bench_uniform(c: &mut Criterion) {
     let cases = [
         (
@@ -188,23 +154,9 @@ fn bench_sparse(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pdes_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("noc/pdes_preloaded_8x8");
-    group.sample_size(10);
-    for regions in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(regions),
-            &regions,
-            |b, &regions| b.iter(|| black_box(run_preloaded_parallel(regions, 2))),
-        );
-    }
-    group.finish();
-}
-
 fn benches(c: &mut Criterion) {
     bench_uniform(c);
     bench_sparse(c);
-    bench_pdes_scaling(c);
 }
 
 criterion_group!(noc_throughput, benches);

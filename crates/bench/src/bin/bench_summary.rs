@@ -14,16 +14,6 @@
 //! acceptance floor — the event-driven core must cover the idle horizon
 //! at least 3× faster than per-cycle stepping.
 //!
-//! The `scaling` section times the domain-decomposed PDES engine
-//! ([`ParallelNetwork`], DESIGN.md §12) against the serial engine on a
-//! pre-loaded saturation backlog at 1/2/4/8 column regions, asserting
-//! exact output equivalence at every region count. The 8-region speedup
-//! floor (2× quick, 4× full) is only *enforced* when the host actually
-//! has the cores to parallelize (`std::thread::available_parallelism()`
-//! at least the region count being gated); on smaller hosts the measured
-//! scaling is reported advisorily — a 1-core container cannot exhibit a
-//! multi-thread speedup no matter how good the engine is.
-//!
 //! The `reconfig` section drives staged, verified mode changes between a
 //! two-VM and a three-VM population at sweeping commit offsets and records
 //! the drain-latency percentiles against the admission-time budget
@@ -50,7 +40,6 @@ use ioguard_hypervisor::pchannel::PredefinedTask;
 use ioguard_noc::network::{Delivery, Network, NetworkConfig, NetworkStats, NocFabric};
 use ioguard_noc::obs::ObservedFabric;
 use ioguard_noc::packet::Packet;
-use ioguard_noc::parallel::ParallelNetwork;
 use ioguard_noc::reference::ReferenceNetwork;
 use ioguard_noc::topology::NodeId;
 use ioguard_obs::Histogram;
@@ -77,13 +66,6 @@ struct Mode {
     sparse_gap: u64,
     /// Slots per `run_trial` in the engine lineup.
     slot_horizon: u64,
-    /// Pre-loaded backlog rounds in the PDES scaling lane.
-    scaling_rounds: u64,
-    /// 8-region speedup floor of the scaling lane (enforced only on hosts
-    /// with at least `scaling_min_cores` hardware threads).
-    scaling_floor: f64,
-    /// Host parallelism required before the scaling floor is enforced.
-    scaling_min_cores: usize,
     /// Timing repetitions (minimum elapsed wins).
     reps: u32,
     /// Completed mode changes in the reconfig drain-latency lane.
@@ -101,9 +83,6 @@ struct Mode {
     fleet_events: usize,
     /// Requests the serving replay lane drives through `ioguard-serve`.
     serving_requests: u64,
-    /// Host parallelism below which the serving lane shrinks to the
-    /// quick request count and its deadline gate turns advisory.
-    serving_min_cores: usize,
 }
 
 impl Mode {
@@ -114,9 +93,6 @@ impl Mode {
             sparse_packets: 64,
             sparse_gap: 8_192,
             slot_horizon: 4_000,
-            scaling_rounds: 2,
-            scaling_floor: 2.0,
-            scaling_min_cores: 4,
             reps: 1,
             reconfig_flips: 16,
             admission_residents: 10_000,
@@ -125,7 +101,6 @@ impl Mode {
             admission_min_cores: 2,
             fleet_events: 100_000,
             serving_requests: 100_000,
-            serving_min_cores: 2,
         }
     }
 
@@ -136,9 +111,6 @@ impl Mode {
             sparse_packets: 256,
             sparse_gap: 8_192,
             slot_horizon: 16_000,
-            scaling_rounds: 4,
-            scaling_floor: 4.0,
-            scaling_min_cores: 8,
             reps: 3,
             reconfig_flips: 64,
             admission_residents: 10_000,
@@ -147,7 +119,6 @@ impl Mode {
             admission_min_cores: 2,
             fleet_events: 100_000,
             serving_requests: 1_000_000,
-            serving_min_cores: 2,
         }
     }
 }
@@ -216,41 +187,6 @@ fn drive_sparse<N: NocFabric + ?Sized>(net: &mut N, packets: u64, gap: u64) -> O
         net.run_for(gap, &mut deliveries);
     }
     net.run_until_idle_into(1_000_000, &mut deliveries);
-    Outcome {
-        stats: net.stats(),
-        now: net.now().raw(),
-        deliveries,
-    }
-}
-
-/// Fills every NI queue to refusal with cross-mesh traffic, then releases
-/// the whole backlog at once — `rounds` times. Per-cycle stepping would
-/// drag the PDES engine onto its sequential path (a 1-cycle batch can
-/// never engage region threads), so the scaling lane times this shape:
-/// long uninterrupted `run_until_idle` batches over a saturated fabric.
-fn drive_preloaded<N: NocFabric + ?Sized>(
-    net: &mut N,
-    width: u16,
-    height: u16,
-    rounds: u64,
-) -> Outcome {
-    let nodes: Vec<NodeId> = net.mesh().iter_nodes().collect();
-    let mut deliveries: Vec<Delivery> = Vec::new();
-    let mut next_id = 1u64;
-    for _ in 0..rounds {
-        for &src in &nodes {
-            loop {
-                let dst = NodeId::new(width - 1 - src.x, height - 1 - src.y);
-                let packet = Packet::request(next_id, src, dst, PAYLOAD_FLITS)
-                    .expect("benchmark packet is valid");
-                if net.inject(packet).is_err() {
-                    break; // NI full: this node's backlog is loaded.
-                }
-                next_id += 1;
-            }
-        }
-        net.run_until_idle_into(10_000_000, &mut deliveries);
-    }
     Outcome {
         stats: net.stats(),
         now: net.now().raw(),
@@ -520,13 +456,10 @@ fn admission_lane(mode: &Mode) -> AdmissionLane {
 
 /// What the serving replay lane measured.
 struct ServingLane {
-    /// Requests actually replayed (may be the reduced count).
+    /// Requests actually replayed.
     requests: u64,
-    /// The mode's configured target before any host-based reduction.
+    /// The mode's configured request count.
     requested: u64,
-    /// True when the full configured request count ran (multi-core
-    /// host or quick mode); false when reduced for a small host.
-    floor_enforced: bool,
     virtual_slots: u64,
     wall_secs: f64,
     /// Wall-clock ingest throughput: requests / wall seconds.
@@ -546,18 +479,10 @@ struct ServingLane {
 /// `FleetArrivals` client population streams wire-encoded requests
 /// through connect/ingest/step on the virtual clock. Latency is in
 /// virtual slots (deterministic, host-independent); the wall clock only
-/// measures how fast the front-end chews through the stream. On hosts
-/// below `serving_min_cores` the full-mode request count is reduced to
-/// the quick count and `floor_enforced` records the reduction.
-fn serving_lane(mode: &Mode, host_parallelism: usize) -> ServingLane {
+/// measures how fast the front-end chews through the stream.
+fn serving_lane(mode: &Mode) -> ServingLane {
     let requested = mode.serving_requests;
-    let reduced_host = host_parallelism < mode.serving_min_cores;
-    let requests = if reduced_host {
-        requested.min(Mode::quick().serving_requests)
-    } else {
-        requested
-    };
-    let config = ReplayConfig::new(requests);
+    let config = ReplayConfig::new(requested);
     let driver = ReplayDriver::new(config);
     let start = Instant::now();
     let report = driver.run().expect("serving replay config is valid");
@@ -575,7 +500,6 @@ fn serving_lane(mode: &Mode, host_parallelism: usize) -> ServingLane {
     ServingLane {
         requests: report.requests_sent,
         requested,
-        floor_enforced: requests == requested,
         virtual_slots: report.slots,
         wall_secs,
         ingest_rps: report.requests_sent as f64 / wall_secs.max(f64::MIN_POSITIVE),
@@ -629,6 +553,7 @@ fn json_noc_case(name: &str, cmp: &Comparison) -> String {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { Mode::quick() } else { Mode::full() };
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     eprintln!("bench-summary: mode={}", mode.label);
 
@@ -683,43 +608,6 @@ fn main() {
         sparse.speedup(),
     );
 
-    // PDES saturated scaling: serial engine vs the domain-decomposed
-    // parallel engine at 1/2/4/8 column regions on a pre-loaded 8×8
-    // backlog (deep NI queues so each release is one long batch).
-    let mut scaling_config = NetworkConfig::mesh(8, 8);
-    scaling_config.injection_depth = 256;
-    let rounds = mode.scaling_rounds;
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (serial_secs, serial_outcome) = time_runs(mode.reps, || {
-        let mut net = Network::new(scaling_config.clone()).expect("benchmark mesh is valid");
-        drive_preloaded(&mut net, 8, 8, rounds)
-    });
-    eprintln!(
-        "bench-summary: scaling_8x8 serial {} cycles/s ({} host cores)",
-        rate(serial_outcome.now as f64 / serial_secs),
-        host_parallelism,
-    );
-    // (regions, cycles/s, speedup vs serial)
-    let mut scaling_rows: Vec<(usize, f64, f64)> = Vec::new();
-    for regions in [1usize, 2, 4, 8] {
-        let (secs, outcome) = time_runs(mode.reps, || {
-            let mut net = ParallelNetwork::new(scaling_config.clone(), regions)
-                .expect("benchmark mesh is valid");
-            drive_preloaded(&mut net, 8, 8, rounds)
-        });
-        assert_eq!(
-            outcome, serial_outcome,
-            "scaling_8x8: PDES at {regions} regions must equal the serial engine exactly"
-        );
-        let speedup = serial_secs / secs;
-        eprintln!(
-            "bench-summary: scaling_8x8 {regions} regions {} cycles/s ({:.2}x vs serial)",
-            rate(outcome.now as f64 / secs),
-            speedup,
-        );
-        scaling_rows.push((regions, outcome.now as f64 / secs, speedup));
-    }
-
     // Reconfig drain lane: staged, verified mode changes committed at
     // sweeping slot offsets; the observed drain latencies must sit under
     // the admission-time budget, with percentiles recorded for the trend.
@@ -756,7 +644,7 @@ fn main() {
     // deterministic FleetArrivals-driven request stream on the virtual
     // clock (DESIGN.md §16). Latencies are virtual slots; the wall clock
     // only rates ingest throughput.
-    let serving = serving_lane(&mode, host_parallelism);
+    let serving = serving_lane(&mode);
     eprintln!(
         "bench-summary: serving {} requests in {:.2}s ({} req/s wall), \
          critical p99 {} (bound {}), best-effort p99 {} (bound {}), digest {:#018x}",
@@ -789,21 +677,6 @@ fn main() {
         .iter()
         .map(|(label, value)| format!("      \"{label}\": {}", rate(*value)))
         .collect();
-    let scaling_entries: Vec<String> = scaling_rows
-        .iter()
-        .map(|(regions, cps, speedup)| {
-            format!(
-                "        \"{regions}\": {{ \"cycles_per_sec\": {}, \"speedup_vs_serial\": {speedup:.2} }}",
-                rate(*cps),
-            )
-        })
-        .collect();
-    // Trajectory: keep the last runs' one-line summaries so regressions
-    // in the admission/scaling lanes show up as a trend, not a point.
-    let eight_region_speedup = scaling_rows
-        .iter()
-        .find(|(regions, _, _)| *regions == 8)
-        .map_or(0.0, |(_, _, speedup)| *speedup);
     // Evaluate every acceptance gate BEFORE assembling the document: the
     // rolling history may only record fully-completed runs (an aborted
     // run still writes its JSON for inspection, but appends nothing).
@@ -837,9 +710,9 @@ fn main() {
 
     // Incremental-admission floor: at 10^4 residents one ledger decision
     // must beat the full sweep by >=10x. The measurement is wall-clock, so
-    // like the scaling floor it is only a hard gate on hosts with enough
-    // hardware threads to time reliably; the verdict-equality assertions
-    // inside the lane hold everywhere regardless.
+    // it is only a hard gate on hosts with enough hardware threads to time
+    // reliably; the verdict-equality assertions inside the lane hold
+    // everywhere regardless.
     if host_parallelism >= mode.admission_min_cores {
         if admission.speedup < mode.admission_floor {
             failures.push(format!(
@@ -855,32 +728,11 @@ fn main() {
         );
     }
 
-    // PDES scaling floor — but a measured multi-thread speedup needs
-    // multiple hardware threads, so the floor is only a hard gate on hosts
-    // that can physically deliver it. Elsewhere (e.g. a 1-core CI box) the
-    // measured rows in the JSON are the record, and exact equivalence has
-    // already been asserted above regardless.
-    if host_parallelism >= mode.scaling_min_cores {
-        if eight_region_speedup < mode.scaling_floor {
-            failures.push(format!(
-                "8-region speedup {eight_region_speedup:.2}x is below the {:.1}x floor \
-                 on a {host_parallelism}-core host",
-                mode.scaling_floor,
-            ));
-        }
-    } else {
-        eprintln!(
-            "bench-summary: scaling floor advisory — host has {host_parallelism} hardware \
-             thread(s), {} required to enforce the {:.1}x gate (measured {eight_region_speedup:.2}x)",
-            mode.scaling_min_cores, mode.scaling_floor,
-        );
-    }
-
     // Serving gates. Structural invariants hold on any host: the replay
     // must deliver every request it set out to send, and the observer
     // ring must never overflow (an overflowing ring means the counters
     // and histograms cannot be trusted).
-    if serving.requests < serving.requested && serving.floor_enforced {
+    if serving.requests < serving.requested {
         failures.push(format!(
             "serving lane sent {} of {} requests",
             serving.requests, serving.requested
@@ -894,41 +746,30 @@ fn main() {
     }
     // The per-class deadline gate: p99 end-to-end latency (virtual
     // slots) must sit under the largest relative deadline of the class.
-    // Virtual-clock latency is host-independent, but the full-size run
-    // only executes on multi-core hosts, so the gate rides the same
-    // advisory rule as the other wall-clock floors.
-    if host_parallelism >= mode.serving_min_cores {
-        if serving.critical.2 > serving.critical.4 {
-            failures.push(format!(
-                "serving critical p99 {} slots exceeds the {}-slot deadline bound",
-                serving.critical.2, serving.critical.4
-            ));
-        }
-        if serving.best_effort.2 > serving.best_effort.4 {
-            failures.push(format!(
-                "serving best-effort p99 {} slots exceeds the {}-slot deadline bound",
-                serving.best_effort.2, serving.best_effort.4
-            ));
-        }
-    } else {
-        eprintln!(
-            "bench-summary: serving deadline gate advisory — host has {host_parallelism} \
-             hardware thread(s), {} required (critical p99 {} vs bound {})",
-            mode.serving_min_cores, serving.critical.2, serving.critical.4,
-        );
+    // Virtual-clock latency is host-independent, so the gate applies on
+    // every host.
+    if serving.critical.2 > serving.critical.4 {
+        failures.push(format!(
+            "serving critical p99 {} slots exceeds the {}-slot deadline bound",
+            serving.critical.2, serving.critical.4
+        ));
+    }
+    if serving.best_effort.2 > serving.best_effort.4 {
+        failures.push(format!(
+            "serving best-effort p99 {} slots exceeds the {}-slot deadline bound",
+            serving.best_effort.2, serving.best_effort.4
+        ));
     }
 
     let run_completed = failures.is_empty();
+    // Trajectory: keep the last runs' one-line summaries so regressions
+    // in the admission and serving lanes show up as a trend, not a point.
     let history = rolled_history(
         prior_history("BENCH_noc.json", 7),
         format!(
             "{{\"mode\": \"{}\", \"admission_speedup\": {:.1}, \"admission_p95_ns\": {}, \
-             \"scaling_speedup_8regions\": {:.2}, \"serving_rps\": {:.0}}}",
-            mode.label,
-            admission.speedup,
-            admission.latency_p95_ns,
-            eight_region_speedup,
-            serving.ingest_rps,
+             \"serving_rps\": {:.0}}}",
+            mode.label, admission.speedup, admission.latency_p95_ns, serving.ingest_rps,
         ),
         run_completed,
         7,
@@ -938,25 +779,12 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"ioguard-bench-noc/v5\",\n",
+            "  \"schema\": \"ioguard-bench-noc/v6\",\n",
             "  \"mode\": \"{mode}\",\n",
             "  \"host_parallelism\": {host_par},\n",
             "  \"noc\": {{\n",
             "{saturated},\n",
             "{sparse}\n",
-            "  }},\n",
-            "  \"scaling\": {{\n",
-            "    \"preloaded_8x8\": {{\n",
-            "      \"simulated_cycles\": {scaling_cycles},\n",
-            "      \"flit_hops\": {scaling_hops},\n",
-            "      \"serial_cycles_per_sec\": {serial_cps},\n",
-            "      \"regions\": {{\n",
-            "{scaling_rows}\n",
-            "      }},\n",
-            "      \"floor_regions\": 8,\n",
-            "      \"floor_speedup\": {floor:.1},\n",
-            "      \"floor_enforced\": {enforced}\n",
-            "    }}\n",
             "  }},\n",
             "  \"obs\": {{\n",
             "    \"saturated_8x8\": {{\n",
@@ -995,7 +823,6 @@ fn main() {
             "  \"serving\": {{\n",
             "    \"requests\": {srv_requests},\n",
             "    \"requested\": {srv_requested},\n",
-            "    \"floor_enforced\": {srv_floor},\n",
             "    \"virtual_slots\": {srv_slots},\n",
             "    \"wall_secs\": {srv_wall:.3},\n",
             "    \"ingest_requests_per_sec\": {srv_rps},\n",
@@ -1006,8 +833,7 @@ fn main() {
             "    \"shed_best_effort\": {srv_shed},\n",
             "    \"obs_overflows\": {srv_overflows},\n",
             "    \"e2e_critical_slots\": {{ \"p50\": {srv_c_p50}, \"p95\": {srv_c_p95}, \"p99\": {srv_c_p99}, \"max\": {srv_c_max}, \"deadline_bound\": {srv_c_bound} }},\n",
-            "    \"e2e_best_effort_slots\": {{ \"p50\": {srv_b_p50}, \"p95\": {srv_b_p95}, \"p99\": {srv_b_p99}, \"max\": {srv_b_max}, \"deadline_bound\": {srv_b_bound} }},\n",
-            "    \"deadline_gate_enforced\": {srv_gate}\n",
+            "    \"e2e_best_effort_slots\": {{ \"p50\": {srv_b_p50}, \"p95\": {srv_b_p95}, \"p99\": {srv_b_p99}, \"max\": {srv_b_max}, \"deadline_bound\": {srv_b_bound} }}\n",
             "  }},\n",
             "  \"engine\": {{\n",
             "    \"slot_rate_slots_per_sec\": {{\n",
@@ -1024,12 +850,6 @@ fn main() {
         host_par = host_parallelism,
         saturated = json_noc_case("saturated_8x8", &saturated),
         sparse = json_noc_case("sparse_4x4", &sparse),
-        scaling_cycles = serial_outcome.now,
-        scaling_hops = serial_outcome.stats.flit_hops,
-        serial_cps = rate(serial_outcome.now as f64 / serial_secs),
-        scaling_rows = scaling_entries.join(",\n"),
-        floor = mode.scaling_floor,
-        enforced = host_parallelism >= mode.scaling_min_cores,
         plain_fps = rate(saturated.engine_flits_per_sec()),
         obs_fps = rate(observed_flits_per_sec),
         obs_pct = obs_overhead_pct,
@@ -1059,7 +879,6 @@ fn main() {
         adm_max = admission.latency_max_ns,
         srv_requests = serving.requests,
         srv_requested = serving.requested,
-        srv_floor = serving.floor_enforced,
         srv_slots = serving.virtual_slots,
         srv_wall = serving.wall_secs,
         srv_rps = rate(serving.ingest_rps),
@@ -1079,7 +898,6 @@ fn main() {
         srv_b_p99 = serving.best_effort.2,
         srv_b_max = serving.best_effort.3,
         srv_b_bound = serving.best_effort.4,
-        srv_gate = host_parallelism >= mode.serving_min_cores,
         slots = slot_entries.join(",\n"),
         horizon = mode.slot_horizon,
         history = history_entries.join(",\n"),

@@ -20,7 +20,6 @@ use ioguard_hypervisor::{HvError, HvObs};
 use ioguard_noc::network::{Network, NetworkConfig, NocFabric};
 use ioguard_noc::obs::ObservedFabric;
 use ioguard_noc::packet::Packet;
-use ioguard_noc::parallel::ParallelNetwork;
 use ioguard_noc::topology::NodeId;
 use ioguard_obs::{Histogram, TraceSink};
 use ioguard_sched::task::PeriodicServer;
@@ -76,26 +75,6 @@ impl ChaosScenario {
     pub fn run(&self) -> Result<ChaosOutcome, HvError> {
         let hv = self.build_hypervisor()?;
         let net = self.build_network()?;
-        let (outcome, _, _) = self.run_core(hv, net)?;
-        Ok(outcome)
-    }
-
-    /// Runs the scenario with the response mesh domain-decomposed into
-    /// `regions` column stripes under the PDES engine. The fabric is
-    /// bit-identical to the serial one at any region count, so the outcome
-    /// equals [`ChaosScenario::run`] exactly — the chaos battery uses this
-    /// to fold the parallel engine into its determinism sweep.
-    ///
-    /// # Errors
-    ///
-    /// As [`ChaosScenario::run`].
-    pub fn run_parallel(&self, regions: usize) -> Result<ChaosOutcome, HvError> {
-        let hv = self.build_hypervisor()?;
-        let net = ParallelNetwork::new(NetworkConfig::mesh(4, 4), regions).map_err(|e| {
-            HvError::InvalidConfig {
-                reason: format!("scenario mesh: {e}"),
-            }
-        })?;
         let (outcome, _, _) = self.run_core(hv, net)?;
         Ok(outcome)
     }
@@ -332,6 +311,7 @@ impl ChaosOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ioguard_noc::reference::ReferenceNetwork;
 
     #[test]
     fn quiet_scenario_is_all_green() {
@@ -377,21 +357,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fabric_chaos_matches_serial() {
+    fn reference_fabric_chaos_matches_event_driven() {
         // The full chaos path — bursts, link windows, drop/corrupt marks,
-        // per-slot stepping — over the PDES fabric must reproduce the
-        // serial outcome bit-for-bit at every region count.
+        // per-slot stepping — over the per-cycle reference stepper must
+        // reproduce the event-driven outcome bit-for-bit.
         let mut plan = FaultPlan::new(77).with_adversary(0, 5);
         plan.drop_rate = 0.2;
         plan.link_down_rate = 0.1;
         plan.burst_rate = 0.3;
         let mut scenario = ChaosScenario::new(plan);
         scenario.horizon = 600;
-        let serial = scenario.run().unwrap();
-        for regions in [1usize, 2, 4] {
-            let parallel = scenario.run_parallel(regions).unwrap();
-            assert_eq!(parallel, serial, "{regions}-region chaos diverged");
-        }
+        let fast = scenario.run().unwrap();
+        let hv = scenario.build_hypervisor().unwrap();
+        let net = ReferenceNetwork::new(NetworkConfig::mesh(4, 4)).unwrap();
+        let (reference, _, _) = scenario.run_core(hv, net).unwrap();
+        assert_eq!(reference, fast, "reference-fabric chaos diverged");
     }
 
     #[test]

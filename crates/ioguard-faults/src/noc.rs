@@ -13,18 +13,16 @@
 //! between two edges the fault state cannot change, so [`
 //! NocFaultDriver::drive`] lets the event-driven core fast-forward across
 //! the whole gap with `run_for` instead of spinning idle cycles. The
-//! horizon is refined further by [`NocFaultDriver::next_change_edge`]
-//! (windows whose absolute fault verdicts match their predecessor's are
-//! skipped entirely) and its region-local counterpart
-//! [`NocFaultDriver::next_region_change_edge`], which bounds a single
-//! domain-decomposed region's fault activity for the PDES engine.
+//! horizon is refined further by [`NocFaultDriver::next_change_edge`]:
+//! windows whose absolute fault verdicts match their predecessor's are
+//! skipped entirely.
 
 use serde::{Deserialize, Serialize};
 
 use ioguard_noc::error::NocError;
 use ioguard_noc::network::{Delivery, NocFabric};
 use ioguard_noc::packet::{Packet, PacketKind};
-use ioguard_noc::topology::{Direction, Mesh, RegionMap};
+use ioguard_noc::topology::{Direction, Mesh};
 
 use crate::plan::{tags, FaultPlan};
 
@@ -99,20 +97,12 @@ impl NocFaultDriver {
     }
 
     /// True when [`NocFaultDriver::apply`] at `window` would do anything at
-    /// all relative to `window - 1`: some `relevant` link's up/down verdict
-    /// flips, or a congestion burst fires. Pure plan arithmetic — no fabric
-    /// state is consulted, so any thread can ask about any window.
-    fn window_state_changes<F: Fn(u64) -> bool>(
-        &self,
-        window: u64,
-        mesh: Mesh,
-        relevant: F,
-    ) -> bool {
+    /// all relative to `window - 1`: some link's up/down verdict flips, or
+    /// a congestion burst fires. Pure plan arithmetic — no fabric state is
+    /// consulted.
+    fn window_state_changes(&self, window: u64, mesh: Mesh) -> bool {
         let links = mesh.nodes() as u64 * 4;
         for k in 0..links {
-            if !relevant(k) {
-                continue;
-            }
             let rate = self.plan.link_down_rate;
             if self.plan.chance(tags::LINK, k, window, rate)
                 != self.plan.chance(tags::LINK, k, window - 1, rate)
@@ -124,11 +114,16 @@ impl NocFaultDriver {
             .chance(tags::BURST, window, 0, self.plan.burst_rate)
     }
 
-    /// Shared scan behind the change-edge queries: first window start after
-    /// `cycle` at which the plan changes `relevant` fabric state, bounded
-    /// by [`EDGE_SCAN_WINDOWS`] of lookahead (past the bound a conservative
-    /// window-aligned edge is returned — sound, just not maximally far).
-    fn scan_change_edge<F: Fn(u64) -> bool>(&self, cycle: u64, mesh: Mesh, relevant: F) -> u64 {
+    /// First cycle after `cycle` at which applying this driver can actually
+    /// change fabric state: a link flips up/down or a burst fires. Always
+    /// `>= next_window_edge(cycle)` — windows whose absolute link verdicts
+    /// match their predecessor's and that fire no burst are skipped, so a
+    /// sparse fault schedule lets the event-driven core fast-forward far
+    /// beyond the next window boundary. Lookahead is bounded by
+    /// [`EDGE_SCAN_WINDOWS`]; past the bound a conservative window-aligned
+    /// edge is returned (sound, just not maximally far). Returns `u64::MAX`
+    /// for quiet plans.
+    pub fn next_change_edge(&self, cycle: u64, mesh: Mesh) -> u64 {
         if self.plan.link_down_rate <= 0.0 && self.plan.burst_rate <= 0.0 {
             // A quiet plan never changes fabric state at any window edge.
             return u64::MAX;
@@ -138,7 +133,7 @@ impl NocFaultDriver {
         let mut w = window;
         while w < horizon {
             w += 1;
-            if self.window_state_changes(w, mesh, &relevant) {
+            if self.window_state_changes(w, mesh) {
                 return w.saturating_mul(self.window_cycles);
             }
         }
@@ -146,42 +141,6 @@ impl NocFaultDriver {
         // predecessors, so state is provably constant until the start of
         // `horizon + 1` — the earliest unexamined edge.
         horizon.saturating_add(1).saturating_mul(self.window_cycles)
-    }
-
-    /// First cycle after `cycle` at which applying this driver can actually
-    /// change fabric state: a link flips up/down or a burst fires. Always
-    /// `>= next_window_edge(cycle)` — windows whose absolute link verdicts
-    /// match their predecessor's and that fire no burst are skipped, so a
-    /// sparse fault schedule lets the event-driven core fast-forward far
-    /// beyond the next window boundary. Returns `u64::MAX` for quiet plans.
-    pub fn next_change_edge(&self, cycle: u64, mesh: Mesh) -> u64 {
-        self.scan_change_edge(cycle, mesh, |_| true)
-    }
-
-    /// Region-local variant of [`NocFaultDriver::next_change_edge`]: only
-    /// link flips touching `region` (either endpoint owned by it, per
-    /// `map`) count, while congestion bursts — which may inject anywhere —
-    /// are counted globally, conservatively. Each region's edge therefore
-    /// bounds that region's own fault-activity horizon, and the minimum
-    /// over all regions is exactly the global change edge, so a
-    /// domain-decomposed driver partition agrees bit-for-bit with the
-    /// monolithic one.
-    pub fn next_region_change_edge(
-        &self,
-        cycle: u64,
-        mesh: Mesh,
-        map: &RegionMap,
-        region: u8,
-    ) -> u64 {
-        self.scan_change_edge(cycle, mesh, |k| {
-            let idx = (k / 4) as usize;
-            if map.region_of_index(idx) == region {
-                return true;
-            }
-            let dir = LINK_DIRS[(k % 4) as usize];
-            mesh.neighbor(mesh.node_at(idx), dir)
-                .is_some_and(|n| map.region_of(mesh, n) == region)
-        })
     }
 
     /// Marks a just-injected packet per the plan (drop wins over corrupt).
@@ -379,38 +338,12 @@ mod tests {
             // edge is a no-op relative to its predecessor.
             for w in cycle / 64 + 1..edge / 64 {
                 assert!(
-                    !driver.window_state_changes(w, mesh, |_| true),
+                    !driver.window_state_changes(w, mesh),
                     "window {w} skipped but active"
                 );
             }
         }
         assert!(skipped_any, "1-2% rates must leave skippable windows");
-    }
-
-    #[test]
-    fn region_edges_refine_the_global_edge() {
-        let mesh = Mesh::new(4, 4);
-        let map = RegionMap::columns(mesh, 4);
-        let mut plan = FaultPlan::new(29);
-        plan.link_down_rate = 0.03;
-        plan.burst_rate = 0.01;
-        let driver = NocFaultDriver::new(plan, 32);
-        for cycle in (0..30_000).step_by(731) {
-            let global = driver.next_change_edge(cycle, mesh);
-            let per_region: Vec<u64> = (0..map.region_count())
-                .map(|r| driver.next_region_change_edge(cycle, mesh, &map, r as u8))
-                .collect();
-            for (r, &edge) in per_region.iter().enumerate() {
-                assert!(edge >= global, "region {r} edge {edge} before {global}");
-            }
-            // Every link touches at least one region and bursts count
-            // everywhere, so the regions jointly cover the global edge.
-            assert_eq!(
-                per_region.iter().copied().min(),
-                Some(global),
-                "partition lost a change edge at cycle {cycle}"
-            );
-        }
     }
 
     #[test]

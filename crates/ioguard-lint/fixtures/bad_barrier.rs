@@ -1,9 +1,8 @@
 //! Seeded lint fixture: MUST trip `lock-across-barrier`.
 //!
 //! The boundary-queue guard is still live when the worker arrives at the
-//! epoch barrier: a peer region blocking on the mutex then deadlocks
-//! against the barrier. The PDES protocol requires every guard released
-//! before `EpochSync::arrive`.
+//! epoch barrier: a peer thread blocking on the mutex then deadlocks
+//! against the barrier. Every guard must be released before the wait.
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;

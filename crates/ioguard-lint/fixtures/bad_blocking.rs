@@ -1,7 +1,7 @@
 //! Seeded lint fixture: MUST trip `blocking-in-hot-path`.
 //!
 //! The per-cycle stepper reaches a `thread::park` through a helper call —
-//! blocking inside the hot loop stalls the whole region for the cycle.
+//! blocking inside the hot loop stalls the whole thread for the cycle.
 #![forbid(unsafe_code)]
 
 /// Per-cycle stepper.

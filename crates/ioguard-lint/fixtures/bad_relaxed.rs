@@ -1,9 +1,9 @@
 //! Seeded lint fixture: MUST trip `relaxed-ordering`.
 //!
-//! `epoch` is written by one region thread and read by the others, but the
-//! store is `Relaxed`: the reader's `Acquire` pairs with nothing, so a
-//! cross-region observer can see a stale epoch — exactly the silent
-//! bit-identical-merge breakage the rule exists to catch.
+//! `epoch` is written by one thread and read by the others, but the store
+//! is `Relaxed`: the reader's `Acquire` pairs with nothing, so a
+//! cross-thread observer can see a stale epoch — exactly the silent
+//! breakage the rule exists to catch.
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,10 +1,12 @@
 //! Layer 1.5 — the interprocedural concurrency model.
 //!
-//! PR 6 introduced real shared-memory concurrency (`ParallelNetwork`:
-//! mutex-guarded hand-off channels, a sense-reversing `EpochSync` barrier,
-//! atomics), which per-line token scans cannot reason about: a lock-order
-//! inversion involves two functions, and a guard held across a barrier wait
-//! is a *liveness* property of a span of code, not a single line.
+//! Two places in the workspace share memory across threads: the
+//! work-stealing trial engine (`ioguard-core::engine`: mutex-guarded
+//! per-worker deques and an atomic steal counter) and the serving
+//! executor (`ioguard-serve::executor`: an atomic wake flag). Per-line
+//! token scans cannot reason about that kind of code: a lock-order
+//! inversion involves two functions, and a guard held across a barrier
+//! wait is a *liveness* property of a span of code, not a single line.
 //!
 //! This module builds a lightweight item model on top of the stripped-line
 //! scanner ([`crate::scan`]) — no `syn`, the workspace builds offline:
@@ -18,8 +20,8 @@
 //!   receiver's field name), the guard's live range (a `let`-bound guard
 //!   lives until its block closes or an explicit `drop(guard)`; an unbound
 //!   temporary dies with its statement), barrier waits (`.arrive(` /
-//!   `.wait(` and functions named like barriers), hand-off-queue drains,
-//!   `Ordering::*` atomic accesses, and blocking operations.
+//!   `.wait(` and functions named like barriers), `Ordering::*` atomic
+//!   accesses, and blocking operations.
 //!
 //! Four rules run over the model (see [`check_concurrency`]):
 //!
@@ -27,10 +29,9 @@
 //!   over calls, must be acyclic (a cycle means two threads can take the
 //!   same mutexes in opposite orders and deadlock);
 //! * [`rule::LOCK_ACROSS_BARRIER`] — no guard may be live at a barrier
-//!   wait, directly or through a call whose summary reaches one (the peer
-//!   region would block on the mutex while this thread blocks on the
-//!   barrier: the PDES protocol requires all guards released before
-//!   `EpochSync::arrive`);
+//!   wait, directly or through a call whose summary reaches one (a peer
+//!   thread would block on the mutex while this thread blocks on the
+//!   barrier);
 //! * [`rule::RELAXED_ORDERING`] — on atomic fields that are both read and
 //!   written (the cross-thread ones), `Ordering::Relaxed` and unpaired
 //!   `Acquire`/`Release` need a justified allow;
@@ -46,7 +47,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use crate::rules::{contains_token, find_handoff_drain, is_ident_char, rule, Violation};
+use crate::rules::{contains_token, is_ident_char, rule, Violation};
 use crate::scan::SourceFile;
 
 /// How an atomic access touches its field.
@@ -141,8 +142,6 @@ pub struct FnInfo {
     pub atomics: Vec<AtomicAccess>,
     /// Blocking operations.
     pub blocking: Vec<BlockingOp>,
-    /// Hand-off-queue drains (`inbox.pop_front()` and friends).
-    pub drains: Vec<Site>,
 }
 
 /// The workspace model: every function summary plus a name index.
@@ -275,7 +274,6 @@ fn extract_file(file: &SourceFile, fns: &mut Vec<FnInfo>) {
                             calls: Vec::new(),
                             atomics: Vec::new(),
                             blocking: Vec::new(),
-                            drains: Vec::new(),
                         });
                         stack.push(OpenFn {
                             idx,
@@ -380,11 +378,6 @@ fn extract_file(file: &SourceFile, fns: &mut Vec<FnInfo>) {
                     site: site.clone(),
                 });
             }
-        }
-
-        // Hand-off drains.
-        if find_handoff_drain(code).is_some() {
-            info.drains.push(site.clone());
         }
 
         // Register this line's guards *after* events: the held set above is
@@ -611,7 +604,7 @@ fn transitive_acquisitions(graph: &CodeGraph) -> Vec<BTreeSet<String>> {
 
 /// True per function when it (or anything it calls) waits on a barrier.
 /// Functions *named* like barrier operations (`arrive`, `wait`, `*barrier*`)
-/// count as direct waiters — `EpochSync::arrive`'s body is a spin on the
+/// count as direct waiters — a hand-rolled barrier's body is a spin on a
 /// generation counter, not an `.arrive(` token.
 fn transitive_barriers(graph: &CodeGraph) -> Vec<bool> {
     let mut has: Vec<bool> = graph
@@ -768,7 +761,7 @@ fn report_barrier_hold(
         path: f.path.clone(),
         line: site.line,
         message: format!(
-            "guard for `{}` still live across {} in `{}` — a peer region \
+            "guard for `{}` still live across {} in `{}` — a peer thread \
              blocking on the mutex deadlocks against the barrier; drop the \
              guard first, or justify with lint: allow(lock-across-barrier)",
             held.join("`, `"),
@@ -812,7 +805,7 @@ fn check_relaxed_ordering(graph: &CodeGraph, out: &mut Vec<Violation>) {
             }
             let problem = if a.ordering == "Relaxed" {
                 Some(format!(
-                    "Ordering::Relaxed on shared atomic `{field}` — cross-region \
+                    "Ordering::Relaxed on shared atomic `{field}` — cross-thread \
                      reads may observe stale values"
                 ))
             } else if a.kind == AtomicKind::Load && a.ordering == "Acquire" && !has_release_write {
@@ -883,7 +876,7 @@ fn check_blocking_in_hot_path(graph: &CodeGraph, out: &mut Vec<Violation>) {
                     line: b.site.line,
                     message: format!(
                         "`{}` reachable from hot-path fn `{}`{via} — blocking \
-                         inside the per-cycle loop stalls the whole region; hoist \
+                         inside the per-cycle loop stalls the whole thread; hoist \
                          it out, or justify with lint: allow(blocking-in-hot-path)",
                         b.token.trim_matches(|c| c == '.' || c == '('),
                         graph.fns[h].name

@@ -36,12 +36,11 @@ pub mod rule {
     /// A cycle in the workspace lock-acquisition graph (closed over calls):
     /// two threads taking the same mutexes in opposite orders can deadlock.
     pub const LOCK_ORDER: &str = "lock-order";
-    /// A mutex guard still live across an `EpochSync`/barrier wait — the
-    /// peer region blocks on the mutex while this thread blocks on the
-    /// barrier.
+    /// A mutex guard still live across a barrier wait — a peer thread
+    /// blocks on the mutex while this thread blocks on the barrier.
     pub const LOCK_ACROSS_BARRIER: &str = "lock-across-barrier";
     /// `Ordering::Relaxed` (or an unpaired `Acquire`/`Release`) on an atomic
-    /// field that other region threads also write.
+    /// field that other threads also write.
     pub const RELAXED_ORDERING: &str = "relaxed-ordering";
     /// A lock/park/sleep/join reachable from a `// lint: hot-path` function.
     pub const BLOCKING_IN_HOT_PATH: &str = "blocking-in-hot-path";
@@ -250,35 +249,6 @@ const NONDET_TOKENS: &[&str] = &[
     "SystemTime",
 ];
 
-/// Identifier components that mark a receiver as a cross-thread hand-off
-/// queue (the PDES engine's boundary channels, and anything named like
-/// them). A component matches after `_`-splitting, so `noc_inbox`,
-/// `handoff_queue` and `self.outbox` all qualify.
-const HANDOFF_VOCAB: &[&str] = &[
-    "inbox",
-    "inboxes",
-    "outbox",
-    "outboxes",
-    "mailbox",
-    "mailboxes",
-    "handoff",
-    "handoffs",
-];
-
-/// Accessors that consume a queue in *arrival* order. On a queue fed by
-/// another thread, arrival order is scheduler-dependent: draining one this
-/// way is only deterministic when every message carries an explicit merge
-/// key (e.g. the PDES engine's `(cycle, link)` tags) that the consumer
-/// filters on.
-const HANDOFF_DRAIN_TOKENS: &[&str] = &[
-    ".pop_front(",
-    ".pop_back(",
-    ".pop(",
-    ".drain(",
-    ".recv(",
-    ".try_recv(",
-];
-
 /// Identifier components that mark a receiver as a spillover/retry buffer:
 /// the holding pen for work the admission control rejected. A component
 /// matches after `_`-splitting, so `self.spillover`, `retry_queue` and
@@ -390,7 +360,6 @@ pub fn lint_file(file: &SourceFile, rules: RuleSet, out: &mut Vec<Violation>) {
         }
         if rules.nondeterminism {
             check_tokens(file, line, rule::NONDETERMINISM, NONDET_TOKENS, out);
-            check_handoff_drain(file, line, out);
         }
         if rules.indexing {
             check_indexing(file, line, out);
@@ -540,69 +509,6 @@ fn mentions_vocab(text: &str, vocab: &[&str]) -> bool {
             let lower = part.to_ascii_lowercase();
             vocab.contains(&lower.as_str())
         })
-}
-
-/// True when any identifier in `text` has a `_`-component in the hand-off
-/// vocabulary.
-fn mentions_handoff_vocab(text: &str) -> bool {
-    mentions_vocab(text, HANDOFF_VOCAB)
-}
-
-/// Unordered drains of cross-thread hand-off queues: a
-/// [`HANDOFF_DRAIN_TOKENS`] accessor whose receiver expression mentions the
-/// [`HANDOFF_VOCAB`]. Arrival order on such a queue depends on thread
-/// scheduling, so consuming it positionally is nondeterministic unless the
-/// drain filters on an explicit merge key — in which case the site
-/// documents that with a `lint: allow(nondeterminism)` justification.
-fn check_handoff_drain(file: &SourceFile, line: &LineInfo, out: &mut Vec<Violation>) {
-    let Some(token) = find_handoff_drain(&line.code) else {
-        return;
-    };
-    if file.allow_for(rule::NONDETERMINISM, line).is_some() {
-        return;
-    }
-    out.push(Violation {
-        rule: rule::NONDETERMINISM,
-        path: file.path.clone(),
-        line: line.number,
-        message: format!(
-            "`{}` drains a cross-thread hand-off queue in arrival order — \
-             filter on an explicit (cycle, link) merge key, or justify with \
-             lint: allow(nondeterminism)",
-            token.trim_matches(|c| c == '.' || c == '(')
-        ),
-    });
-}
-
-/// The last hand-off-queue drain accessor on the line, if any: a
-/// [`HANDOFF_DRAIN_TOKENS`] accessor whose receiver expression mentions the
-/// [`HANDOFF_VOCAB`]. Shared with the interprocedural summaries in
-/// [`crate::graph`].
-pub(crate) fn find_handoff_drain(code: &str) -> Option<&'static str> {
-    let mut flagged: Option<&'static str> = None;
-    for token in HANDOFF_DRAIN_TOKENS {
-        let mut start = 0;
-        while let Some(pos) = code[start..].find(token) {
-            let at = start + pos;
-            // The receiver: the maximal operand run left of the accessor
-            // (vocabulary components are order-insensitive, but the words
-            // themselves are not — restore reading order after the
-            // right-to-left scan).
-            let receiver: String = code[..at]
-                .chars()
-                .rev()
-                .take_while(|&c| is_ident_char(c) || matches!(c, '.' | '(' | ')' | '[' | ']' | ':'))
-                .collect::<Vec<char>>()
-                .into_iter()
-                .rev()
-                .collect();
-            if mentions_handoff_vocab(&receiver) {
-                flagged = Some(token);
-            }
-            start = at + token.len();
-        }
-    }
-    flagged
 }
 
 /// Unguarded growth of a spillover/retry buffer: a
@@ -979,54 +885,6 @@ mod tests {
         let mut out = Vec::new();
         lint_file(&file, rules, &mut out);
         out
-    }
-
-    #[test]
-    fn flags_unordered_handoff_drains() {
-        // Every drain shape on hand-off-vocabulary receivers is caught.
-        let v = lint_src(
-            "fn f() {\n\
-             let a = inbox.pop_front();\n\
-             let b = self.outbox.pop();\n\
-             for m in handoff_queue.drain(..) { use_it(m); }\n\
-             let c = mailboxes[i].try_recv();\n\
-             }\n",
-            RuleSet::all(),
-        );
-        assert_eq!(
-            v.iter()
-                .filter(|v| v.rule == rule::NONDETERMINISM && v.message.contains("hand-off"))
-                .count(),
-            4,
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn ordinary_queue_drains_are_not_handoff_violations() {
-        // The same accessors on non-hand-off receivers stay legal: the rule
-        // keys on the cross-thread vocabulary, not on VecDeque use at large.
-        let v = lint_src(
-            "fn f() {\n\
-             let a = queue.pop_front();\n\
-             let b = free_slots.pop();\n\
-             for m in merge.drain(..) { use_it(m); }\n\
-             }\n",
-            RuleSet::all(),
-        );
-        assert!(!v.iter().any(|v| v.message.contains("hand-off")), "{v:?}");
-    }
-
-    #[test]
-    fn justified_handoff_drain_is_allowed() {
-        let v = lint_src(
-            "fn f() {\n\
-             // lint: allow(nondeterminism) — drains only messages keyed below the cycle fence\n\
-             let a = inbox.pop_front();\n\
-             }\n",
-            RuleSet::all(),
-        );
-        assert!(!v.iter().any(|v| v.rule == rule::NONDETERMINISM), "{v:?}");
     }
 
     #[test]

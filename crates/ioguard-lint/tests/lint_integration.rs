@@ -59,20 +59,6 @@ fn seeded_unwrap_fixture_is_rejected() {
 }
 
 #[test]
-fn seeded_handoff_fixture_is_rejected() {
-    let path = fixture("bad_handoff.rs");
-    let violations = check_paths(&[path.as_path()]).expect("fixture readable");
-    assert!(
-        violations
-            .iter()
-            .filter(|v| v.rule == rule::NONDETERMINISM && v.message.contains("hand-off"))
-            .count()
-            >= 3,
-        "all three unordered drains flagged: {violations:?}"
-    );
-}
-
-#[test]
 fn seeded_spillover_fixture_is_rejected() {
     let path = fixture("bad_spillover.rs");
     let violations = check_paths(&[path.as_path()]).expect("fixture readable");

@@ -19,15 +19,8 @@
 //!   event-driven cycle stepper with dense state, a flit arena, quiescence
 //!   skipping and batched uncontended traversal, and per-packet latency
 //!   accounting.
-//! * [`parallel`] — the domain-decomposed parallel engine: per-thread mesh
-//!   regions running the dense core under a conservative one-cycle-lookahead
-//!   protocol, bit-identical to the serial engine at any region count (see
-//!   DESIGN.md §12).
 //! * [`reference`] — the retained per-cycle reference stepper, the
 //!   equivalence oracle for the event-driven core (see DESIGN.md §10).
-//! * `shadow` (feature `sanitizer`) — a deterministic happens-before
-//!   sanitizer: vector clocks stamped onto every boundary message, with
-//!   the hand-off ordering asserted on every drain (see DESIGN.md §13).
 //!
 //! # Example
 //!
@@ -54,11 +47,8 @@ pub mod error;
 pub mod network;
 pub mod obs;
 pub mod packet;
-pub mod parallel;
 pub mod reference;
 pub mod router;
-#[cfg(feature = "sanitizer")]
-pub mod shadow;
 pub mod topology;
 pub mod traffic;
 
@@ -66,5 +56,4 @@ pub use error::NocError;
 pub use network::{Network, NetworkConfig, NocFabric};
 pub use obs::ObservedFabric;
 pub use packet::{Packet, PacketKind};
-pub use parallel::ParallelNetwork;
-pub use topology::{Direction, NodeId, RegionMap};
+pub use topology::{Direction, NodeId};

@@ -194,32 +194,30 @@ pub trait NocFabric {
 }
 
 /// Sentinel for "no input owns this output" in the dense lock array.
-/// Shared with the domain-decomposed engine in [`crate::parallel`].
-pub(crate) const NO_LOCK: u8 = 5;
+const NO_LOCK: u8 = 5;
 
 /// One flit in the dense core. Carries its packet's slab slot (plus the
 /// slot generation for debug validation), so ejection never needs a keyed
-/// lookup. Shared with [`crate::parallel`], whose regions run the same
-/// dense per-cycle semantics.
+/// lookup.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SimFlit {
+struct SimFlit {
     /// Slab slot of the owning packet.
-    pub(crate) slot: u32,
+    slot: u32,
     /// Slab generation at allocation (stale-reuse detector).
-    pub(crate) gen: u32,
+    gen: u32,
     /// Position within the packet: 0 = header.
-    pub(crate) seq: u32,
+    seq: u32,
     /// True for the final flit (releases the wormhole channel).
-    pub(crate) tail: bool,
+    tail: bool,
     /// Destination node.
-    pub(crate) dst: NodeId,
+    dst: NodeId,
     /// Traffic class for QoS arbitration (0 = highest priority).
-    pub(crate) class: u8,
+    class: u8,
 }
 
 impl SimFlit {
     #[inline]
-    pub(crate) const fn is_head(&self) -> bool {
+    const fn is_head(&self) -> bool {
         self.seq == 0
     }
 }
@@ -1023,12 +1021,12 @@ impl NocFabric for Network {
 }
 
 #[inline]
-pub(crate) fn set_bit(words: &mut [u64], i: usize) {
+fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1u64 << (i % 64);
 }
 
 #[inline]
-pub(crate) fn clear_bit(words: &mut [u64], i: usize) {
+fn clear_bit(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1u64 << (i % 64));
 }
 

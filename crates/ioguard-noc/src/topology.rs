@@ -208,153 +208,6 @@ impl Mesh {
     }
 }
 
-/// A static partition of a mesh into simulation regions for the
-/// domain-decomposed parallel engine ([`crate::parallel`]).
-///
-/// Every node belongs to exactly one region; region ids are dense
-/// (`0..region_count()`). Any assignment is *correct* — the parallel
-/// engine is bit-identical to the serial one for arbitrary partitions —
-/// but contiguous partitions (columns, quadrants) minimize boundary
-/// traffic and therefore synchronization cost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionMap {
-    regions: u8,
-    assign: Vec<u8>,
-}
-
-impl RegionMap {
-    /// The trivial partition: the whole mesh in one region.
-    pub fn single(mesh: Mesh) -> Self {
-        Self {
-            regions: 1,
-            assign: vec![0; mesh.nodes()],
-        }
-    }
-
-    /// Column-stripe decomposition into (up to) `regions` vertical bands of
-    /// near-equal width. With XY routing a packet only crosses the stripes
-    /// between its source and destination columns, so stripe boundaries
-    /// carry the minimum possible hand-off traffic. `regions` is clamped to
-    /// `1..=min(mesh.width(), 255)`.
-    pub fn columns(mesh: Mesh, regions: usize) -> Self {
-        let n = regions.clamp(1, usize::from(mesh.width()).min(255));
-        let w = usize::from(mesh.width());
-        let assign = mesh
-            .iter_nodes()
-            .map(|node| ((usize::from(node.x) * n) / w) as u8)
-            .collect();
-        Self {
-            regions: n as u8,
-            assign,
-        }
-    }
-
-    /// 2×2 quadrant decomposition (degenerates to halves/single on meshes
-    /// thinner than two nodes in a dimension).
-    pub fn quadrants(mesh: Mesh) -> Self {
-        Self::grid(mesh, 2, 2)
-    }
-
-    /// General `rx × ry` block decomposition; each factor is clamped to the
-    /// corresponding mesh dimension and the product to 255.
-    pub fn grid(mesh: Mesh, rx: usize, ry: usize) -> Self {
-        let (w, h) = (usize::from(mesh.width()), usize::from(mesh.height()));
-        let mut nx = rx.clamp(1, w);
-        let mut ny = ry.clamp(1, h);
-        while nx * ny > 255 {
-            if ny > 1 {
-                ny -= 1;
-            } else {
-                nx -= 1;
-            }
-        }
-        let assign = mesh
-            .iter_nodes()
-            .map(|node| {
-                let bx = (usize::from(node.x) * nx) / w;
-                let by = (usize::from(node.y) * ny) / h;
-                (by * nx + bx) as u8
-            })
-            .collect();
-        Self {
-            regions: (nx * ny) as u8,
-            assign,
-        }
-    }
-
-    /// Builds a partition from an explicit per-node assignment (row-major
-    /// node order). Region ids are renumbered densely in order of first
-    /// appearance, so any `Vec<u8>` of the right length is a valid
-    /// partition. Returns `None` when `assign.len() != mesh.nodes()`.
-    pub fn from_assignment(mesh: Mesh, assign: &[u8]) -> Option<Self> {
-        if assign.len() != mesh.nodes() {
-            return None;
-        }
-        let mut remap: Vec<Option<u8>> = vec![None; 256];
-        let mut next = 0u8;
-        let mut dense = Vec::with_capacity(assign.len());
-        for &raw in assign {
-            let slot = remap.get_mut(usize::from(raw))?;
-            let id = match *slot {
-                Some(id) => id,
-                None => {
-                    let id = next;
-                    *slot = Some(id);
-                    next = next.saturating_add(1);
-                    id
-                }
-            };
-            dense.push(id);
-        }
-        Some(Self {
-            regions: next.max(1),
-            assign: dense,
-        })
-    }
-
-    /// Number of regions in the partition.
-    pub fn region_count(&self) -> usize {
-        usize::from(self.regions)
-    }
-
-    /// Number of nodes the partition covers (the mesh's node count).
-    pub fn nodes(&self) -> usize {
-        self.assign.len()
-    }
-
-    /// Region owning the node at dense (row-major) index `idx`.
-    pub fn region_of_index(&self, idx: usize) -> u8 {
-        self.assign.get(idx).copied().unwrap_or(0)
-    }
-
-    /// Region owning `node` in `mesh`.
-    pub fn region_of(&self, mesh: Mesh, node: NodeId) -> u8 {
-        self.region_of_index(mesh.index_of(node))
-    }
-
-    /// Number of directed links whose endpoints lie in different regions —
-    /// the hand-off traffic surface of the partition.
-    pub fn boundary_links(&self, mesh: Mesh) -> usize {
-        let mut count = 0;
-        for idx in 0..mesh.nodes() {
-            let here = mesh.node_at(idx);
-            for dir in [
-                Direction::North,
-                Direction::South,
-                Direction::East,
-                Direction::West,
-            ] {
-                if let Some(next) = mesh.neighbor(here, dir) {
-                    if self.region_of_index(idx) != self.region_of(mesh, next) {
-                        count += 1;
-                    }
-                }
-            }
-        }
-        count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,50 +316,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_dimension_panics() {
         let _ = Mesh::new(0, 4);
-    }
-
-    #[test]
-    fn column_regions_are_contiguous_and_balanced() {
-        let m = Mesh::new(8, 8);
-        let map = RegionMap::columns(m, 4);
-        assert_eq!(map.region_count(), 4);
-        for node in m.iter_nodes() {
-            assert_eq!(map.region_of(m, node), (node.x / 2) as u8);
-        }
-        // 4 stripe boundaries × 8 rows × 2 directions.
-        assert_eq!(map.boundary_links(m), 3 * 8 * 2);
-    }
-
-    #[test]
-    fn columns_clamp_to_width() {
-        let m = Mesh::new(3, 3);
-        let map = RegionMap::columns(m, 16);
-        assert_eq!(map.region_count(), 3);
-        let one = RegionMap::columns(m, 0);
-        assert_eq!(one.region_count(), 1);
-        assert_eq!(one, RegionMap::single(m));
-    }
-
-    #[test]
-    fn quadrants_partition_evenly() {
-        let m = Mesh::new(4, 4);
-        let map = RegionMap::quadrants(m);
-        assert_eq!(map.region_count(), 4);
-        assert_eq!(map.region_of(m, NodeId::new(0, 0)), 0);
-        assert_eq!(map.region_of(m, NodeId::new(3, 0)), 1);
-        assert_eq!(map.region_of(m, NodeId::new(0, 3)), 2);
-        assert_eq!(map.region_of(m, NodeId::new(3, 3)), 3);
-    }
-
-    #[test]
-    fn assignment_roundtrip_renumbers_densely() {
-        let m = Mesh::new(2, 2);
-        let map = RegionMap::from_assignment(m, &[7, 7, 3, 9]).unwrap();
-        assert_eq!(map.region_count(), 3);
-        assert_eq!(map.region_of_index(0), 0);
-        assert_eq!(map.region_of_index(1), 0);
-        assert_eq!(map.region_of_index(2), 1);
-        assert_eq!(map.region_of_index(3), 2);
-        assert!(RegionMap::from_assignment(m, &[0, 0, 0]).is_none());
     }
 }

@@ -5,20 +5,14 @@
 //! clock — under seeded random traffic, link faults, class-aware QoS and
 //! every stepping mode (per-cycle, `run_until_idle`, `run_for` jumps).
 //!
-//! Every stimulus class is additionally swept over the domain-decomposed
-//! [`ParallelNetwork`] at 1/2/4/8 column regions plus a quadrant
-//! decomposition: the PDES engine must agree with the serial engine and
-//! the reference bit-for-bit at any region count.
-//!
 //! The fault-plan and multi-thread differential runs live in the
 //! workspace-level `tests/` crate (they need `ioguard-faults` and
 //! `ioguard-core::engine`).
 
 use ioguard_noc::network::{Delivery, Network, NetworkConfig, NetworkStats, NocFabric};
 use ioguard_noc::packet::{Packet, PacketKind};
-use ioguard_noc::parallel::ParallelNetwork;
 use ioguard_noc::reference::ReferenceNetwork;
-use ioguard_noc::topology::{Direction, Mesh, NodeId, RegionMap};
+use ioguard_noc::topology::{Direction, NodeId};
 use ioguard_sim::rng::Xoshiro256StarStar;
 
 /// One deterministic stimulus event, precomputed so both fabrics see the
@@ -117,7 +111,7 @@ fn drive<F: NocFabric>(
 
 fn assert_equivalent(config: NetworkConfig, stim: &[Vec<Stimulus>], drain: u64) {
     let mut engine = Network::new(config.clone()).expect("engine");
-    let mut reference = ReferenceNetwork::new(config.clone()).expect("reference");
+    let mut reference = ReferenceNetwork::new(config).expect("reference");
     let eng = drive(&mut engine, stim, drain);
     let refr = drive(&mut reference, stim, drain);
     assert_eq!(eng.1, refr.1, "inject admission decisions diverged");
@@ -126,35 +120,6 @@ fn assert_equivalent(config: NetworkConfig, stim: &[Vec<Stimulus>], drain: u64) 
     assert_eq!(eng.3, refr.3, "clocks diverged");
     assert_eq!(engine.in_flight(), reference.in_flight());
     assert_eq!(engine.failed_link_count(), reference.failed_link_count());
-
-    // Region sweep: the PDES engine at 1/2/4/8 column stripes (threaded
-    // batches enabled) and sequentially-driven quadrants must all match
-    // the serial engine exactly — deliveries, admissions, stats, clock.
-    let mesh = Mesh::new(config.width, config.height);
-    let mut fabrics: Vec<(String, ParallelNetwork)> = Vec::new();
-    for regions in [1usize, 2, 4, 8] {
-        fabrics.push((
-            format!("{regions} column regions"),
-            ParallelNetwork::new(config.clone(), regions).expect("parallel"),
-        ));
-    }
-    let mut quad =
-        ParallelNetwork::with_map(config, RegionMap::quadrants(mesh)).expect("quadrants");
-    quad.set_threaded(false);
-    fabrics.push(("sequential quadrants".to_string(), quad));
-    for (label, mut par) in fabrics {
-        let got = drive(&mut par, stim, drain);
-        assert_eq!(got.1, eng.1, "{label}: admissions diverged");
-        assert_eq!(got.0, eng.0, "{label}: deliveries diverged");
-        assert_eq!(got.2, eng.2, "{label}: stats diverged");
-        assert_eq!(got.3, eng.3, "{label}: clocks diverged");
-        assert_eq!(par.in_flight(), engine.in_flight(), "{label}: in-flight");
-        assert_eq!(
-            par.failed_link_count(),
-            engine.failed_link_count(),
-            "{label}: failed links"
-        );
-    }
 }
 
 #[test]
@@ -222,7 +187,7 @@ fn differential_shallow_fifos() {
 fn differential_drop_and_corrupt_marks() {
     let config = NetworkConfig::mesh(4, 4);
     let mut engine = Network::new(config.clone()).unwrap();
-    let mut reference = ReferenceNetwork::new(config.clone()).unwrap();
+    let mut reference = ReferenceNetwork::new(config).unwrap();
     let run = |net: &mut dyn NocFabric| {
         let mut out = Vec::new();
         for i in 0..40u64 {
@@ -240,12 +205,7 @@ fn differential_drop_and_corrupt_marks() {
         net.run_until_idle_into(10_000, &mut out);
         (out, net.stats(), net.now().raw())
     };
-    let eng = run(&mut engine);
-    assert_eq!(eng, run(&mut reference));
-    for regions in [2usize, 4] {
-        let mut par = ParallelNetwork::new(NetworkConfig::mesh(4, 4), regions).unwrap();
-        assert_eq!(eng, run(&mut par), "{regions} regions: marks diverged");
-    }
+    assert_eq!(run(&mut engine), run(&mut reference));
 }
 
 #[test]
@@ -255,32 +215,25 @@ fn differential_run_for_sparse_traffic() {
     // stats must still agree exactly.
     let config = NetworkConfig::mesh(5, 5);
     let mut engine = Network::new(config.clone()).unwrap();
-    let mut reference = ReferenceNetwork::new(config.clone()).unwrap();
-    let mut parallel = ParallelNetwork::new(config, 4).unwrap();
+    let mut reference = ReferenceNetwork::new(config).unwrap();
     let mut rng = Xoshiro256StarStar::new(101);
     let mut eng_out = Vec::new();
     let mut ref_out = Vec::new();
-    let mut par_out = Vec::new();
     for i in 0..60u64 {
         let gap = rng.range_u64(50, 2_000);
         let src = NodeId::new(rng.range_u64(0, 5) as u16, rng.range_u64(0, 5) as u16);
         let dst = NodeId::new(rng.range_u64(0, 5) as u16, rng.range_u64(0, 5) as u16);
         let p = Packet::request(i + 1, src, dst, 1 + (i % 4) as u32).unwrap();
         engine.inject(p.clone()).unwrap();
-        reference.inject(p.clone()).unwrap();
-        parallel.inject(p).unwrap();
+        reference.inject(p).unwrap();
         NocFabric::run_for(&mut engine, gap, &mut eng_out);
         NocFabric::run_for(&mut reference, gap, &mut ref_out);
-        NocFabric::run_for(&mut parallel, gap, &mut par_out);
         assert_eq!(
             engine.now(),
             NocFabric::now(&reference),
             "clock after gap {i}"
         );
-        assert_eq!(engine.now(), parallel.now(), "parallel clock after gap {i}");
     }
     assert_eq!(eng_out, ref_out);
-    assert_eq!(eng_out, par_out);
     assert_eq!(engine.stats(), reference.stats());
-    assert_eq!(engine.stats(), parallel.stats());
 }

@@ -4,8 +4,7 @@ use proptest::prelude::*;
 
 use ioguard_noc::network::{Network, NetworkConfig};
 use ioguard_noc::packet::{Packet, PacketKind};
-use ioguard_noc::parallel::ParallelNetwork;
-use ioguard_noc::topology::{Mesh, NodeId, RegionMap};
+use ioguard_noc::topology::{Mesh, NodeId};
 
 fn arb_mesh_dims() -> impl Strategy<Value = (u16, u16)> {
     (2u16..=5, 2u16..=5)
@@ -156,38 +155,5 @@ proptest! {
             .map(|p| p.total_flits() as u64 * (p.src().hops_to(p.dst()) as u64 + 1))
             .sum();
         prop_assert_eq!(net.stats().flit_hops, expected);
-    }
-
-    /// The PDES engine matches the serial engine for *arbitrary* (even
-    /// non-contiguous) random partitions: region shape is a performance
-    /// knob, never a correctness one.
-    #[test]
-    fn random_partitions_match_serial(
-        (w, h) in arb_mesh_dims(),
-        assign in prop::collection::vec(0u8..6, 4..=25),
-        packets in (2u16..=5, 2u16..=5).prop_flat_map(|(w, h)| arb_packets(w, h)),
-    ) {
-        let mesh = Mesh::new(w, h);
-        // Tile the raw assignment over the mesh, then renumber densely.
-        let raw: Vec<u8> = (0..mesh.nodes()).map(|i| assign[i % assign.len()]).collect();
-        let map = RegionMap::from_assignment(mesh, &raw).expect("length matches");
-        let config = NetworkConfig::mesh(w, h);
-        let mut serial = Network::new(config.clone()).expect("valid");
-        let mut par = ParallelNetwork::with_map(config, map).expect("valid map");
-        let mut s_out = Vec::new();
-        let mut p_out = Vec::new();
-        for p in packets.iter().filter(|p| mesh.contains(p.src()) && mesh.contains(p.dst())) {
-            let s = serial.inject(p.clone());
-            let q = par.inject(p.clone());
-            prop_assert_eq!(s.is_ok(), q.is_ok(), "admission diverged");
-            serial.step_into(&mut s_out);
-            par.step_into(&mut p_out);
-        }
-        serial.run_until_idle_into(1_000_000, &mut s_out);
-        par.run_until_idle_into(1_000_000, &mut p_out);
-        prop_assert_eq!(&s_out, &p_out, "deliveries diverged");
-        prop_assert_eq!(serial.stats(), par.stats());
-        prop_assert_eq!(serial.now(), par.now());
-        prop_assert_eq!(serial.in_flight(), par.in_flight());
     }
 }

@@ -11,9 +11,8 @@ use ioguard_faults::plan::FaultPlan;
 use ioguard_noc::network::{Delivery, Network, NetworkConfig, NetworkStats, NocFabric};
 use ioguard_noc::obs::ObservedFabric;
 use ioguard_noc::packet::Packet;
-use ioguard_noc::parallel::ParallelNetwork;
 use ioguard_noc::reference::ReferenceNetwork;
-use ioguard_noc::topology::{Mesh, NodeId, RegionMap};
+use ioguard_noc::topology::NodeId;
 use ioguard_sim::rng::Xoshiro256StarStar;
 
 /// One faulted trial: seeded traffic + the plan's NoC faults, applied
@@ -100,59 +99,30 @@ fn fault_plan_differential_8x8() {
 }
 
 #[test]
-fn fault_plan_differential_parallel_region_sweep() {
-    // The full faulted battery — window link faults, bursts, drop/corrupt
-    // marks, final repair + drain — over the domain-decomposed PDES fabric
-    // at 1/2/4/8 column regions and a quadrant split: every observable must
-    // equal the serial engine's at every region count.
-    for (seed, w, h, cycles) in [(2u64, 4u16, 4u16, 600u64), (7, 8, 8, 400)] {
-        let plan = faulted_plan(seed);
-        let config = NetworkConfig::mesh(w, h);
-        let mut engine = Network::new(config.clone()).unwrap();
-        let eng = run_faulted(&mut engine, &plan, seed, cycles);
-        for regions in [1usize, 2, 4, 8] {
-            let mut par = ParallelNetwork::new(config.clone(), regions).unwrap();
-            let got = run_faulted(&mut par, &plan, seed, cycles);
-            assert_eq!(
-                got, eng,
-                "seed {seed}: {regions}-region faulted run diverged"
-            );
-        }
-        let quad = RegionMap::quadrants(Mesh::new(w, h));
-        let mut par = ParallelNetwork::with_map(config, quad).unwrap();
-        let got = run_faulted(&mut par, &plan, seed, cycles);
-        assert_eq!(got, eng, "seed {seed}: quadrant faulted run diverged");
-    }
-}
-
-#[test]
-fn observed_parallel_trace_is_byte_identical_to_serial() {
-    // The observability wrapper over the PDES fabric: the rendered event
+fn observed_reference_trace_is_byte_identical_to_event_driven() {
+    // The observability wrapper over both fabrics: the rendered event
     // stream (injections, deliveries, corruption, drop edges — with their
-    // cycle stamps) and the latency histogram must equal the serially
-    // observed run byte-for-byte at every region count.
+    // cycle stamps) and the latency histogram of the reference stepper must
+    // equal the event-driven engine's byte-for-byte.
     let plan = faulted_plan(19);
     let config = NetworkConfig::mesh(4, 4);
     let capacity = 1 << 16;
-    let mut serial = ObservedFabric::new(Network::new(config.clone()).unwrap(), capacity);
-    let eng = run_faulted(&mut serial, &plan, 19, 600);
-    let (_, serial_sink, serial_latency) = serial.into_parts();
-    assert_eq!(serial_sink.dropped(), 0, "sink sized for the trial");
-    let golden = serial_sink.render();
+    let mut fast = ObservedFabric::new(Network::new(config.clone()).unwrap(), capacity);
+    let eng = run_faulted(&mut fast, &plan, 19, 600);
+    let (_, fast_sink, fast_latency) = fast.into_parts();
+    assert_eq!(fast_sink.dropped(), 0, "sink sized for the trial");
+    let golden = fast_sink.render();
     assert!(!golden.is_empty());
-    for regions in [2usize, 4, 8] {
-        let net = ParallelNetwork::new(config.clone(), regions).unwrap();
-        let mut par = ObservedFabric::new(net, capacity);
-        let got = run_faulted(&mut par, &plan, 19, 600);
-        assert_eq!(got, eng, "{regions} regions: observed outcome diverged");
-        let (_, sink, latency) = par.into_parts();
-        assert_eq!(sink.dropped(), 0);
-        assert!(
-            sink.render() == golden,
-            "{regions} regions: rendered trace bytes diverged from serial"
-        );
-        assert_eq!(latency, serial_latency, "{regions} regions: histogram");
-    }
+    let mut reference = ObservedFabric::new(ReferenceNetwork::new(config).unwrap(), capacity);
+    let refr = run_faulted(&mut reference, &plan, 19, 600);
+    assert_eq!(refr, eng, "observed outcome diverged");
+    let (_, sink, latency) = reference.into_parts();
+    assert_eq!(sink.dropped(), 0);
+    assert!(
+        sink.render() == golden,
+        "reference trace bytes diverged from the engine's"
+    );
+    assert_eq!(latency, fast_latency, "latency histogram diverged");
 }
 
 /// Summary of one trial, comparable across fabrics and thread counts.
@@ -200,14 +170,6 @@ fn differential_is_thread_count_independent() {
                 seed,
             );
             assert_eq!(eng, refr, "seed {seed}: fabrics diverged");
-            // The PDES fabric nested inside a work-stealing worker: its own
-            // region threads must not care where the trial itself runs.
-            let par = digest(
-                || ParallelNetwork::new(config.clone(), 4).unwrap(),
-                &plan,
-                seed,
-            );
-            assert_eq!(eng, par, "seed {seed}: PDES fabric diverged");
             eng
         });
         results
