@@ -469,7 +469,8 @@ struct ServingLane {
     missed: u64,
     critical_missed: u64,
     shed_best_effort: u64,
-    obs_overflows: u64,
+    /// Accepted requests that never got a final answer.
+    unanswered: u64,
     /// (p50, p95, p99, max, deadline bound) per class, in virtual slots.
     critical: (u64, u64, u64, u64, u64),
     best_effort: (u64, u64, u64, u64, u64),
@@ -508,7 +509,7 @@ fn serving_lane(mode: &Mode) -> ServingLane {
         missed: totals.missed,
         critical_missed: totals.critical_missed,
         shed_best_effort: totals.dropped_best_effort,
-        obs_overflows: report.obs_overflows,
+        unanswered: report.unanswered,
         critical: summary(&report.e2e_critical, report.deadline_bound_critical),
         best_effort: summary(&report.e2e_best_effort, report.deadline_bound_best_effort),
     }
@@ -729,19 +730,18 @@ fn main() {
     }
 
     // Serving gates. Structural invariants hold on any host: the replay
-    // must deliver every request it set out to send, and the observer
-    // ring must never overflow (an overflowing ring means the counters
-    // and histograms cannot be trusted).
+    // must deliver every request it set out to send, and every request
+    // the front-end accepted must get exactly one final answer.
     if serving.requests < serving.requested {
         failures.push(format!(
             "serving lane sent {} of {} requests",
             serving.requests, serving.requested
         ));
     }
-    if serving.obs_overflows > 0 {
+    if serving.unanswered > 0 {
         failures.push(format!(
-            "serving observer ring overflowed {} times",
-            serving.obs_overflows
+            "serving left {} accepted requests unanswered",
+            serving.unanswered
         ));
     }
     // The per-class deadline gate: p99 end-to-end latency (virtual
@@ -779,7 +779,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"ioguard-bench-noc/v6\",\n",
+            "  \"schema\": \"ioguard-bench-noc/v7\",\n",
             "  \"mode\": \"{mode}\",\n",
             "  \"host_parallelism\": {host_par},\n",
             "  \"noc\": {{\n",
@@ -831,7 +831,7 @@ fn main() {
             "    \"missed\": {srv_missed},\n",
             "    \"critical_missed\": {srv_crit_missed},\n",
             "    \"shed_best_effort\": {srv_shed},\n",
-            "    \"obs_overflows\": {srv_overflows},\n",
+            "    \"unanswered\": {srv_unanswered},\n",
             "    \"e2e_critical_slots\": {{ \"p50\": {srv_c_p50}, \"p95\": {srv_c_p95}, \"p99\": {srv_c_p99}, \"max\": {srv_c_max}, \"deadline_bound\": {srv_c_bound} }},\n",
             "    \"e2e_best_effort_slots\": {{ \"p50\": {srv_b_p50}, \"p95\": {srv_b_p95}, \"p99\": {srv_b_p99}, \"max\": {srv_b_max}, \"deadline_bound\": {srv_b_bound} }}\n",
             "  }},\n",
@@ -887,7 +887,7 @@ fn main() {
         srv_missed = serving.missed,
         srv_crit_missed = serving.critical_missed,
         srv_shed = serving.shed_best_effort,
-        srv_overflows = serving.obs_overflows,
+        srv_unanswered = serving.unanswered,
         srv_c_p50 = serving.critical.0,
         srv_c_p95 = serving.critical.1,
         srv_c_p99 = serving.critical.2,

@@ -64,7 +64,7 @@ mod tests {
     /// indented, comma-separated lines inside the `history` array.
     fn summary_with_history(entries: &[String]) -> String {
         let mut text =
-            String::from("{\n  \"schema\": \"ioguard-bench-noc/v6\",\n  \"history\": [\n");
+            String::from("{\n  \"schema\": \"ioguard-bench-noc/v7\",\n  \"history\": [\n");
         for (i, e) in entries.iter().enumerate() {
             text.push_str("    ");
             text.push_str(e);

@@ -16,7 +16,7 @@ use ioguard_hypervisor::hypervisor::{
     AdmissionGuard, DegradationPolicy, HvMode, Hypervisor, HypervisorParams, RtJob,
 };
 use ioguard_hypervisor::metrics::HvMetrics;
-use ioguard_hypervisor::{HvError, HvObs};
+use ioguard_hypervisor::{HvError, HvObs, SubmitError};
 use ioguard_noc::network::{Network, NetworkConfig, NocFabric};
 use ioguard_noc::obs::ObservedFabric;
 use ioguard_noc::packet::Packet;
@@ -108,7 +108,7 @@ impl ChaosScenario {
     }
 
     /// Builds the scenario's hypervisor (guarded-EDF servers, watchdog,
-    /// flood control, degradation tuning) with legacy tracing enabled.
+    /// flood control, degradation tuning).
     fn build_hypervisor(&self) -> Result<Hypervisor, HvError> {
         let plan = &self.plan;
         let servers: Result<Vec<PeriodicServer>, _> = (0..self.vms)
@@ -133,9 +133,7 @@ impl ChaosScenario {
             .with_degradation(DegradationPolicy {
                 healthy_slots_to_recover: 32,
             });
-        let mut hv = Hypervisor::new(params)?;
-        hv.enable_trace(512);
-        Ok(hv)
+        Hypervisor::new(params)
     }
 
     /// Builds the scenario's response-traffic mesh.
@@ -195,7 +193,7 @@ impl ChaosScenario {
                     let wcet = self.job_wcet + plan.wcet_overrun;
                     let job = RtJob::new(vm, next_id, t, wcet, t + self.job_period);
                     next_id += 1;
-                    if let Err(HvError::UnknownVm { .. }) = hv.submit(job) {
+                    if let Err(SubmitError::UnknownVm { .. }) = hv.submit(job) {
                         malformed_rejected += 1;
                     }
                 }

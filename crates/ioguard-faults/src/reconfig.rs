@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use ioguard_hypervisor::driver::RetryPolicy;
 use ioguard_hypervisor::hypervisor::{AdmissionGuard, DegradationPolicy};
 use ioguard_hypervisor::pchannel::PredefinedTask;
-use ioguard_hypervisor::HvError;
+use ioguard_hypervisor::{HvError, SubmitError};
 use ioguard_obs::ObsKind;
 use ioguard_reconfig::{
     ReconfigController, ReconfigPhase, ReconfigTotals, RejectReason, StagedConfig,
@@ -188,7 +188,7 @@ impl ReconfigScenario {
                     let id = next_id;
                     next_id += 1;
                     let wcet = self.job_wcet + plan.wcet_overrun;
-                    if let Err(HvError::UnknownVm { .. }) =
+                    if let Err(SubmitError::UnknownVm { .. }) =
                         rc.submit(vm, id, wcet, self.job_period, false)
                     {
                         malformed_rejected += 1;

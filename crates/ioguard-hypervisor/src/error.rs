@@ -1,9 +1,11 @@
-//! Error type for the hypervisor model.
+//! Error types for the hypervisor model.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised by hypervisor configuration and job submission.
+use crate::event::RefuseReason;
+
+/// Errors raised by hypervisor configuration and execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum HvError {
@@ -11,20 +13,6 @@ pub enum HvError {
     InvalidConfig {
         /// Human-readable description of the violated constraint.
         reason: String,
-    },
-    /// A job named a VM the hypervisor was not configured with.
-    UnknownVm {
-        /// The offending VM index.
-        vm: usize,
-        /// Number of configured VMs.
-        vms: usize,
-    },
-    /// The target VM's I/O pool is full (hardware queues are bounded).
-    PoolFull {
-        /// The VM whose pool rejected the job.
-        vm: usize,
-        /// The pool's capacity.
-        capacity: usize,
     },
     /// A pre-defined task table could not be constructed.
     TableConstruction {
@@ -35,47 +23,57 @@ pub enum HvError {
     /// invariant violation (scheduler bug), surfaced as a value instead of
     /// a panic.
     EmptyPool,
-    /// The VM's submissions are refused by flood control until the given
-    /// slot (babbling-idiot countermeasure).
-    Throttled {
-        /// The throttled VM.
-        vm: usize,
-        /// First slot at which submissions are accepted again.
-        until: u64,
-    },
-    /// The hypervisor is in a degraded operating mode that refuses this
-    /// class of submission (best-effort in degraded mode, all run-time
-    /// jobs in P-channel-only mode).
-    DegradedMode,
 }
 
 impl fmt::Display for HvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HvError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
-            HvError::UnknownVm { vm, vms } => {
-                write!(f, "vm {vm} out of range (hypervisor has {vms} pools)")
-            }
-            HvError::PoolFull { vm, capacity } => {
-                write!(f, "i/o pool of vm {vm} is full (capacity {capacity})")
-            }
             HvError::TableConstruction { reason } => {
                 write!(f, "cannot build time slot table: {reason}")
             }
             HvError::EmptyPool => {
                 write!(f, "slot granted to a pool with an empty shadow register")
             }
-            HvError::Throttled { vm, until } => {
-                write!(f, "vm {vm} throttled by flood control until slot {until}")
-            }
-            HvError::DegradedMode => {
-                write!(f, "submission refused: hypervisor in degraded mode")
-            }
         }
     }
 }
 
 impl Error for HvError {}
+
+/// Why a submission did not enter a pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The job named a VM the hypervisor was not configured with.
+    UnknownVm {
+        /// The offending VM index.
+        vm: usize,
+        /// Number of configured VMs.
+        vms: usize,
+    },
+    /// The hypervisor refused the job (the same verdict the event stream
+    /// carries as [`HvEvent::Refused`](crate::HvEvent::Refused)).
+    Refused(RefuseReason),
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::UnknownVm { vm, vms } => {
+                write!(f, "vm {vm} out of range (hypervisor has {vms} pools)")
+            }
+            SubmitError::Refused(RefuseReason::Throttled { until }) => {
+                write!(f, "throttled by flood control until slot {until}")
+            }
+            SubmitError::Refused(RefuseReason::Degraded) => {
+                write!(f, "submission refused: hypervisor in degraded mode")
+            }
+            SubmitError::Refused(RefuseReason::PoolFull) => write!(f, "i/o pool is full"),
+        }
+    }
+}
+
+impl Error for SubmitError {}
 
 #[cfg(test)]
 mod tests {
@@ -85,29 +83,36 @@ mod tests {
     fn display_and_trait() {
         let cases = [
             (
-                HvError::InvalidConfig { reason: "x".into() },
+                HvError::InvalidConfig { reason: "x".into() }.to_string(),
                 "invalid configuration",
             ),
-            (HvError::UnknownVm { vm: 9, vms: 4 }, "out of range"),
             (
-                HvError::PoolFull {
-                    vm: 0,
-                    capacity: 16,
-                },
+                HvError::TableConstruction { reason: "y".into() }.to_string(),
+                "time slot table",
+            ),
+            (HvError::EmptyPool.to_string(), "empty shadow register"),
+            (
+                SubmitError::UnknownVm { vm: 9, vms: 4 }.to_string(),
+                "out of range",
+            ),
+            (
+                SubmitError::Refused(RefuseReason::PoolFull).to_string(),
                 "full",
             ),
             (
-                HvError::TableConstruction { reason: "y".into() },
-                "time slot table",
+                SubmitError::Refused(RefuseReason::Throttled { until: 40 }).to_string(),
+                "flood control",
             ),
-            (HvError::EmptyPool, "empty shadow register"),
-            (HvError::Throttled { vm: 1, until: 40 }, "flood control"),
-            (HvError::DegradedMode, "degraded"),
+            (
+                SubmitError::Refused(RefuseReason::Degraded).to_string(),
+                "degraded",
+            ),
         ];
-        for (err, needle) in cases {
-            assert!(err.to_string().contains(needle));
+        for (text, needle) in cases {
+            assert!(text.contains(needle));
         }
         fn assert_err<E: Error + Send + Sync + 'static>() {}
         assert_err::<HvError>();
+        assert_err::<SubmitError>();
     }
 }

@@ -10,6 +10,12 @@
 //! 4. otherwise the G-Sched grants the slot to one VM's pool and the
 //!    executor runs one slot of that pool's earliest-deadline job,
 //!    preempting at slot granularity.
+//!
+//! Every decision — each submission verdict, each job's fate and one
+//! disposition per slot — leaves the device once, as a typed [`HvEvent`],
+//! through a single private emission point that folds it into the
+//! [`HvMetrics`], feeds the optional observer and queues it for
+//! [`Hypervisor::step_into`].
 
 // lint: allow(indexing, file) — pool indices come from the G-Sched grant
 // (bounded by the pool count it was handed) and task indices from the
@@ -17,12 +23,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use ioguard_obs::{ObsKind, SYSTEM_VM};
-use ioguard_sim::time::Slots;
-use ioguard_sim::trace::{TraceBuffer, TraceKind};
-
 use crate::driver::{RetryPolicy, Watchdog, WatchdogVerdict};
-use crate::error::HvError;
+use crate::error::{HvError, SubmitError};
+use crate::event::{HvEvent, RefuseReason};
 use crate::gsched::{Gsched, GschedPolicy};
 use crate::obs::HvObs;
 use crate::pchannel::{PChannel, PredefinedTask};
@@ -167,8 +170,8 @@ impl RtJob {
 ///
 /// On persistent device failure (watchdog retry budget exhausted) the mode
 /// steps down one level at a time; after a configured run of healthy slots
-/// it steps back up. Every transition is counted in
-/// [`HvMetrics::mode_changes`] and traced as [`TraceKind::ModeChange`].
+/// it steps back up. Every transition is emitted as
+/// [`HvEvent::ModeChange`] and counted in [`HvMetrics::mode_changes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum HvMode {
     /// Full service: P-channel and R-channel both live.
@@ -183,7 +186,7 @@ pub enum HvMode {
 }
 
 impl HvMode {
-    /// Stable ordinal carried in the `task` field of mode-change traces.
+    /// Stable ordinal carried in the `arg` field of mode-change traces.
     pub const fn ordinal(self) -> u32 {
         match self {
             HvMode::Normal => 0,
@@ -246,11 +249,8 @@ pub struct Hypervisor {
     /// table allocation, actual work remaining, job counter). Only used
     /// when `reclaim` is Some.
     pjob_state: Vec<PjobState>,
-    /// Scheduling-event trace (disabled by default).
-    #[serde(skip, default = "TraceBuffer::disabled")]
-    trace: TraceBuffer,
     /// (vm, task_id) of the job that ran in the previous R-channel slot —
-    /// used to detect preemptions for the trace.
+    /// used to detect dispatches and preemptions.
     last_dispatched: Option<(usize, u64)>,
     /// Current operating mode of the degradation machine.
     mode: HvMode,
@@ -265,13 +265,16 @@ pub struct Hypervisor {
     device_stall_until: u64,
     /// Controller stuck until explicitly cleared (persistent fault).
     device_stuck: bool,
-    /// Edge detector for Fault/Recovery trace events.
+    /// Edge detector for Fault/Recovery events.
     device_fault_active: bool,
     /// Consecutive healthy slots (drives mode recovery).
     healthy_slots: u64,
-    /// Optional observability layer (structured events + latency
-    /// histograms). `None` by default: the device pays one branch per
-    /// emission site and nothing else.
+    /// Events emitted since the caller last took them
+    /// ([`Hypervisor::step_into`], [`Hypervisor::drain_events`]).
+    #[serde(skip, default)]
+    outbox: Vec<HvEvent>,
+    /// Optional observer (structured events + latency histograms) fed from
+    /// the event stream. `None` by default.
     #[serde(skip, default)]
     obs: Option<Box<HvObs>>,
 }
@@ -291,12 +294,6 @@ fn hash3(a: u64, b: u64, c: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Narrows an id to the trace buffer's u32 field, saturating on overflow —
-/// ids above `u32::MAX` lose fidelity in the trace only, never in scheduling.
-fn trace_id(x: u64) -> u32 {
-    u32::try_from(x).unwrap_or(u32::MAX)
 }
 
 impl Hypervisor {
@@ -349,7 +346,6 @@ impl Hypervisor {
             metrics: HvMetrics::with_vms(params.vms),
             reclaim: params.reclaim,
             pjob_state,
-            trace: TraceBuffer::disabled(),
             last_dispatched: None,
             mode: HvMode::Normal,
             watchdog: params.watchdog.map(Watchdog::new),
@@ -360,20 +356,9 @@ impl Hypervisor {
             device_stuck: false,
             device_fault_active: false,
             healthy_slots: 0,
+            outbox: Vec::new(),
             obs: None,
         })
-    }
-
-    /// Enables scheduling-event tracing with a ring of `capacity` events
-    /// (releases, dispatches, preemptions, completions, misses, P-channel
-    /// firings). Zero disables tracing again.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceBuffer::new(capacity);
-    }
-
-    /// The scheduling-event trace.
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
     }
 
     /// Attaches the observability layer: a structured event sink of
@@ -388,18 +373,28 @@ impl Hypervisor {
         self.obs.as_deref()
     }
 
-    /// Mutable access to the attached observer. Long-running front-ends
-    /// (`ioguard-serve`) drain and clear the observer's trace ring every
-    /// slot so the ring never overflows while the monotonic counters and
-    /// latency histograms keep accumulating.
-    pub fn obs_mut(&mut self) -> Option<&mut HvObs> {
-        self.obs.as_deref_mut()
-    }
-
     /// Detaches and returns the observer (the hypervisor keeps running
     /// unobserved).
     pub fn take_obs(&mut self) -> Option<Box<HvObs>> {
         self.obs.take()
+    }
+
+    /// The one emission point: folds `event` into the metrics, hands it to
+    /// the observer, and queues it for the caller.
+    #[inline(always)]
+    fn emit(&mut self, event: HvEvent) {
+        self.metrics.fold(&event);
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.observe(self.now, &event);
+        }
+        self.outbox.push(event);
+    }
+
+    /// Appends every event emitted since the last hand-off to `out`, in
+    /// emission order — for callers between steps (submissions,
+    /// [`Hypervisor::degrade`]).
+    pub fn drain_events(&mut self, out: &mut Vec<HvEvent>) {
+        out.append(&mut self.outbox);
     }
 
     /// Current slot of the global timer.
@@ -407,7 +402,7 @@ impl Hypervisor {
         self.now
     }
 
-    /// Execution metrics so far.
+    /// Execution metrics so far (the fold of every event emitted).
     pub fn metrics(&self) -> &HvMetrics {
         &self.metrics
     }
@@ -457,8 +452,8 @@ impl Hypervisor {
 
     /// Steps the mode machine one level down (towards P-channel-only).
     /// Entering [`HvMode::Degraded`] sheds best-effort work from every
-    /// pool. Called on watchdog exhaustion; public so NoC-level fault
-    /// drivers can escalate too.
+    /// pool, one [`HvEvent::Shed`] per job. Called on watchdog exhaustion;
+    /// public so NoC-level fault drivers can escalate too.
     pub fn degrade(&mut self) {
         let next = match self.mode {
             HvMode::Normal => HvMode::Degraded,
@@ -468,48 +463,23 @@ impl Hypervisor {
         self.set_mode(next);
         if next == HvMode::Degraded {
             for vm in 0..self.pools.len() {
-                let shed = self.pools[vm].shed_best_effort();
-                if !shed.is_empty() {
-                    self.metrics.note_shed(vm, shed.len() as u64);
-                    if let Some(obs) = self.obs.as_mut() {
-                        obs.sink.record(
-                            self.now,
-                            ObsKind::Shed,
-                            trace_id(vm as u64),
-                            0,
-                            shed.len() as u64,
-                        );
-                    }
-                    self.sync_shadow(vm);
+                for job in self.pools[vm].shed_best_effort() {
+                    self.emit(HvEvent::Shed { vm, job });
                 }
+                self.sync_shadow(vm);
             }
         }
     }
 
-    /// Records a mode transition (trace + counter) and resets the recovery
+    /// Enters `next` (emitting the transition) and resets the recovery
     /// clock.
     fn set_mode(&mut self, next: HvMode) {
         if next == self.mode {
             return;
         }
         self.mode = next;
-        self.metrics.mode_changes += 1;
         self.healthy_slots = 0;
-        self.trace.record(
-            Slots::new(self.now),
-            TraceKind::ModeChange,
-            u32::MAX,
-            next.ordinal(),
-        );
-        if let Some(obs) = self.obs.as_mut() {
-            obs.sink.record(
-                self.now,
-                ObsKind::ModeChange,
-                SYSTEM_VM,
-                0,
-                u64::from(next.ordinal()),
-            );
-        }
+        self.emit(HvEvent::ModeChange(next));
     }
 
     /// Refreshes the comparator-tree leaf of VM `vm` from its pool's shadow
@@ -519,22 +489,88 @@ impl Hypervisor {
         self.shadow_index.update(vm, self.pools[vm].shadow_key());
     }
 
+    /// Expires `vm`'s buffered jobs whose deadline has passed (O(1) when
+    /// nothing expired).
+    #[inline(always)]
+    fn expire(&mut self, vm: usize) {
+        let missed = self.pools[vm].expire(self.now);
+        if missed.is_empty() {
+            return;
+        }
+        for job in missed {
+            self.emit(HvEvent::Missed { vm, job });
+        }
+        self.sync_shadow(vm);
+    }
+
     /// Submits a run-time I/O job through VM `job.vm`'s driver.
     ///
     /// # Errors
     ///
-    /// * [`HvError::UnknownVm`] for an out-of-range VM.
-    /// * [`HvError::Throttled`] while flood control has the VM cut off.
-    /// * [`HvError::DegradedMode`] for work the current operating mode
-    ///   refuses (best-effort when degraded; everything in P-channel-only).
-    /// * [`HvError::PoolFull`] when the pool rejects the job; the job is
-    ///   accounted as missed (the hardware cannot buffer it).
-    pub fn submit(&mut self, job: RtJob) -> Result<(), HvError> {
+    /// * [`SubmitError::UnknownVm`] for an out-of-range VM (no event).
+    /// * [`SubmitError::Refused`] when flood control has the VM cut off,
+    ///   the operating mode refuses the job (best-effort when degraded;
+    ///   everything in P-channel-only), or the pool is full. The refusal is
+    ///   also emitted as [`HvEvent::Refused`].
+    pub fn submit(&mut self, job: RtJob) -> Result<(), SubmitError> {
         self.submit_with_payload(job, 64)
     }
 
+    /// Submits a job with an explicit response payload size (throughput
+    /// accounting).
+    ///
+    /// # Errors
+    ///
+    /// See [`Hypervisor::submit`].
+    pub fn submit_with_payload(
+        &mut self,
+        job: RtJob,
+        response_bytes: u32,
+    ) -> Result<(), SubmitError> {
+        let (vm, vms) = (job.vm, self.pools.len());
+        if vm >= vms {
+            return Err(SubmitError::UnknownVm { vm, vms });
+        }
+        let job = PoolEntry {
+            task_id: job.task_id,
+            deadline: job.deadline,
+            remaining: job.wcet,
+            enqueued_at: self.now,
+            first_dispatch: NEVER_DISPATCHED,
+            response_bytes,
+            critical: job.critical,
+        };
+        let verdict = self.admit(vm, job);
+        self.emit(match verdict {
+            Ok(()) => HvEvent::Admitted { vm, job },
+            Err(reason) => HvEvent::Refused { vm, job, reason },
+        });
+        verdict.map_err(SubmitError::Refused)
+    }
+
+    /// Flood control, mode gating, then VM `vm`'s pool.
+    fn admit(&mut self, vm: usize, job: PoolEntry) -> Result<(), RefuseReason> {
+        self.admission_check(vm)?;
+        let refused = match self.mode {
+            HvMode::Normal => false,
+            HvMode::Degraded => !job.critical,
+            HvMode::PchannelOnly => true,
+        };
+        if refused {
+            return Err(RefuseReason::Degraded);
+        }
+        // The hardware sweep is continuous: expired entries free their
+        // queue slots before a new job needs one.
+        self.expire(vm);
+        let inserted = self.pools[vm]
+            .insert(job)
+            .map_err(|_| RefuseReason::PoolFull);
+        self.sync_shadow(vm);
+        inserted
+    }
+
     /// Charges one submission of VM `vm` against flood control.
-    fn admission_check(&mut self, vm: usize, task_id: u64) -> Result<(), HvError> {
+    fn admission_check(&mut self, vm: usize) -> Result<(), RefuseReason> {
         let Some(guard) = self.admission else {
             return Ok(());
         };
@@ -543,18 +579,9 @@ impl Hypervisor {
             return Ok(());
         };
         if now < st.throttled_until {
-            let until = st.throttled_until;
-            self.metrics.note_throttled_submission(vm);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.sink.record(
-                    now,
-                    ObsKind::ThrottledSubmission,
-                    trace_id(vm as u64),
-                    task_id,
-                    until,
-                );
-            }
-            return Err(HvError::Throttled { vm, until });
+            return Err(RefuseReason::Throttled {
+                until: st.throttled_until,
+            });
         }
         if now >= st.window_start.saturating_add(guard.window) {
             let elapsed = now - st.window_start;
@@ -569,221 +596,53 @@ impl Hypervisor {
             // The penalty also closes the G-Sched on this VM: a babbling
             // idiot neither submits nor steals free slots.
             self.gsched.throttle(vm, until);
-            self.metrics.note_throttled_submission(vm);
-            self.trace.record(
-                Slots::new(now),
-                TraceKind::Throttle,
-                trace_id(vm as u64),
-                trace_id(until),
-            );
-            if let Some(obs) = self.obs.as_mut() {
-                obs.sink
-                    .record(now, ObsKind::Throttle, trace_id(vm as u64), 0, until);
-                obs.sink.record(
-                    now,
-                    ObsKind::ThrottledSubmission,
-                    trace_id(vm as u64),
-                    task_id,
-                    until,
-                );
-            }
-            return Err(HvError::Throttled { vm, until });
+            self.emit(HvEvent::ThrottleTrip { vm, until });
+            return Err(RefuseReason::Throttled { until });
         }
         Ok(())
     }
 
-    /// Submits a job with an explicit response payload size (throughput
-    /// accounting).
-    ///
-    /// # Errors
-    ///
-    /// See [`Hypervisor::submit`].
-    pub fn submit_with_payload(&mut self, job: RtJob, response_bytes: u32) -> Result<(), HvError> {
-        let vms = self.pools.len();
-        if job.vm >= vms {
-            return Err(HvError::UnknownVm { vm: job.vm, vms });
-        }
-        self.admission_check(job.vm, job.task_id)?;
-        match self.mode {
-            HvMode::Normal => {}
-            HvMode::Degraded if job.critical => {}
-            HvMode::Degraded => {
-                // Degraded mode sheds best-effort work at admission.
-                self.metrics.note_shed(job.vm, 1);
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.sink.record(
-                        self.now,
-                        ObsKind::Shed,
-                        trace_id(job.vm as u64),
-                        job.task_id,
-                        1,
-                    );
-                }
-                return Err(HvError::DegradedMode);
-            }
-            HvMode::PchannelOnly => {
-                // The R-channel is down: a refused critical job is a miss —
-                // and the trace says so too. (This edge used to be counted
-                // in the per-VM totals without a matching trace event, which
-                // broke fold(trace) == metrics.)
-                if job.critical {
-                    self.metrics.note_miss(job.vm, job.task_id, true);
-                    self.trace.record(
-                        Slots::new(self.now),
-                        TraceKind::DeadlineMiss,
-                        trace_id(job.vm as u64),
-                        trace_id(job.task_id),
-                    );
-                    if let Some(obs) = self.obs.as_mut() {
-                        obs.sink.record(
-                            self.now,
-                            ObsKind::DeadlineMiss,
-                            trace_id(job.vm as u64),
-                            job.task_id,
-                            1,
-                        );
-                    }
-                } else {
-                    self.metrics.note_shed(job.vm, 1);
-                    if let Some(obs) = self.obs.as_mut() {
-                        obs.sink.record(
-                            self.now,
-                            ObsKind::Shed,
-                            trace_id(job.vm as u64),
-                            job.task_id,
-                            1,
-                        );
-                    }
-                }
-                return Err(HvError::DegradedMode);
-            }
-        }
-        let pool = &mut self.pools[job.vm];
-        // The hardware sweep is continuous: expired entries free their
-        // queue slots before a new job needs one.
-        for missed in pool.expire(self.now) {
-            self.metrics
-                .note_miss(job.vm, missed.task_id, missed.critical);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.sink.record(
-                    self.now,
-                    ObsKind::DeadlineMiss,
-                    trace_id(job.vm as u64),
-                    missed.task_id,
-                    u64::from(missed.critical),
-                );
-            }
-        }
-        let entry = PoolEntry {
-            task_id: job.task_id,
-            deadline: job.deadline,
-            remaining: job.wcet,
-            enqueued_at: self.now,
-            first_dispatch: NEVER_DISPATCHED,
-            response_bytes,
-            critical: job.critical,
-        };
-        let result = match pool.insert(entry) {
-            Ok(()) => {
-                self.trace.record(
-                    Slots::new(self.now),
-                    TraceKind::Release,
-                    trace_id(job.vm as u64),
-                    trace_id(job.task_id),
-                );
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.sink.record(
-                        self.now,
-                        ObsKind::Admit,
-                        trace_id(job.vm as u64),
-                        job.task_id,
-                        job.wcet,
-                    );
-                }
-                Ok(())
-            }
-            Err(_) => {
-                let capacity = self.pools[job.vm].capacity();
-                self.metrics.rejected += 1;
-                self.metrics.note_miss(job.vm, job.task_id, job.critical);
-                self.trace.record(
-                    Slots::new(self.now),
-                    TraceKind::DeadlineMiss,
-                    trace_id(job.vm as u64),
-                    trace_id(job.task_id),
-                );
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.sink.record(
-                        self.now,
-                        ObsKind::DeadlineMiss,
-                        trace_id(job.vm as u64),
-                        job.task_id,
-                        u64::from(job.critical),
-                    );
-                }
-                Err(HvError::PoolFull {
-                    vm: job.vm,
-                    capacity,
-                })
-            }
-        };
-        self.sync_shadow(job.vm);
-        result
+    /// Advances the global timer one slot and discards its events (the
+    /// metrics and any observer still see them).
+    pub fn step(&mut self) {
+        self.advance();
+        self.outbox.clear();
     }
 
-    /// Advances the global timer one slot.
-    pub fn step(&mut self) {
+    /// Advances the global timer one slot and appends every event emitted
+    /// since the last hand-off — submissions, [`Hypervisor::degrade`] and
+    /// the slot itself — to `out`, in emission order.
+    pub fn step_into(&mut self, out: &mut Vec<HvEvent>) {
+        self.advance();
+        self.drain_events(out);
+    }
+
+    /// One slot: deadline sweep, replenishment, device health, then exactly
+    /// one slot disposition. The per-slot path is forced inline (here and in
+    /// its helpers) so each `emit` site folds only its own variant.
+    #[inline(always)]
+    fn advance(&mut self) {
         let now = self.now;
         // 1. Deadline sweep. The pools pop expired work off their shadow
-        //    registers (O(1) when nothing expired); the comparator tree is
-        //    refreshed only for pools that actually lost entries.
-        for (vm, pool) in self.pools.iter_mut().enumerate() {
-            let missed = pool.expire(now);
-            if missed.is_empty() {
-                continue;
-            }
-            for missed in missed {
-                self.metrics.note_miss(vm, missed.task_id, missed.critical);
-                self.trace.record(
-                    Slots::new(now),
-                    TraceKind::DeadlineMiss,
-                    trace_id(vm as u64),
-                    trace_id(missed.task_id),
-                );
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.sink.record(
-                        now,
-                        ObsKind::DeadlineMiss,
-                        trace_id(vm as u64),
-                        missed.task_id,
-                        u64::from(missed.critical),
-                    );
-                }
-            }
-            self.shadow_index.update(vm, pool.shadow_key());
+        //    registers; the comparator tree is refreshed only for pools
+        //    that actually lost entries.
+        for vm in 0..self.pools.len() {
+            self.expire(vm);
         }
         // 2. Server replenishment.
         self.gsched.tick(now);
-        // 2b. Device health: trace fault/recovery edges and advance the
+        // 2b. Device health: emit fault/recovery edges and advance the
         //     mode-recovery clock on healthy slots.
         let device_ok = !self.device_faulty();
         if !device_ok && !self.device_fault_active {
             self.device_fault_active = true;
-            self.trace
-                .record(Slots::new(now), TraceKind::Fault, u32::MAX, 0);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.sink.record(now, ObsKind::Fault, SYSTEM_VM, 0, 0);
-            }
+            self.emit(HvEvent::Fault);
         } else if device_ok && self.device_fault_active {
             self.device_fault_active = false;
             if let Some(wd) = &mut self.watchdog {
                 wd.note_progress();
             }
-            self.trace
-                .record(Slots::new(now), TraceKind::Recovery, u32::MAX, 0);
-            if let Some(obs) = self.obs.as_mut() {
-                obs.sink.record(now, ObsKind::Recovery, SYSTEM_VM, 0, 0);
-            }
+            self.emit(HvEvent::Recovery);
         }
         if device_ok {
             self.healthy_slots = self.healthy_slots.saturating_add(1);
@@ -799,23 +658,33 @@ impl Hypervisor {
         } else {
             self.healthy_slots = 0;
         }
-        // 3. P-channel owns occupied slots — unless slack reclamation is on
-        //    and the pre-defined job already finished early, releasing its
-        //    residual reservation to the R-channel.
-        let powner = self.pchannel.fire(now);
-        let p_uses_slot = match (powner, self.reclaim) {
-            (None, _) => false,
-            (Some(owner), None) => {
-                // Full-WCET semantics: the reservation is the execution.
-                if owner.completes_job {
-                    self.metrics.predefined_completed += 1;
-                    self.metrics.response_bytes +=
-                        self.pchannel.tasks()[owner.task_index].response_bytes as u64;
-                }
-                true
-            }
-            (Some(owner), Some(reclaim)) => {
-                let task = &self.pchannel.tasks()[owner.task_index];
+        // 3. P-channel owns occupied slots.
+        if let Some(event) = self.pchannel_slot(now) {
+            self.emit(event);
+        } else if self.mode == HvMode::PchannelOnly {
+            // Degraded slot table: only σ\* executes, the R-channel is off.
+            self.emit(HvEvent::Idle);
+        } else if self.watchdog.as_ref().is_some_and(|wd| wd.in_backoff(now)) {
+            // The watchdog's exponential-backoff window keeps the executor
+            // off the (possibly still faulty) device.
+            self.emit(HvEvent::Backoff);
+        } else {
+            self.rchannel_slot(now, device_ok);
+        }
+        self.now += 1;
+    }
+
+    /// The P-channel's claim on slot `now`: σ\* fires its pre-defined task —
+    /// unless slack reclamation is on and the job already finished early,
+    /// releasing its residual reservation to the R-channel (`None`).
+    #[inline(always)]
+    fn pchannel_slot(&mut self, now: u64) -> Option<HvEvent> {
+        let owner = self.pchannel.fire(now)?;
+        let task = &self.pchannel.tasks()[owner.task_index];
+        let completes = match self.reclaim {
+            // Full-WCET semantics: the reservation is the execution.
+            None => owner.completes_job,
+            Some(reclaim) => {
                 let wcet = task.task.wcet();
                 let state = &mut self.pjob_state[owner.task_index];
                 if state.reserved_left == 0 {
@@ -829,223 +698,102 @@ impl Hypervisor {
                     state.remaining = ((wcet as f64 * frac).round() as u64).clamp(1, wcet);
                 }
                 state.reserved_left -= 1;
-                if state.remaining > 0 {
-                    state.remaining -= 1;
-                    if state.remaining == 0 {
-                        self.metrics.predefined_completed += 1;
-                        self.metrics.response_bytes += task.response_bytes as u64;
-                    }
-                    true
-                } else {
-                    false // residual reservation — reclaimed
+                if state.remaining == 0 {
+                    return None; // residual reservation — reclaimed
                 }
+                state.remaining -= 1;
+                state.remaining == 0
             }
         };
-        if p_uses_slot {
-            self.metrics.pchannel_slots += 1;
-            if let Some(owner) = powner {
-                let task_id = self.pchannel.tasks()[owner.task_index].task_id;
-                self.trace.record(
-                    Slots::new(now),
-                    TraceKind::TableFire,
-                    u32::MAX,
-                    trace_id(task_id),
-                );
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.sink
-                        .record(now, ObsKind::TableFire, SYSTEM_VM, task_id, 0);
+        Some(HvEvent::PchannelSlot {
+            task_id: task.task_id,
+            completed_bytes: completes.then_some(task.response_bytes),
+        })
+    }
+
+    /// 4. A free (or reclaimed) slot: the G-Sched grants one pool, reading
+    ///    the winner off the comparator tree, and the executor runs one
+    ///    slot of its earliest-deadline job. A grant whose pool has no
+    ///    shadow entry would be a scheduler bug; the slot then idles
+    ///    instead of bringing the model down.
+    #[inline(always)]
+    fn rchannel_slot(&mut self, now: u64, device_ok: bool) {
+        if self.gsched.has_guards() {
+            // Slot-denial accounting: VMs with buffered work that budget
+            // enforcement or a throttle window holds back.
+            for vm in 0..self.pools.len() {
+                if !self.pools[vm].is_empty() && self.gsched.is_blocked(vm) {
+                    self.emit(HvEvent::ThrottledSlot { vm });
                 }
-            }
-        } else if self.mode == HvMode::PchannelOnly {
-            // Degraded slot table: only σ\* executes, the R-channel is off.
-            self.metrics.idle_slots += 1;
-        } else if self.watchdog.as_ref().is_some_and(|wd| wd.in_backoff(now)) {
-            // The watchdog's exponential-backoff window keeps the executor
-            // off the (possibly still faulty) device.
-            self.metrics.backoff_slots += 1;
-        } else {
-            // 4. Free (or reclaimed) slot: G-Sched grants one pool, reading
-            //    the winner off the comparator tree. A grant whose pool has
-            //    no shadow entry would be a scheduler bug; the slot then
-            //    idles instead of bringing the model down.
-            if self.gsched.has_guards() {
-                // Slot-denial accounting: VMs with buffered work that
-                // budget enforcement or a throttle window holds back.
-                for (vm, pool) in self.pools.iter().enumerate() {
-                    if !pool.is_empty() && self.gsched.is_blocked(vm) {
-                        self.metrics.note_throttled_slot(vm);
-                        if let Some(obs) = self.obs.as_mut() {
-                            obs.sink
-                                .record(now, ObsKind::ThrottledSlot, trace_id(vm as u64), 0, 0);
-                        }
-                    }
-                }
-            }
-            let granted = self
-                .gsched
-                .grant_indexed(&self.pools, &self.shadow_index)
-                .and_then(|vm| self.pools[vm].shadow().map(|e| (vm, e.task_id)));
-            match granted {
-                Some((vm, _)) if !device_ok => {
-                    // The slot was granted but the device made no progress:
-                    // the watchdog counts it toward its timeout.
-                    self.metrics.stalled_slots += 1;
-                    if let Some(wd) = &mut self.watchdog {
-                        match wd.note_stall(now) {
-                            WatchdogVerdict::Armed => {}
-                            WatchdogVerdict::Retry { attempt, .. } => {
-                                self.metrics.note_retry(vm);
-                                self.trace.record(
-                                    Slots::new(now),
-                                    TraceKind::Retry,
-                                    trace_id(vm as u64),
-                                    attempt,
-                                );
-                                if let Some(obs) = self.obs.as_mut() {
-                                    obs.sink.record(
-                                        now,
-                                        ObsKind::Retry,
-                                        trace_id(vm as u64),
-                                        0,
-                                        u64::from(attempt),
-                                    );
-                                }
-                            }
-                            WatchdogVerdict::Exhausted => self.degrade(),
-                        }
-                    }
-                }
-                Some(running) => {
-                    let vm = running.0;
-                    self.metrics.rchannel_slots += 1;
-                    if let Some(obs) = self.obs.as_mut() {
-                        let remaining = self.pools[vm].shadow().map_or(0, |e| e.remaining);
-                        obs.sink.record(
-                            now,
-                            ObsKind::GschedGrant,
-                            trace_id(vm as u64),
-                            running.1,
-                            remaining,
-                        );
-                    }
-                    if !self.trace.is_disabled() || self.obs.is_some() {
-                        // One switch decision, shared by the legacy trace
-                        // (a disabled buffer ignores record) and the obs
-                        // sink so the two streams can never disagree.
-                        enum Switch {
-                            Continue,
-                            Dispatch,
-                            Preempt(usize, u64),
-                        }
-                        let switch = match self.last_dispatched {
-                            Some(prev) if prev == running => Switch::Continue,
-                            // A different job resumed while the previous one
-                            // still has work: a preemption.
-                            Some((pvm, ptask))
-                                if self
-                                    .pools
-                                    .get(pvm)
-                                    .is_some_and(|p| p.iter().any(|e| e.task_id == ptask)) =>
-                            {
-                                Switch::Preempt(pvm, ptask)
-                            }
-                            _ => Switch::Dispatch,
-                        };
-                        if let Switch::Preempt(pvm, ptask) = switch {
-                            self.trace.record(
-                                Slots::new(now),
-                                TraceKind::Preempt,
-                                trace_id(pvm as u64),
-                                trace_id(ptask),
-                            );
-                            if let Some(obs) = self.obs.as_mut() {
-                                obs.sink.record(
-                                    now,
-                                    ObsKind::Preempt,
-                                    trace_id(pvm as u64),
-                                    ptask,
-                                    0,
-                                );
-                            }
-                        }
-                        if !matches!(switch, Switch::Continue) {
-                            self.trace.record(
-                                Slots::new(now),
-                                TraceKind::Dispatch,
-                                trace_id(running.0 as u64),
-                                trace_id(running.1),
-                            );
-                            if let Some(obs) = self.obs.as_mut() {
-                                obs.sink.record(
-                                    now,
-                                    ObsKind::Dispatch,
-                                    trace_id(vm as u64),
-                                    running.1,
-                                    0,
-                                );
-                            }
-                        }
-                    }
-                    self.last_dispatched = Some(running);
-                    if let Some(wd) = &mut self.watchdog {
-                        // Progress on the device closes any stall episode
-                        // (the Recovery trace edge is emitted in step 2b).
-                        wd.note_progress();
-                    }
-                    if self.obs.is_some() {
-                        // Stamp the dispatch edge for the latency split
-                        // (idempotent; invisible to scheduling).
-                        self.pools[vm].note_dispatch(now);
-                    }
-                    if let Ok(Some(done)) = self.pools[vm].execute_slot() {
-                        // Completion moved the shadow register; a mere
-                        // budget decrement leaves the key untouched. (The
-                        // Err arm is unreachable — the shadow register was
-                        // read non-empty on this same slot.)
-                        self.sync_shadow(vm);
-                        self.metrics.note_completion(vm);
-                        self.metrics.response_bytes += done.response_bytes as u64;
-                        self.metrics
-                            .latency
-                            .push((now + 1 - done.enqueued_at) as f64);
-                        self.trace.record(
-                            Slots::new(now),
-                            TraceKind::Complete,
-                            trace_id(vm as u64),
-                            trace_id(done.task_id),
-                        );
-                        if let Some(obs) = self.obs.as_mut() {
-                            let finish = now.saturating_add(1);
-                            let e2e = finish.saturating_sub(done.enqueued_at);
-                            obs.sink.record(
-                                now,
-                                ObsKind::Complete,
-                                trace_id(vm as u64),
-                                done.task_id,
-                                e2e,
-                            );
-                            if done.first_dispatch != NEVER_DISPATCHED {
-                                obs.submit_to_dispatch
-                                    .record(done.first_dispatch.saturating_sub(done.enqueued_at));
-                                obs.dispatch_to_response
-                                    .record(finish.saturating_sub(done.first_dispatch));
-                            }
-                            if let Some(h) = obs.e2e_per_vm.get_mut(vm) {
-                                h.record(e2e);
-                            }
-                            if done.critical {
-                                obs.e2e_critical.record(e2e);
-                            } else {
-                                obs.e2e_best_effort.record(e2e);
-                            }
-                        }
-                        self.last_dispatched = None;
-                    }
-                }
-                None => self.metrics.idle_slots += 1,
             }
         }
-        self.now += 1;
+        let granted = self
+            .gsched
+            .grant_indexed(&self.pools, &self.shadow_index)
+            .and_then(|vm| {
+                self.pools[vm]
+                    .shadow()
+                    .map(|e| (vm, e.task_id, e.remaining))
+            });
+        let Some((vm, task_id, remaining)) = granted else {
+            self.emit(HvEvent::Idle);
+            return;
+        };
+        if !device_ok {
+            // The slot was granted but the device made no progress: the
+            // watchdog counts it toward its timeout.
+            self.emit(HvEvent::Stalled);
+            match self.watchdog.as_mut().map(|wd| wd.note_stall(now)) {
+                Some(WatchdogVerdict::Retry { attempt, .. }) => {
+                    self.emit(HvEvent::Retry { vm, attempt });
+                }
+                Some(WatchdogVerdict::Exhausted) => self.degrade(),
+                Some(WatchdogVerdict::Armed) | None => {}
+            }
+            return;
+        }
+        self.emit(HvEvent::Grant {
+            vm,
+            task_id,
+            remaining,
+        });
+        let running = (vm, task_id);
+        if self.last_dispatched != Some(running) {
+            // A different job resumed while the previous one still has
+            // work: a preemption.
+            if let Some((pvm, ptask)) = self.last_dispatched {
+                if self
+                    .pools
+                    .get(pvm)
+                    .is_some_and(|p| p.iter().any(|e| e.task_id == ptask))
+                {
+                    self.emit(HvEvent::Preempt {
+                        vm: pvm,
+                        task_id: ptask,
+                    });
+                }
+            }
+            self.emit(HvEvent::Dispatch { vm, task_id });
+        }
+        self.last_dispatched = Some(running);
+        if let Some(wd) = &mut self.watchdog {
+            // Progress on the device closes any stall episode (the
+            // Recovery edge is emitted in step 2b).
+            wd.note_progress();
+        }
+        // Stamp the dispatch edge for the latency split (idempotent;
+        // invisible to scheduling).
+        self.pools[vm].note_dispatch(now);
+        if let Ok(Some(job)) = self.pools[vm].execute_slot() {
+            // Completion moved the shadow register; a mere budget
+            // decrement leaves the key untouched. (The Err arm is
+            // unreachable — the shadow register was read non-empty on this
+            // same slot.)
+            self.sync_shadow(vm);
+            let finish = now.saturating_add(1);
+            self.emit(HvEvent::Completed { vm, job, finish });
+            self.last_dispatched = None;
+        }
     }
 
     /// Runs `slots` consecutive slots.
@@ -1074,25 +822,25 @@ impl Hypervisor {
 
     /// Re-inserts an entry carried across a configuration switch into VM
     /// `vm`'s pool, bypassing admission control and mode gating: the job
-    /// was already admitted (and traced) under the previous configuration
-    /// epoch, so no `Admit` event is emitted and flood control is not
-    /// charged — re-admitting would double-count it.
+    /// was already admitted under the previous configuration epoch, so no
+    /// event is emitted and flood control is not charged — re-admitting
+    /// would double-count it.
     ///
     /// # Errors
     ///
-    /// * [`HvError::UnknownVm`] when `vm` does not exist in this
+    /// * [`SubmitError::UnknownVm`] when `vm` does not exist in this
     ///   configuration (the caller decides whether that is a teardown).
-    /// * [`HvError::PoolFull`] when the pool cannot hold the entry (the
-    ///   caller accounts the loss; nothing is silently dropped here).
-    pub fn restore_entry(&mut self, vm: usize, entry: PoolEntry) -> Result<(), HvError> {
+    /// * [`SubmitError::Refused`] with [`RefuseReason::PoolFull`] when the
+    ///   pool cannot hold the entry (the caller accounts the loss; nothing
+    ///   is silently dropped here).
+    pub fn restore_entry(&mut self, vm: usize, entry: PoolEntry) -> Result<(), SubmitError> {
         let vms = self.pools.len();
         let Some(pool) = self.pools.get_mut(vm) else {
-            return Err(HvError::UnknownVm { vm, vms });
+            return Err(SubmitError::UnknownVm { vm, vms });
         };
-        let capacity = pool.capacity();
         let result = pool
             .insert(entry)
-            .map_err(|_| HvError::PoolFull { vm, capacity });
+            .map_err(|_| SubmitError::Refused(RefuseReason::PoolFull));
         self.sync_shadow(vm);
         result
     }
@@ -1153,10 +901,13 @@ mod tests {
     #[test]
     fn unknown_vm_rejected() {
         let mut hv = Hypervisor::new(HypervisorParams::new(2)).unwrap();
-        assert!(matches!(
+        assert_eq!(
             hv.submit(RtJob::new(5, 1, 0, 1, 10)),
-            Err(HvError::UnknownVm { vm: 5, vms: 2 })
-        ));
+            Err(SubmitError::UnknownVm { vm: 5, vms: 2 })
+        );
+        let mut events = Vec::new();
+        hv.drain_events(&mut events);
+        assert!(events.is_empty(), "no VM to attribute an event to");
     }
 
     #[test]
@@ -1167,10 +918,10 @@ mod tests {
         };
         let mut hv = Hypervisor::new(params).unwrap();
         hv.submit(RtJob::new(0, 1, 0, 5, 100)).unwrap();
-        assert!(matches!(
+        assert_eq!(
             hv.submit(RtJob::new(0, 2, 0, 1, 100)),
-            Err(HvError::PoolFull { .. })
-        ));
+            Err(SubmitError::Refused(RefuseReason::PoolFull))
+        );
         assert_eq!(hv.metrics().missed, 1);
         assert_eq!(hv.metrics().rejected, 1);
     }
@@ -1289,48 +1040,75 @@ mod tests {
         assert!(hv.metrics().no_misses());
     }
 
+    /// Steps `slots` slots, appending every event to `events`.
+    fn run_into(hv: &mut Hypervisor, slots: u64, events: &mut Vec<HvEvent>) {
+        for _ in 0..slots {
+            hv.step_into(events);
+        }
+    }
+
     #[test]
     fn trace_records_scheduling_events() {
-        use ioguard_sim::trace::TraceKind;
         let mut hv = Hypervisor::new(HypervisorParams::new(2)).unwrap();
-        hv.enable_trace(256);
+        let mut events = Vec::new();
         // Long lax job, then a tight one that preempts it.
         hv.submit(RtJob::new(0, 1, 0, 5, 100)).unwrap();
-        hv.run(2);
+        run_into(&mut hv, 2, &mut events);
         hv.submit(RtJob::new(1, 2, 2, 1, 6)).unwrap();
-        hv.run(10);
-        let trace = hv.trace();
-        assert_eq!(trace.of_kind(TraceKind::Release).count(), 2);
-        assert_eq!(trace.of_kind(TraceKind::Complete).count(), 2);
-        assert_eq!(
-            trace.of_kind(TraceKind::Preempt).count(),
-            1,
-            "job 1 preempted once by job 2: {:?}",
-            trace.iter().collect::<Vec<_>>()
-        );
-        let preempt = trace.of_kind(TraceKind::Preempt).next().unwrap();
-        assert_eq!(preempt.task, 1);
-        // Completion order: tight job 2 first.
-        let completes: Vec<u32> = trace.of_kind(TraceKind::Complete).map(|e| e.task).collect();
-        assert_eq!(completes, vec![2, 1]);
+        run_into(&mut hv, 10, &mut events);
+        let edges: Vec<(usize, u64, bool)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                HvEvent::Preempt { vm, task_id } => Some((vm, task_id, false)),
+                HvEvent::Completed { vm, job, .. } => Some((vm, job.task_id, true)),
+                _ => None,
+            })
+            .collect();
+        // Job 1 preempted once by job 2, which completes first.
+        assert_eq!(edges, [(0, 1, false), (1, 2, true), (0, 1, true)]);
     }
 
     #[test]
     fn trace_records_misses_and_table_fires() {
-        use ioguard_sim::trace::TraceKind;
         let params = HypervisorParams::new(1).with_predefined(vec![predefined(9, 4, 1)]);
         let mut hv = Hypervisor::new(params).unwrap();
-        hv.enable_trace(64);
         hv.submit(RtJob::new(0, 1, 0, 10, 3)).unwrap(); // must miss
-        hv.run(8);
-        let trace = hv.trace();
-        assert_eq!(trace.of_kind(TraceKind::DeadlineMiss).count(), 1);
-        assert_eq!(trace.of_kind(TraceKind::TableFire).count(), 2);
-        // Disabled by default: a fresh hypervisor records nothing.
-        let mut fresh = Hypervisor::new(HypervisorParams::new(1)).unwrap();
-        fresh.submit(RtJob::new(0, 1, 0, 1, 5)).unwrap();
-        fresh.run(3);
-        assert!(fresh.trace().is_empty());
+        let mut events = Vec::new();
+        run_into(&mut hv, 8, &mut events);
+        let fires = events
+            .iter()
+            .filter(|e| matches!(e, HvEvent::PchannelSlot { .. }));
+        assert_eq!(fires.count(), 2);
+        let missed = |e: &HvEvent| matches!(e, HvEvent::Missed { vm: 0, job } if job.task_id == 1);
+        assert!(events.iter().any(missed));
+        // `step` hands nothing over; the metrics fold every event anyway.
+        let seen = events.len();
+        hv.step();
+        hv.drain_events(&mut events);
+        assert_eq!(events.len(), seen);
+        assert_eq!(hv.metrics().total_slots(), 9);
+    }
+
+    #[test]
+    fn observer_never_changes_the_stream() {
+        let run = |observed: bool| {
+            let mut hv = Hypervisor::new(HypervisorParams::new(2)).unwrap();
+            if observed {
+                hv.attach_obs(4);
+            }
+            let mut events = Vec::new();
+            for k in 0..40u64 {
+                let t = hv.now();
+                let job = RtJob::new((k % 2) as usize, k, t, 1 + k % 3, t + 2 + k % 7);
+                let _ = hv.submit(if k % 3 == 0 { job.best_effort() } else { job });
+                if k == 20 {
+                    hv.degrade();
+                }
+                run_into(&mut hv, 2, &mut events);
+            }
+            (events, hv.metrics().clone(), hv.pools().to_vec())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1347,10 +1125,10 @@ mod tests {
                 healthy_slots_to_recover: 8,
             });
         let mut hv = Hypervisor::new(params).unwrap();
-        hv.enable_trace(256);
+        let mut events = Vec::new();
         hv.submit(RtJob::new(0, 1, 0, 2, 1_000)).unwrap();
         hv.inject_device_stall(50);
-        hv.run(50);
+        run_into(&mut hv, 50, &mut events);
         // One exhaustion cycle → Degraded; the fault persists, so a second
         // cycle escalates to the P-channel-only fallback table.
         assert_eq!(hv.mode(), HvMode::PchannelOnly);
@@ -1360,37 +1138,54 @@ mod tests {
         assert_eq!(m.retries, 4, "2 bounded retries per cycle: {m:?}");
         assert_eq!(m.vm(0).retries, 4);
         assert_eq!(m.mode_changes, 2);
-        let trace = hv.trace();
-        assert_eq!(trace.of_kind(TraceKind::Fault).count(), 1);
-        assert_eq!(trace.of_kind(TraceKind::Retry).count(), 4);
-        assert_eq!(trace.of_kind(TraceKind::ModeChange).count(), 2);
+        let edges = |events: &[HvEvent]| -> Vec<HvEvent> {
+            let edge = |e: &&HvEvent| matches!(e, HvEvent::Fault | HvEvent::ModeChange(_));
+            events.iter().filter(edge).copied().collect()
+        };
+        assert_eq!(
+            edges(&events),
+            [
+                HvEvent::Fault,
+                HvEvent::ModeChange(HvMode::Degraded),
+                HvEvent::ModeChange(HvMode::PchannelOnly)
+            ]
+        );
         // Fault clears at slot 50: the job completes, and after the healthy
         // run the mode steps back to Normal.
-        hv.run(20);
+        run_into(&mut hv, 20, &mut events);
         assert_eq!(hv.mode(), HvMode::Normal);
         assert_eq!(hv.metrics().completed, 1);
-        assert!(hv.trace().of_kind(TraceKind::Recovery).count() >= 1);
-        let normal_ordinal = HvMode::Normal.ordinal();
-        assert!(hv
-            .trace()
-            .of_kind(TraceKind::ModeChange)
-            .any(|e| e.task == normal_ordinal));
+        assert!(events.contains(&HvEvent::Recovery));
+        assert!(events.contains(&HvEvent::ModeChange(HvMode::Normal)));
     }
 
     #[test]
     fn degraded_mode_sheds_best_effort_keeps_critical() {
         let mut hv = Hypervisor::new(HypervisorParams::new(1)).unwrap();
         hv.submit(RtJob::new(0, 1, 0, 2, 100)).unwrap();
-        hv.submit(RtJob::new(0, 2, 0, 2, 100).best_effort())
-            .unwrap();
+        for task_id in [2, 5] {
+            hv.submit(RtJob::new(0, task_id, 0, 2, 100).best_effort())
+                .unwrap();
+        }
+        let mut events = Vec::new();
         hv.degrade();
+        hv.drain_events(&mut events);
         assert_eq!(hv.mode(), HvMode::Degraded);
-        assert_eq!(hv.metrics().dropped_best_effort, 1);
-        assert_eq!(hv.metrics().vm(0).dropped_best_effort, 1);
+        assert_eq!(hv.metrics().vm(0).dropped_best_effort, 2);
+        // One shed event per job, after the mode change.
+        assert_eq!(events[3], HvEvent::ModeChange(HvMode::Degraded));
+        let shed: Vec<u64> = events[4..]
+            .iter()
+            .filter_map(|e| match e {
+                HvEvent::Shed { vm: 0, job } => Some(job.task_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shed, [2, 5], "{events:?}");
         // New best-effort work is refused at admission; critical accepted.
         assert_eq!(
             hv.submit(RtJob::new(0, 3, 0, 1, 100).best_effort()),
-            Err(HvError::DegradedMode)
+            Err(SubmitError::Refused(RefuseReason::Degraded))
         );
         hv.submit(RtJob::new(0, 4, 0, 1, 100)).unwrap();
         hv.run(10);
@@ -1407,7 +1202,7 @@ mod tests {
         assert_eq!(hv.mode(), HvMode::PchannelOnly);
         assert_eq!(
             hv.submit(RtJob::new(0, 1, 0, 1, 100)),
-            Err(HvError::DegradedMode)
+            Err(SubmitError::Refused(RefuseReason::Degraded))
         );
         assert_eq!(hv.metrics().missed, 1, "refused critical job is a miss");
         hv.run(4);
@@ -1424,19 +1219,18 @@ mod tests {
             throttle_slots: 20,
         });
         let mut hv = Hypervisor::new(params).unwrap();
-        hv.enable_trace(64);
         for k in 0..3 {
             hv.submit(RtJob::new(0, k, 0, 1, 100)).unwrap();
         }
         // Fourth submission in the window trips flood control.
-        let err = hv.submit(RtJob::new(0, 3, 0, 1, 100)).unwrap_err();
-        assert!(matches!(err, HvError::Throttled { vm: 0, .. }), "{err}");
-        assert!(matches!(
-            hv.submit(RtJob::new(0, 4, 0, 1, 100)),
-            Err(HvError::Throttled { .. })
-        ));
+        let throttled = Err(SubmitError::Refused(RefuseReason::Throttled { until: 20 }));
+        assert_eq!(hv.submit(RtJob::new(0, 3, 0, 1, 100)), throttled);
+        assert_eq!(hv.submit(RtJob::new(0, 4, 0, 1, 100)), throttled);
         assert_eq!(hv.metrics().vm(0).throttled_submissions, 2);
-        assert_eq!(hv.trace().of_kind(TraceKind::Throttle).count(), 1);
+        let mut events = Vec::new();
+        hv.drain_events(&mut events);
+        let trip = HvEvent::ThrottleTrip { vm: 0, until: 20 };
+        assert_eq!(events.iter().filter(|&&e| e == trip).count(), 1);
         // The other VM is unaffected, now and throughout the penalty.
         hv.submit(RtJob::new(1, 10, 0, 1, 100)).unwrap();
         hv.run(25);
@@ -1514,10 +1308,10 @@ mod tests {
             response_bytes: 64,
             critical: true,
         };
-        assert!(matches!(
+        assert_eq!(
             small.restore_entry(5, entry),
-            Err(HvError::UnknownVm { vm: 5, vms: 1 })
-        ));
+            Err(SubmitError::UnknownVm { vm: 5, vms: 1 })
+        );
     }
 
     #[test]

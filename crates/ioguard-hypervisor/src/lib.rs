@@ -22,8 +22,11 @@
 //!   controller models (SPI, I²C, Ethernet, FlexRay) with real bandwidths,
 //!   and the per-transaction **watchdog** (timeout, bounded retry with
 //!   exponential backoff).
+//! * [`event`] — the typed event stream every decision leaves the device
+//!   on: job fates, scheduling edges and one disposition per slot.
 //! * [`metrics`] — global and **per-VM** execution counters, including the
-//!   fault-handling accounting (stalls, retries, throttles, shed jobs).
+//!   fault-handling accounting (stalls, retries, throttles, shed jobs) —
+//!   the fold of the event stream.
 //! * [`hypervisor`] — the assembled device: `step()` advances one slot,
 //!   P-channel entries preempt everything (their slots are theirs by
 //!   construction), R-channel jobs run preemptively at slot granularity.
@@ -40,7 +43,7 @@
 //! }
 //! assert_eq!(hv.metrics().completed, 1);
 //! assert_eq!(hv.metrics().missed, 0);
-//! # Ok::<(), ioguard_hypervisor::HvError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,6 +51,7 @@
 
 pub mod driver;
 pub mod error;
+pub mod event;
 pub mod gsched;
 pub mod hypervisor;
 pub mod metrics;
@@ -57,7 +61,8 @@ pub mod pool;
 pub mod shadowindex;
 pub mod system;
 
-pub use error::HvError;
+pub use error::{HvError, SubmitError};
+pub use event::{HvEvent, RefuseReason};
 pub use hypervisor::{Hypervisor, HypervisorParams, RtJob};
 pub use metrics::{HvMetrics, VmMetrics};
 pub use obs::HvObs;

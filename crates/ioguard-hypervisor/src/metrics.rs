@@ -6,6 +6,10 @@
 //! may miss deadlines while the well-behaved VMs must not — so miss,
 //! throttle, retry and shedding counters have to be attributable to a
 //! single VM, not just summed across the device.
+//!
+//! The metrics are a fold over the hypervisor's event stream
+//! ([`HvMetrics::fold`]): the device updates them nowhere else, so folding
+//! the stream into fresh metrics reproduces the live ones exactly.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,8 +18,7 @@ use ioguard_sim::stats::OnlineStats;
 pub use ioguard_obs::counters::VmCounters;
 use ioguard_obs::CounterRegistry;
 
-/// Capacity of the recent-miss diagnostic ring.
-const MISS_RING: usize = 64;
+use crate::event::{HvEvent, RefuseReason};
 
 /// Per-VM execution counters.
 ///
@@ -61,8 +64,6 @@ pub struct HvMetrics {
     pub response_bytes: u64,
     /// Response latency of completed run-time jobs, in slots.
     pub latency: OnlineStats,
-    /// Task ids of the most recent misses (bounded diagnostic ring).
-    pub recent_missed_tasks: Vec<u64>,
     /// Per-VM breakdown (indexed by VM; sized at hypervisor construction).
     pub per_vm: Vec<VmMetrics>,
 }
@@ -89,57 +90,81 @@ impl HvMetrics {
         CounterRegistry::from_vms(self.per_vm.clone())
     }
 
-    /// Records a miss of `task_id` on `vm`.
-    pub(crate) fn note_miss(&mut self, vm: usize, task_id: u64, critical: bool) {
+    /// Folds one hypervisor event into the metrics — the *definition* of
+    /// every counter in terms of the event stream.
+    ///
+    /// Refusals the hardware cannot buffer count as misses: a full pool
+    /// (also counted in `rejected`) and a critical job refused by the
+    /// P-channel-only mode. A best-effort job refused by a degraded mode
+    /// counts as shed.
+    #[inline(always)]
+    pub fn fold(&mut self, event: &HvEvent) {
+        match *event {
+            HvEvent::Refused { vm, job, reason } => match reason {
+                RefuseReason::Throttled { .. } => self.on_vm(vm, |p| p.throttled_submissions += 1),
+                RefuseReason::Degraded if job.critical => self.miss(vm, true),
+                RefuseReason::Degraded => self.shed(vm),
+                RefuseReason::PoolFull => {
+                    self.rejected += 1;
+                    self.miss(vm, job.critical);
+                }
+            },
+            HvEvent::Missed { vm, job } => self.miss(vm, job.critical),
+            HvEvent::Shed { vm, .. } => self.shed(vm),
+            HvEvent::Completed { vm, job, finish } => {
+                self.completed += 1;
+                self.on_vm(vm, |p| p.completed += 1);
+                self.response_bytes += u64::from(job.response_bytes);
+                self.latency
+                    .push(finish.saturating_sub(job.enqueued_at) as f64);
+            }
+            HvEvent::ThrottledSlot { vm } => self.on_vm(vm, |p| p.throttled_slots += 1),
+            HvEvent::Retry { vm, .. } => {
+                self.retries += 1;
+                self.on_vm(vm, |p| p.retries += 1);
+            }
+            HvEvent::ModeChange(_) => self.mode_changes += 1,
+            HvEvent::PchannelSlot {
+                completed_bytes, ..
+            } => {
+                self.pchannel_slots += 1;
+                if let Some(bytes) = completed_bytes {
+                    self.predefined_completed += 1;
+                    self.response_bytes += u64::from(bytes);
+                }
+            }
+            HvEvent::Grant { .. } => self.rchannel_slots += 1,
+            HvEvent::Stalled => self.stalled_slots += 1,
+            HvEvent::Backoff => self.backoff_slots += 1,
+            HvEvent::Idle => self.idle_slots += 1,
+            HvEvent::Admitted { .. }
+            | HvEvent::ThrottleTrip { .. }
+            | HvEvent::Dispatch { .. }
+            | HvEvent::Preempt { .. }
+            | HvEvent::Fault
+            | HvEvent::Recovery => {}
+        }
+    }
+
+    /// Applies `bump` to `vm`'s counters (no-op for an unknown VM).
+    fn on_vm(&mut self, vm: usize, bump: impl FnOnce(&mut VmMetrics)) {
+        if let Some(per) = self.per_vm.get_mut(vm) {
+            bump(per);
+        }
+    }
+
+    fn miss(&mut self, vm: usize, critical: bool) {
         self.missed += 1;
         self.critical_missed += u64::from(critical);
-        if let Some(per) = self.per_vm.get_mut(vm) {
-            per.missed += 1;
-            per.critical_missed += u64::from(critical);
-        }
-        if self.recent_missed_tasks.len() == MISS_RING {
-            self.recent_missed_tasks.remove(0);
-        }
-        self.recent_missed_tasks.push(task_id);
+        self.on_vm(vm, |p| {
+            p.missed += 1;
+            p.critical_missed += u64::from(critical);
+        });
     }
 
-    /// Records a completion on `vm`.
-    pub(crate) fn note_completion(&mut self, vm: usize) {
-        self.completed += 1;
-        if let Some(per) = self.per_vm.get_mut(vm) {
-            per.completed += 1;
-        }
-    }
-
-    /// Records a submission refused by flood control on `vm`.
-    pub(crate) fn note_throttled_submission(&mut self, vm: usize) {
-        if let Some(per) = self.per_vm.get_mut(vm) {
-            per.throttled_submissions += 1;
-        }
-    }
-
-    /// Records a slot in which `vm` had work but was denied by budget
-    /// enforcement or an open throttle window.
-    pub(crate) fn note_throttled_slot(&mut self, vm: usize) {
-        if let Some(per) = self.per_vm.get_mut(vm) {
-            per.throttled_slots += 1;
-        }
-    }
-
-    /// Records a watchdog retry attributed to `vm`'s transaction.
-    pub(crate) fn note_retry(&mut self, vm: usize) {
-        self.retries += 1;
-        if let Some(per) = self.per_vm.get_mut(vm) {
-            per.retries += 1;
-        }
-    }
-
-    /// Records `n` best-effort jobs shed from `vm`.
-    pub(crate) fn note_shed(&mut self, vm: usize, n: u64) {
-        self.dropped_best_effort += n;
-        if let Some(per) = self.per_vm.get_mut(vm) {
-            per.dropped_best_effort += n;
-        }
+    fn shed(&mut self, vm: usize) {
+        self.dropped_best_effort += 1;
+        self.on_vm(vm, |p| p.dropped_best_effort += 1);
     }
 
     /// Total slots observed.
@@ -169,13 +194,27 @@ impl HvMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{PoolEntry, NEVER_DISPATCHED};
+
+    fn missed(vm: usize, task_id: u64, critical: bool) -> HvEvent {
+        let job = PoolEntry {
+            task_id,
+            deadline: 0,
+            remaining: 1,
+            enqueued_at: 0,
+            first_dispatch: NEVER_DISPATCHED,
+            response_bytes: 64,
+            critical,
+        };
+        HvEvent::Missed { vm, job }
+    }
 
     #[test]
     fn per_vm_breakdown_tracks_global() {
         let mut m = HvMetrics::with_vms(2);
-        m.note_miss(0, 10, true);
-        m.note_miss(1, 11, false);
-        m.note_miss(0, 12, false);
+        m.fold(&missed(0, 10, true));
+        m.fold(&missed(1, 11, false));
+        m.fold(&missed(0, 12, false));
         assert_eq!(m.missed, 3);
         assert_eq!(m.critical_missed, 1);
         assert_eq!(m.vm(0).missed, 2);
@@ -191,7 +230,7 @@ mod tests {
         let mut m = HvMetrics::with_vms(3);
         assert!(m.no_misses());
         assert!((0..3).all(|vm| m.no_misses_for(vm)));
-        m.note_miss(2, 7, true);
+        m.fold(&missed(2, 7, true));
         assert!(!m.no_misses());
         assert_eq!(
             m.no_misses(),
@@ -201,22 +240,29 @@ mod tests {
     }
 
     #[test]
-    fn miss_ring_is_bounded() {
-        let mut m = HvMetrics::with_vms(1);
-        for i in 0..200 {
-            m.note_miss(0, i, false);
-        }
-        assert_eq!(m.recent_missed_tasks.len(), MISS_RING);
-        assert_eq!(*m.recent_missed_tasks.last().unwrap(), 199);
-    }
-
-    #[test]
     fn completions_and_sheds_attribute_per_vm() {
         let mut m = HvMetrics::with_vms(2);
-        m.note_completion(1);
-        m.note_shed(0, 3);
+        let job = PoolEntry {
+            task_id: 4,
+            deadline: 10,
+            remaining: 0,
+            enqueued_at: 2,
+            first_dispatch: 3,
+            response_bytes: 64,
+            critical: false,
+        };
+        m.fold(&HvEvent::Completed {
+            vm: 1,
+            job,
+            finish: 6,
+        });
+        for _ in 0..3 {
+            m.fold(&HvEvent::Shed { vm: 0, job });
+        }
         assert_eq!(m.completed, 1);
         assert_eq!(m.vm(1).completed, 1);
+        assert_eq!(m.response_bytes, 64);
+        assert_eq!(m.latency.mean(), 4.0);
         assert_eq!(m.dropped_best_effort, 3);
         assert_eq!(m.vm(0).dropped_best_effort, 3);
         assert!(m.vm(0).no_misses());

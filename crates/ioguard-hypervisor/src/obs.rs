@@ -3,9 +3,10 @@
 //!
 //! [`HvObs`] is attached to a hypervisor with
 //! [`Hypervisor::attach_obs`](crate::hypervisor::Hypervisor::attach_obs)
-//! and is deliberately *optional*: the default device carries `None` and
-//! pays only a branch per emission site, so existing experiments are
-//! untouched unless a caller opts in.
+//! and is deliberately *optional*: the default device carries `None`. An
+//! attached observer consumes the hypervisor's event stream
+//! ([`HvObs::observe`]) and only renders it — nothing the device decides
+//! depends on whether anyone is watching.
 //!
 //! The histograms split response latency at the dispatch edge — the point
 //! where a buffered job first receives a device slot
@@ -21,7 +22,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use ioguard_obs::{Histogram, TraceSink};
+use ioguard_obs::{Histogram, ObsKind, TraceSink, SYSTEM_VM};
+
+use crate::event::{HvEvent, RefuseReason};
+use crate::pool::PoolEntry;
 
 /// Observability state owned by a hypervisor.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,6 +56,68 @@ impl HvObs {
             e2e_critical: Histogram::new(),
             e2e_best_effort: Histogram::new(),
         }
+    }
+
+    /// Renders one hypervisor event at slot `at` into the sink (the
+    /// [`ObsKind`] vocabulary of the trace format) and, for a completion,
+    /// into the latency histograms.
+    pub fn observe(&mut self, at: u64, event: &HvEvent) {
+        let miss = |job: PoolEntry| (ObsKind::DeadlineMiss, u64::from(job.critical));
+        let ((kind, arg), vm, task) = match *event {
+            HvEvent::Admitted { vm, job } => ((ObsKind::Admit, job.remaining), vm, job.task_id),
+            HvEvent::Refused { vm, job, reason } => {
+                let rendered = match reason {
+                    RefuseReason::Throttled { until } => (ObsKind::ThrottledSubmission, until),
+                    RefuseReason::Degraded if !job.critical => (ObsKind::Shed, 1),
+                    RefuseReason::Degraded | RefuseReason::PoolFull => miss(job),
+                };
+                (rendered, vm, job.task_id)
+            }
+            HvEvent::ThrottleTrip { vm, until } => ((ObsKind::Throttle, until), vm, 0),
+            HvEvent::Missed { vm, job } => (miss(job), vm, job.task_id),
+            HvEvent::Shed { vm, job } => ((ObsKind::Shed, 1), vm, job.task_id),
+            HvEvent::Completed { vm, job, finish } => {
+                let e2e = finish.saturating_sub(job.enqueued_at);
+                self.submit_to_dispatch
+                    .record(job.first_dispatch.saturating_sub(job.enqueued_at));
+                self.dispatch_to_response
+                    .record(finish.saturating_sub(job.first_dispatch));
+                if let Some(h) = self.e2e_per_vm.get_mut(vm) {
+                    h.record(e2e);
+                }
+                if job.critical {
+                    self.e2e_critical.record(e2e);
+                } else {
+                    self.e2e_best_effort.record(e2e);
+                }
+                ((ObsKind::Complete, e2e), vm, job.task_id)
+            }
+            HvEvent::Dispatch { vm, task_id } => ((ObsKind::Dispatch, 0), vm, task_id),
+            HvEvent::Preempt { vm, task_id } => ((ObsKind::Preempt, 0), vm, task_id),
+            HvEvent::ThrottledSlot { vm } => ((ObsKind::ThrottledSlot, 0), vm, 0),
+            HvEvent::Retry { vm, attempt } => ((ObsKind::Retry, u64::from(attempt)), vm, 0),
+            HvEvent::Grant {
+                vm,
+                task_id,
+                remaining,
+            } => ((ObsKind::GschedGrant, remaining), vm, task_id),
+            HvEvent::Fault => return self.sink.record(at, ObsKind::Fault, SYSTEM_VM, 0, 0),
+            HvEvent::Recovery => return self.sink.record(at, ObsKind::Recovery, SYSTEM_VM, 0, 0),
+            HvEvent::ModeChange(mode) => {
+                let ordinal = u64::from(mode.ordinal());
+                return self
+                    .sink
+                    .record(at, ObsKind::ModeChange, SYSTEM_VM, 0, ordinal);
+            }
+            HvEvent::PchannelSlot { task_id, .. } => {
+                return self
+                    .sink
+                    .record(at, ObsKind::TableFire, SYSTEM_VM, task_id, 0);
+            }
+            HvEvent::Stalled | HvEvent::Backoff | HvEvent::Idle => return,
+        };
+        let vm = u32::try_from(vm).unwrap_or(u32::MAX);
+        self.sink.record(at, kind, vm, task, arg);
     }
 
     /// Merges another observer's histograms into this one (sinks are not

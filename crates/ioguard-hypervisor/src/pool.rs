@@ -69,8 +69,6 @@ pub struct PoolEntry {
 pub struct IoPool {
     entries: Vec<PoolEntry>,
     capacity: usize,
-    /// Jobs that could not be admitted because the queue was full.
-    rejected: u64,
     /// Index of the current shadow-register entry (the `(deadline,
     /// task_id)`-minimum), kept up to date by every mutating operation.
     /// `None` iff the pool is empty.
@@ -94,7 +92,6 @@ impl IoPool {
         Self {
             entries: Vec::with_capacity(capacity),
             capacity,
-            rejected: 0,
             shadow_idx: None,
         }
     }
@@ -114,16 +111,10 @@ impl IoPool {
         self.capacity
     }
 
-    /// Number of rejected (overflowed) submissions so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
     /// Inserts a task. Returns `Err(entry)` when the pool is full (the
     /// caller decides whether that is a drop or a miss).
     pub fn insert(&mut self, entry: PoolEntry) -> Result<(), PoolEntry> {
         if self.entries.len() == self.capacity {
-            self.rejected += 1;
             return Err(entry);
         }
         // Incremental shadow update: the new entry takes the register only
@@ -353,7 +344,6 @@ mod tests {
         p.insert(entry(2, 20, 1)).unwrap();
         let spilled = p.insert(entry(3, 30, 1)).unwrap_err();
         assert_eq!(spilled.task_id, 3);
-        assert_eq!(p.rejected(), 1);
         assert_eq!(p.len(), 2);
         assert_eq!(p.capacity(), 2);
     }

@@ -24,13 +24,13 @@
 //! sys.submit(0, Transfer::new(0, 1, 1500, 100))?;
 //! sys.run(100);
 //! assert_eq!(sys.metrics(0).completed, 1);
-//! # Ok::<(), ioguard_hypervisor::HvError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use serde::{Deserialize, Serialize};
 
 use crate::driver::{IoController, IoProtocol};
-use crate::error::HvError;
+use crate::error::{HvError, SubmitError};
 use crate::hypervisor::{HvMetrics, Hypervisor, HypervisorParams, RtJob};
 use crate::pchannel::PredefinedTask;
 
@@ -159,14 +159,14 @@ impl MultiIoSystem {
     ///
     /// # Errors
     ///
-    /// * [`HvError::UnknownVm`] — no such device (reported as VM range) or
-    ///   VM out of range within the group.
-    /// * [`HvError::PoolFull`] — the target pool rejected the job (counted
-    ///   as a miss).
-    pub fn submit(&mut self, device: usize, transfer: Transfer) -> Result<(), HvError> {
+    /// * [`SubmitError::UnknownVm`] — no such device (reported as VM
+    ///   range) or VM out of range within the group.
+    /// * [`SubmitError::Refused`] — the group's hypervisor refused the job
+    ///   (a full pool is counted as a miss).
+    pub fn submit(&mut self, device: usize, transfer: Transfer) -> Result<(), SubmitError> {
         let groups = self.groups.len();
         let Some((controller, hv)) = self.groups.get_mut(device) else {
-            return Err(HvError::UnknownVm {
+            return Err(SubmitError::UnknownVm {
                 vm: device,
                 vms: groups,
             });

@@ -1,12 +1,14 @@
 //! Property-based tests for the hypervisor device model.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
-use ioguard_hypervisor::error::HvError;
 use ioguard_hypervisor::gsched::GschedPolicy;
 use ioguard_hypervisor::hypervisor::{Hypervisor, HypervisorParams, PchannelReclaim, RtJob};
 use ioguard_hypervisor::pchannel::{PChannel, PredefinedTask};
 use ioguard_hypervisor::pool::{IoPool, PoolEntry};
+use ioguard_hypervisor::{HvEvent, HvMetrics, RefuseReason, SubmitError};
 use ioguard_sched::task::{PeriodicServer, SporadicTask};
 
 fn arb_predefined_set() -> impl Strategy<Value = Vec<PredefinedTask>> {
@@ -262,6 +264,9 @@ proptest! {
     /// overflow storms, empty-pool slots, unknown VMs, device stalls and
     /// clears — never panic, never overfill a pool, and never lose a job
     /// from the accounting (admitted = completed + missed + in flight).
+    /// The event stream is the accounting: its fold equals the live
+    /// metrics, every slot emits exactly one disposition, and every
+    /// admitted task gets exactly one final answer.
     #[test]
     fn fault_interleavings_never_panic_or_overfill(
         ops in prop::collection::vec((0u8..8, 0u64..5, 1u64..40), 1..120),
@@ -287,6 +292,8 @@ proptest! {
             throttle_slots: 8,
         });
         let mut hv = Hypervisor::new(params).expect("valid");
+        let mut events = Vec::new();
+        let mut slots = 0u64;
         let mut next_id = 0u64;
         let mut admitted = 0u64;
         let mut refused_missed = 0u64;
@@ -294,8 +301,8 @@ proptest! {
             match op {
                 // Submissions: vm 0/1 are real, larger indices malformed;
                 // tight spans produce immediate-miss deadlines, wide spans
-                // normal jobs. Errors (PoolFull, Throttled, UnknownVm,
-                // DegradedMode) are the faults under test.
+                // normal jobs. Refusals (pool full, throttled, degraded)
+                // and unknown VMs are the faults under test.
                 0..=3 => {
                     next_id += 1;
                     let release = hv.now();
@@ -304,13 +311,20 @@ proptest! {
                         Ok(()) => admitted += 1,
                         // These two refusal paths count the (critical) job
                         // as missed; throttles and unknown VMs do not.
-                        Err(HvError::PoolFull { .. }) | Err(HvError::DegradedMode) => {
+                        Err(SubmitError::Refused(RefuseReason::PoolFull | RefuseReason::Degraded)) => {
                             refused_missed += 1;
                         }
-                        Err(_) => {}
+                        Err(SubmitError::Refused(RefuseReason::Throttled { .. }))
+                        | Err(SubmitError::UnknownVm { .. }) => {}
+                    }
+                    hv.drain_events(&mut events);
+                }
+                4..=5 => {
+                    for _ in 0..span % 6 {
+                        hv.step_into(&mut events);
+                        slots += 1;
                     }
                 }
-                4..=5 => hv.run(span % 6),
                 6 => hv.inject_device_stall(span),
                 _ => hv.clear_device_faults(),
             }
@@ -321,12 +335,52 @@ proptest! {
         // Drain with the device healthy: every admitted job must end up
         // accounted as completed or missed, never vanish.
         hv.clear_device_faults();
-        hv.run(600);
+        for _ in 0..600 {
+            hv.step_into(&mut events);
+            slots += 1;
+        }
         let m = hv.metrics();
         let in_flight: u64 = hv.pools().iter().map(|p| p.len() as u64).sum();
         prop_assert_eq!(in_flight, 0, "600 healthy slots drain capacity-4 backlogs");
         prop_assert_eq!(m.completed + m.missed, admitted + refused_missed,
             "every admitted or miss-counted job is conserved");
+
+        let mut folded = HvMetrics::with_vms(2);
+        for event in &events {
+            folded.fold(event);
+        }
+        prop_assert_eq!(&folded, m, "the metrics are the fold of the stream");
+        let dispositions = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    HvEvent::PchannelSlot { .. }
+                        | HvEvent::Grant { .. }
+                        | HvEvent::Stalled
+                        | HvEvent::Backoff
+                        | HvEvent::Idle
+                )
+            })
+            .count() as u64;
+        prop_assert_eq!(dispositions, slots, "one slot disposition per slot");
+        let mut answers: BTreeMap<u64, u32> = BTreeMap::new();
+        for event in &events {
+            match *event {
+                HvEvent::Admitted { job, .. } => {
+                    prop_assert!(answers.insert(job.task_id, 0).is_none(), "task {} admitted twice", job.task_id);
+                }
+                HvEvent::Completed { job, .. } | HvEvent::Missed { job, .. } | HvEvent::Shed { job, .. } => {
+                    let Some(n) = answers.get_mut(&job.task_id) else {
+                        return Err(TestCaseError::fail(format!("answer for unadmitted task {}", job.task_id)));
+                    };
+                    *n += 1;
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(answers.len() as u64, admitted);
+        prop_assert!(answers.values().all(|&n| n == 1), "every admitted task answered once: {:?}", answers);
     }
 
     /// Server-based G-Sched never grants a VM more than its budget within

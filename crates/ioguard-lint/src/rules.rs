@@ -449,10 +449,10 @@ fn find_live_config_assignment(code: &str) -> Option<&'static str> {
 
 /// Keyed lookups in loops of hot-path-annotated functions.
 ///
-/// Lines calling `.record(` are exempt: `TraceSink::record` (and the
-/// legacy `TraceBuffer::record`) is a constant-time ring-buffer write,
-/// designed for exactly these loops, and its argument expressions are the
-/// sink's concern, not a storage-layout violation.
+/// Lines calling `.record(` are exempt: `TraceSink::record` is a
+/// constant-time ring-buffer write, designed for exactly these loops, and
+/// its argument expressions are the sink's concern, not a storage-layout
+/// violation.
 fn check_hot_lookup(file: &SourceFile, line: &LineInfo, out: &mut Vec<Violation>) {
     if contains_token(&line.code, ".record(") {
         return;

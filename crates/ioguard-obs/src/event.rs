@@ -47,8 +47,8 @@ pub enum ObsKind {
     DeadlineMiss,
     /// A P-channel σ* entry fired. `task` = pre-defined task id.
     TableFire,
-    /// Best-effort work was shed by graceful degradation. `task` = 0,
-    /// `arg` = number of jobs shed.
+    /// Best-effort work was shed (graceful degradation, or a full serve
+    /// backlog). `task` = task id, `arg` = number of jobs shed (1).
     Shed,
     /// A VM with buffered work was denied the slot by budget enforcement or
     /// an open throttle window.

@@ -41,7 +41,7 @@ use serde::{Deserialize, Serialize};
 
 use ioguard_hypervisor::hypervisor::{HvMode, RtJob};
 use ioguard_hypervisor::pool::NEVER_DISPATCHED;
-use ioguard_hypervisor::{HvError, HvMetrics, Hypervisor};
+use ioguard_hypervisor::{HvMetrics, Hypervisor, RefuseReason, SubmitError};
 use ioguard_obs::{ObsKind, TraceSink, SYSTEM_VM};
 use ioguard_sched::verify::IncrementalVerifier;
 
@@ -461,7 +461,7 @@ impl ReconfigController {
         wcet: u64,
         rel_deadline: u64,
         critical: bool,
-    ) -> Result<(), HvError> {
+    ) -> Result<(), SubmitError> {
         let at_local = self.hv.now();
         let job = RtJob {
             vm,
@@ -472,19 +472,23 @@ impl ReconfigController {
             critical,
         };
         let result = self.hv.submit(job);
-        match &result {
+        match result {
             Ok(()) => self.accepted = self.accepted.saturating_add(1),
-            Err(HvError::PoolFull { .. }) => {
+            // The refusals the hypervisor counts as misses: a full pool,
+            // and critical work refused by the P-channel-only mode.
+            Err(SubmitError::Refused(RefuseReason::PoolFull)) => {
                 self.refused_missed = self.refused_missed.saturating_add(1);
             }
-            Err(HvError::DegradedMode) => {
-                if self.hv.mode() == HvMode::PchannelOnly && critical {
-                    self.refused_missed = self.refused_missed.saturating_add(1);
-                } else {
-                    self.refused_shed = self.refused_shed.saturating_add(1);
-                }
+            Err(SubmitError::Refused(RefuseReason::Degraded)) if critical => {
+                self.refused_missed = self.refused_missed.saturating_add(1);
             }
-            Err(_) => self.refused_silent = self.refused_silent.saturating_add(1),
+            Err(SubmitError::Refused(RefuseReason::Degraded)) => {
+                self.refused_shed = self.refused_shed.saturating_add(1);
+            }
+            Err(SubmitError::Refused(RefuseReason::Throttled { .. }))
+            | Err(SubmitError::UnknownVm { .. }) => {
+                self.refused_silent = self.refused_silent.saturating_add(1);
+            }
         }
         result
     }

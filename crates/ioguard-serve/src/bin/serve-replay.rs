@@ -159,7 +159,7 @@ fn main() -> ExitCode {
             hist.max().unwrap_or(0),
         );
     }
-    println!("  obs_overflows     {}", report.obs_overflows);
+    println!("  unanswered        {}", report.unanswered);
     println!("  preemptions       {}", report.preemptions);
     println!("  snapshots         {}", report.snapshots);
     println!(
@@ -195,10 +195,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if report.obs_overflows > 0 {
+    if report.unanswered > 0 {
         eprintln!(
-            "serve-replay: observer ring overflowed {} times",
-            report.obs_overflows
+            "serve-replay: {} accepted requests never got a final answer",
+            report.unanswered
         );
         return ExitCode::FAILURE;
     }

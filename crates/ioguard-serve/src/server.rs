@@ -15,8 +15,11 @@
 //! [`Response`]: `Accepted` (admitted to the pool), `Completed` (with
 //! end-to-end latency), `Missed`, `Throttled` (flood control), `Shed`
 //! (backlog overflow or degradation), or `Rejected` (typed reason).
-//! Degradation mode changes are broadcast to every client of the shard
-//! exactly once per transition.
+//! Everything past the backlog is answered from the shard hypervisor's
+//! typed event stream ([`HvEvent`]), event by event as it is handed over,
+//! so no answer depends on a trace ring's capacity. Degradation mode
+//! changes are broadcast to every client of the shard exactly once per
+//! transition.
 //!
 //! The cluster keeps its own [`TraceSink`] keyed by *client* id and a
 //! live [`CounterRegistry`] folded at the same call sites, so
@@ -31,7 +34,7 @@ use ioguard_core::engine::run_indexed;
 use ioguard_fleet::shard::{locally_schedulable, Shard};
 use ioguard_hypervisor::driver::RetryPolicy;
 use ioguard_hypervisor::hypervisor::{AdmissionGuard, DegradationPolicy, HvMode, RtJob};
-use ioguard_hypervisor::{HvError, Hypervisor, HypervisorParams};
+use ioguard_hypervisor::{HvEvent, Hypervisor, HypervisorParams, RefuseReason, SubmitError};
 use ioguard_obs::{
     CounterRegistry, Histogram, ObsEvent, ObsKind, TraceSink, VmCounters, SYSTEM_VM,
 };
@@ -53,10 +56,6 @@ pub mod markers {
 }
 
 /// Saturating id conversion for trace fields (the workspace idiom).
-fn trace_id(x: u64) -> u32 {
-    u32::try_from(x).unwrap_or(u32::MAX)
-}
-
 fn trace_idx(x: usize) -> u32 {
     u32::try_from(x).unwrap_or(u32::MAX)
 }
@@ -84,8 +83,6 @@ pub struct ServeConfig {
     pub max_clients: u32,
     /// Serve trace ring capacity (drop-oldest beyond it).
     pub trace_capacity: usize,
-    /// Per-shard hypervisor observer ring capacity (drained every slot).
-    pub hv_obs_capacity: usize,
     /// Seed for deterministic placement tie-breaks.
     pub seed: u64,
 }
@@ -108,7 +105,6 @@ impl ServeConfig {
             backlog_capacity: 16,
             max_clients: 4096,
             trace_capacity: 1 << 16,
-            hv_obs_capacity: 1 << 14,
             seed: 0x00C0_FFEE,
         }
     }
@@ -150,9 +146,24 @@ struct ServeShard {
     pool_client: Vec<Option<u32>>,
     /// Pools of disconnected clients still holding in-flight work.
     draining: BTreeSet<usize>,
-    /// Observer ring drops seen so far (should stay 0; see
-    /// [`ServeCluster::obs_overflows`]).
-    obs_dropped_seen: u64,
+}
+
+impl ServeShard {
+    /// Returns the pools of disconnected clients that have drained to the
+    /// free set.
+    fn free_drained(&mut self) {
+        let (hv, free, pool_client) = (&self.hv, &mut self.free_pools, &mut self.pool_client);
+        self.draining.retain(|&pool| {
+            let empty = hv.pools().get(pool).is_none_or(|p| p.is_empty());
+            if empty {
+                free.insert(pool);
+                if let Some(slot) = pool_client.get_mut(pool) {
+                    *slot = None;
+                }
+            }
+            !empty
+        });
+    }
 }
 
 /// The serving front-end state machine (see module docs).
@@ -165,7 +176,12 @@ pub struct ServeCluster {
     sink: TraceSink,
     now_slot: u64,
     mix: SplitMix64,
-    obs_overflows: u64,
+    /// Hypervisor events handed over and not yet answered (reused).
+    events: Vec<HvEvent>,
+    /// End-to-end latency of completed critical requests.
+    e2e_critical: Histogram,
+    /// End-to-end latency of completed best-effort requests.
+    e2e_best_effort: Histogram,
 }
 
 impl ServeCluster {
@@ -197,17 +213,15 @@ impl ServeCluster {
             if let Some(watchdog) = config.watchdog {
                 params = params.with_watchdog(watchdog);
             }
-            let mut hv = Hypervisor::new(params).map_err(|e| ServeError::Construction {
+            let hv = Hypervisor::new(params).map_err(|e| ServeError::Construction {
                 reason: format!("hypervisor {id}: {e}"),
             })?;
-            hv.attach_obs(config.hv_obs_capacity);
             shards.push(ServeShard {
                 ledger,
                 hv,
                 free_pools: (0..config.pools_per_shard).collect(),
                 pool_client: vec![None; config.pools_per_shard],
                 draining: BTreeSet::new(),
-                obs_dropped_seen: 0,
             });
         }
         Ok(Self {
@@ -218,7 +232,9 @@ impl ServeCluster {
             sink: TraceSink::new(config.trace_capacity),
             now_slot: 0,
             mix: SplitMix64::new(config.seed),
-            obs_overflows: 0,
+            events: Vec::new(),
+            e2e_critical: Histogram::new(),
+            e2e_best_effort: Histogram::new(),
             config,
         })
     }
@@ -258,12 +274,6 @@ impl ServeCluster {
         &self.sink
     }
 
-    /// Observer-ring overflows seen across all shards (0 in any sane
-    /// configuration; events were lost if this ever rises).
-    pub fn obs_overflows(&self) -> u64 {
-        self.obs_overflows
-    }
-
     /// True when `client` currently holds a connection.
     pub fn connected(&self, client: u32) -> bool {
         self.bindings.contains_key(&client)
@@ -287,32 +297,22 @@ impl ServeCluster {
     }
 
     /// Forces `shard` one degradation level down (Normal → Degraded →
-    /// PchannelOnly) and immediately translates the resulting mode-change
-    /// and shed events into client responses. Call between steps.
+    /// PchannelOnly) and immediately answers the resulting mode-change
+    /// and shed events. Call between steps.
     pub fn degrade(&mut self, shard: usize) -> Vec<Response> {
         let mut responses = Vec::new();
         if let Some(s) = self.shards.get_mut(shard) {
-            if let Some(obs) = s.hv.obs_mut() {
-                obs.sink.clear();
-            }
             s.hv.degrade();
+            s.hv.drain_events(&mut self.events);
         }
-        self.translate_shard_events(shard, &mut responses);
+        self.answer(shard, &mut responses);
         responses
     }
 
-    /// Merged end-to-end latency histograms across all shards, split by
-    /// criticality class: `(critical, best_effort)`.
+    /// End-to-end latency histograms of completed requests across all
+    /// shards, split by criticality class: `(critical, best_effort)`.
     pub fn e2e_histograms(&self) -> (Histogram, Histogram) {
-        let mut critical = Histogram::new();
-        let mut best_effort = Histogram::new();
-        for shard in &self.shards {
-            if let Some(obs) = shard.hv.obs() {
-                critical.merge(&obs.e2e_critical);
-                best_effort.merge(&obs.e2e_best_effort);
-            }
-        }
-        (critical, best_effort)
+        (self.e2e_critical.clone(), self.e2e_best_effort.clone())
     }
 
     /// Connection admission: the Theorem 3 local gate, then worst-fit
@@ -505,13 +505,20 @@ impl ServeCluster {
         }
     }
 
-    fn submit_one(&mut self, client: u32, binding: Binding, request: Request) -> Response {
+    fn submit_one(
+        &mut self,
+        client: u32,
+        binding: Binding,
+        request: Request,
+        responses: &mut Vec<Response>,
+    ) {
         let Some(shard) = self.shards.get_mut(binding.shard) else {
-            return Response::Rejected {
+            responses.push(Response::Rejected {
                 client,
                 task_id: request.task_id,
                 reason: RejectReason::NotConnected,
-            };
+            });
+            return;
         };
         let release = shard.hv.now();
         let mut job = RtJob::new(
@@ -524,66 +531,30 @@ impl ServeCluster {
         if !request.critical {
             job = job.best_effort();
         }
-        let response_bytes = trace_id(request.payload.len().max(1) as u64);
+        let response_bytes = trace_idx(request.payload.len().max(1));
         let verdict = shard.hv.submit_with_payload(job, response_bytes);
+        shard.hv.drain_events(&mut self.events);
+        // Admissions and refusals are answered from the stream, after any
+        // misses the submit-time deadline sweep found.
+        self.answer(binding.shard, responses);
         match verdict {
-            Ok(()) => {
-                self.note(ObsKind::Admit, client, request.task_id, request.wcet);
-                Response::Accepted {
-                    client,
-                    task_id: request.task_id,
-                }
-            }
-            Err(HvError::Throttled { until, .. }) => {
-                self.note(ObsKind::ThrottledSubmission, client, request.task_id, until);
-                Response::Throttled {
-                    client,
-                    task_id: request.task_id,
-                    until,
-                }
-            }
-            Err(HvError::DegradedMode) => {
-                if request.critical {
-                    self.note(ObsKind::DeadlineMiss, client, request.task_id, 1);
-                    Response::Rejected {
-                        client,
-                        task_id: request.task_id,
-                        reason: RejectReason::Degraded,
-                    }
-                } else {
-                    self.note(ObsKind::Shed, client, request.task_id, 1);
-                    Response::Shed {
-                        client,
-                        task_id: request.task_id,
-                    }
-                }
-            }
-            Err(HvError::PoolFull { .. }) => {
-                let critical_arg = u64::from(request.critical);
-                self.note(ObsKind::DeadlineMiss, client, request.task_id, critical_arg);
-                Response::Rejected {
-                    client,
-                    task_id: request.task_id,
-                    reason: RejectReason::PoolFull,
-                }
-            }
-            Err(_) => Response::Rejected {
+            Ok(()) | Err(SubmitError::Refused(_)) => {}
+            // A binding to a pool the shard lacks: no event to answer from.
+            Err(SubmitError::UnknownVm { .. }) => responses.push(Response::Rejected {
                 client,
                 task_id: request.task_id,
-                reason: RejectReason::UnknownClient,
-            },
+                reason: RejectReason::NotConnected,
+            }),
         }
     }
 
     /// One serve slot: drain backlogs into the hypervisors (ascending
-    /// client id), step every shard, then translate the shards'
-    /// observer events into client-addressed responses and serve-trace
-    /// records. Returns all responses produced this slot.
+    /// client id), then step every shard, answering each shard's events
+    /// before its drained pools return to the free set. Returns all
+    /// responses produced this slot.
     pub fn step(&mut self) -> Vec<Response> {
         let mut responses = Vec::new();
-        // Phase 1: submissions. Verdicts come from the typed submit
-        // results; the hypervisor's own submission-time observer events
-        // are redundant with them and get discarded in phase 2.
+        // Phase 1: submissions.
         let clients: Vec<u32> = self.backlogs.keys().copied().collect();
         for client in clients {
             let Some(&binding) = self.bindings.get(&client) else {
@@ -594,132 +565,160 @@ impl ServeCluster {
                 .get_mut(&client)
                 .and_then(|queue| queue.pop_front())
             {
-                let resp = self.submit_one(client, binding, request);
-                responses.push(resp);
+                self.submit_one(client, binding, request, &mut responses);
             }
         }
-        // Phase 2: drop submission-time observer events (already typed).
-        for shard in &mut self.shards {
-            if let Some(obs) = shard.hv.obs_mut() {
-                obs.sink.clear();
-            }
-        }
-        // Phase 3: dispatch.
-        for shard in &mut self.shards {
-            shard.hv.step();
-        }
-        // Phase 4: translate step-time observer events.
+        // Phase 2: dispatch.
         for idx in 0..self.shards.len() {
-            self.translate_shard_events(idx, &mut responses);
+            if let Some(shard) = self.shards.get_mut(idx) {
+                shard.hv.step_into(&mut self.events);
+            }
+            self.answer(idx, &mut responses);
+            if let Some(shard) = self.shards.get_mut(idx) {
+                shard.free_drained();
+            }
         }
         self.now_slot = self.now_slot.saturating_add(1);
         responses
     }
 
-    fn translate_shard_events(&mut self, idx: usize, responses: &mut Vec<Response>) {
-        let Some(shard) = self.shards.get_mut(idx) else {
-            return;
-        };
-        let mut events: Vec<ObsEvent> = Vec::new();
-        if let Some(obs) = shard.hv.obs_mut() {
-            events.extend(obs.sink.iter().cloned());
-            let dropped = obs.sink.dropped();
-            if dropped > shard.obs_dropped_seen {
-                self.obs_overflows = self
-                    .obs_overflows
-                    .saturating_add(dropped - shard.obs_dropped_seen);
-                shard.obs_dropped_seen = dropped;
-            }
-            obs.sink.clear();
+    /// The client bound to pool `vm` of shard `idx` (still set while a
+    /// disconnected client's pool drains).
+    fn client_of(&self, idx: usize, vm: usize) -> Option<u32> {
+        self.shards.get(idx)?.pool_client.get(vm).copied().flatten()
+    }
+
+    /// Answers every event shard `idx` handed over into `self.events`:
+    /// client responses plus serve-trace notes, in emission order.
+    fn answer(&mut self, idx: usize, responses: &mut Vec<Response>) {
+        let mut events = std::mem::take(&mut self.events);
+        for event in events.drain(..) {
+            self.answer_one(idx, event, responses);
         }
-        let pool_client = shard.pool_client.clone();
-        // Free drained pools of disconnected clients.
-        let draining: Vec<usize> = shard.draining.iter().copied().collect();
-        for pool in draining {
-            let empty = shard
-                .hv
-                .pools()
-                .get(pool)
-                .map(|p| p.is_empty())
-                .unwrap_or(true);
-            if empty {
-                shard.draining.remove(&pool);
-                shard.free_pools.insert(pool);
-                if let Some(slot) = shard.pool_client.get_mut(pool) {
-                    *slot = None;
+        self.events = events;
+    }
+
+    fn answer_one(&mut self, idx: usize, event: HvEvent, responses: &mut Vec<Response>) {
+        let shard = trace_idx(idx);
+        match event {
+            HvEvent::Admitted { vm, job } => {
+                if let Some(client) = self.client_of(idx, vm) {
+                    let task_id = job.task_id;
+                    self.note(ObsKind::Admit, client, task_id, job.remaining);
+                    responses.push(Response::Accepted { client, task_id });
                 }
             }
-        }
-        let shard_tag = trace_idx(idx);
-        let client_of =
-            |vm: u32| -> Option<u32> { pool_client.get(vm as usize).copied().flatten() };
-        for event in events {
-            match event.kind {
-                ObsKind::Complete => {
-                    if let Some(client) = client_of(event.vm) {
-                        self.note(ObsKind::Complete, client, event.task, event.arg);
-                        responses.push(Response::Completed {
+            HvEvent::Refused { vm, job, reason } => {
+                let Some(client) = self.client_of(idx, vm) else {
+                    return;
+                };
+                let task_id = job.task_id;
+                let response = match reason {
+                    RefuseReason::Throttled { until } => {
+                        self.note(ObsKind::ThrottledSubmission, client, task_id, until);
+                        Response::Throttled {
                             client,
-                            task_id: event.task,
-                            latency: event.arg,
-                        });
+                            task_id,
+                            until,
+                        }
                     }
-                }
-                ObsKind::DeadlineMiss => {
-                    if let Some(client) = client_of(event.vm) {
-                        self.note(ObsKind::DeadlineMiss, client, event.task, event.arg);
-                        responses.push(Response::Missed {
+                    RefuseReason::Degraded if !job.critical => {
+                        self.note(ObsKind::Shed, client, task_id, 1);
+                        Response::Shed { client, task_id }
+                    }
+                    RefuseReason::Degraded | RefuseReason::PoolFull => {
+                        let critical = u64::from(job.critical);
+                        self.note(ObsKind::DeadlineMiss, client, task_id, critical);
+                        let reason = if reason == RefuseReason::PoolFull {
+                            RejectReason::PoolFull
+                        } else {
+                            RejectReason::Degraded
+                        };
+                        Response::Rejected {
                             client,
-                            task_id: event.task,
-                            critical: event.arg != 0,
-                        });
+                            task_id,
+                            reason,
+                        }
                     }
+                };
+                responses.push(response);
+            }
+            HvEvent::Missed { vm, job } => {
+                if let Some(client) = self.client_of(idx, vm) {
+                    let (task_id, critical) = (job.task_id, job.critical);
+                    self.note(ObsKind::DeadlineMiss, client, task_id, u64::from(critical));
+                    responses.push(Response::Missed {
+                        client,
+                        task_id,
+                        critical,
+                    });
                 }
-                ObsKind::Shed => {
-                    if let Some(client) = client_of(event.vm) {
-                        self.note(ObsKind::Shed, client, event.task, event.arg);
-                        responses.push(Response::Shed {
-                            client,
-                            task_id: event.task,
-                        });
-                    }
+            }
+            HvEvent::Shed { vm, job } => {
+                if let Some(client) = self.client_of(idx, vm) {
+                    self.note(ObsKind::Shed, client, job.task_id, 1);
+                    responses.push(Response::Shed {
+                        client,
+                        task_id: job.task_id,
+                    });
                 }
-                ObsKind::Retry => {
-                    let client = client_of(event.vm).unwrap_or(SYSTEM_VM);
-                    self.note(ObsKind::Retry, client, event.task, event.arg);
+            }
+            HvEvent::Completed { vm, job, finish } => {
+                let latency = finish.saturating_sub(job.enqueued_at);
+                if job.critical {
+                    self.e2e_critical.record(latency);
+                } else {
+                    self.e2e_best_effort.record(latency);
                 }
-                ObsKind::ThrottledSlot => {
-                    if let Some(client) = client_of(event.vm) {
-                        self.note(ObsKind::ThrottledSlot, client, event.task, event.arg);
-                    }
+                if let Some(client) = self.client_of(idx, vm) {
+                    let task_id = job.task_id;
+                    self.note(ObsKind::Complete, client, task_id, latency);
+                    responses.push(Response::Completed {
+                        client,
+                        task_id,
+                        latency,
+                    });
                 }
-                ObsKind::Throttle => {
-                    if let Some(client) = client_of(event.vm) {
-                        self.note(ObsKind::Throttle, client, event.task, event.arg);
-                    }
+            }
+            HvEvent::Retry { vm, attempt } => {
+                let client = self.client_of(idx, vm).unwrap_or(SYSTEM_VM);
+                self.note(ObsKind::Retry, client, 0, u64::from(attempt));
+            }
+            HvEvent::ThrottledSlot { vm } => {
+                if let Some(client) = self.client_of(idx, vm) {
+                    self.note(ObsKind::ThrottledSlot, client, 0, 0);
                 }
-                ObsKind::Fault | ObsKind::Recovery => {
-                    self.note(event.kind, SYSTEM_VM, shard_tag as u64, event.arg);
-                }
-                ObsKind::ModeChange => {
-                    self.note(ObsKind::ModeChange, SYSTEM_VM, shard_tag as u64, event.arg);
-                    let mode = trace_id(event.arg);
-                    let bound: Vec<u32> = self
-                        .bindings
-                        .iter()
-                        .filter(|(_, b)| b.shard == idx)
-                        .map(|(client, _)| *client)
-                        .collect();
-                    for client in bound {
+            }
+            HvEvent::Fault => self.note(ObsKind::Fault, SYSTEM_VM, u64::from(shard), 0),
+            HvEvent::Recovery => self.note(ObsKind::Recovery, SYSTEM_VM, u64::from(shard), 0),
+            HvEvent::ModeChange(mode) => {
+                let mode = mode.ordinal();
+                self.note(
+                    ObsKind::ModeChange,
+                    SYSTEM_VM,
+                    u64::from(shard),
+                    u64::from(mode),
+                );
+                for (&client, binding) in &self.bindings {
+                    if binding.shard == idx {
                         responses.push(Response::ModeChange {
                             client,
-                            shard: shard_tag,
+                            shard,
                             mode,
                         });
                     }
                 }
-                _ => {}
             }
+            // The trip is not an answer: the tripping submission gets its
+            // own `Refused`.
+            HvEvent::ThrottleTrip { .. } => {}
+            HvEvent::Dispatch { .. }
+            | HvEvent::Preempt { .. }
+            | HvEvent::PchannelSlot { .. }
+            | HvEvent::Grant { .. }
+            | HvEvent::Stalled
+            | HvEvent::Backoff
+            | HvEvent::Idle => {}
         }
     }
 }

@@ -19,8 +19,6 @@
 //! * [`stats`] — online statistics ([`OnlineStats`]), fixed-bin
 //!   [`Histogram`]s with percentile queries, and windowed counters used by
 //!   the metric sinks of the case study.
-//! * [`trace`] — a bounded ring-buffer event trace for debugging and for the
-//!   predictability (jitter) measurements.
 //!
 //! # Example
 //!
@@ -42,10 +40,8 @@ pub mod events;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use events::{EventQueue, Simulator};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{Histogram, OnlineStats};
 pub use time::{Cycles, SlotClock, Slots};
-pub use trace::{TraceBuffer, TraceEvent};

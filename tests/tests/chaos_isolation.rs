@@ -9,8 +9,9 @@
 //!   thread and at many, for the same seed (the engine scatters results by
 //!   index; fault decisions are pure hashes of plan coordinates).
 //! * **Observability** — watchdog retries, backoff, throttles, and
-//!   degradation mode changes all surface in the [`TraceBuffer`], so a
-//!   post-mortem can reconstruct what the countermeasures did and when.
+//!   degradation mode changes all surface in the hypervisor's event
+//!   stream ([`HvEvent`]), so a post-mortem can reconstruct what the
+//!   countermeasures did and when.
 //!
 //! CI pins the sweep seed via `IOGUARD_CHAOS_SEED` and runs the suite
 //! twice; locally the default seed applies.
@@ -22,8 +23,8 @@ use ioguard_hypervisor::gsched::GschedPolicy;
 use ioguard_hypervisor::hypervisor::{
     AdmissionGuard, DegradationPolicy, HvMode, Hypervisor, HypervisorParams, RtJob,
 };
+use ioguard_hypervisor::HvEvent;
 use ioguard_sched::task::PeriodicServer;
-use ioguard_sim::trace::TraceKind;
 
 /// Sweep seed: `IOGUARD_CHAOS_SEED` when set (CI pins two values), else 42.
 fn chaos_seed() -> u64 {
@@ -87,8 +88,8 @@ fn recovery_after_device_faults_is_bounded() {
     assert!(recovery <= 16 * 32, "recovery took {recovery} slots");
 }
 
-/// A hypervisor with every countermeasure on, a persistent device fault,
-/// and tracing enabled — the trace must tell the whole story: fault edge,
+/// A hypervisor with every countermeasure on and a persistent device
+/// fault — the event stream must tell the whole story: fault edge,
 /// bounded retries, degradation mode changes, recovery edge.
 #[test]
 fn watchdog_and_mode_changes_are_visible_in_the_trace() {
@@ -108,14 +109,18 @@ fn watchdog_and_mode_changes_are_visible_in_the_trace() {
             healthy_slots_to_recover: 8,
         });
     let mut hv = Hypervisor::new(params).expect("valid params");
-    hv.enable_trace(256);
+    let mut events = Vec::new();
     hv.submit(RtJob::new(0, 1, 0, 1, 400)).expect("admits");
     hv.inject_device_stall(60);
-    hv.run(60);
+    for _ in 0..60 {
+        hv.step_into(&mut events);
+    }
 
-    let fault_edges = hv.trace().of_kind(TraceKind::Fault).count();
-    let retries = hv.trace().of_kind(TraceKind::Retry).count();
-    let mode_changes = hv.trace().of_kind(TraceKind::ModeChange).count();
+    let count =
+        |events: &[HvEvent], pred: fn(&HvEvent) -> bool| events.iter().filter(|e| pred(e)).count();
+    let fault_edges = count(&events, |e| matches!(e, HvEvent::Fault));
+    let retries = count(&events, |e| matches!(e, HvEvent::Retry { .. }));
+    let mode_changes = count(&events, |e| matches!(e, HvEvent::ModeChange(_)));
     assert_eq!(fault_edges, 1, "one fault edge for one stall episode");
     assert!(retries > 0, "watchdog retries are traced");
     assert!(mode_changes > 0, "degradation is traced");
@@ -127,8 +132,10 @@ fn watchdog_and_mode_changes_are_visible_in_the_trace() {
 
     // Clearance: recovery edge traced, mode climbs back, the job completes.
     hv.clear_device_faults();
-    hv.run(40);
-    assert_eq!(hv.trace().of_kind(TraceKind::Recovery).count(), 1);
+    for _ in 0..40 {
+        hv.step_into(&mut events);
+    }
+    assert_eq!(count(&events, |e| matches!(e, HvEvent::Recovery)), 1);
     assert_eq!(hv.mode(), HvMode::Normal);
     assert_eq!(hv.metrics().completed, 1);
 }
@@ -144,13 +151,20 @@ fn throttle_events_are_visible_in_the_trace() {
         throttle_slots: 16,
     });
     let mut hv = Hypervisor::new(params).expect("valid params");
-    hv.enable_trace(64);
     for i in 0..6u64 {
         let _ = hv.submit(RtJob::new(0, i, 0, 1, 100));
     }
-    let throttles: Vec<_> = hv.trace().of_kind(TraceKind::Throttle).collect();
-    assert_eq!(throttles.len(), 1, "one throttle edge per episode");
-    assert_eq!(throttles[0].vm, 0);
+    let mut events = Vec::new();
+    hv.drain_events(&mut events);
+    let throttles: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e, HvEvent::ThrottleTrip { .. }))
+        .collect();
+    assert_eq!(
+        throttles,
+        [&HvEvent::ThrottleTrip { vm: 0, until: 16 }],
+        "one throttle edge per episode, naming the VM and release slot"
+    );
     assert!(hv.metrics().vm(0).throttled_submissions > 0);
 }
 

@@ -4,15 +4,13 @@
 //! thread-count independent.
 //!
 //! Includes the regression test for the P-channel-only admission edge: a
-//! refused critical job is counted as a per-VM miss, and that miss now has
-//! a matching `DeadlineMiss` event in both the legacy trace buffer and the
-//! obs sink (it used to bump the counters silently, which broke
-//! `fold(trace) == metrics`).
+//! refused critical job is counted as a per-VM miss, and that miss has a
+//! matching `DeadlineMiss` event in the obs sink (it used to bump the
+//! counters silently, which broke `fold(trace) == metrics`).
 
 use ioguard_core::chaos::ChaosSweep;
-use ioguard_hypervisor::{HvError, Hypervisor, HypervisorParams, RtJob};
+use ioguard_hypervisor::{Hypervisor, HypervisorParams, RefuseReason, RtJob, SubmitError};
 use ioguard_obs::{CounterRegistry, ObsKind};
-use ioguard_sim::trace::TraceKind;
 
 #[test]
 fn fold_of_trace_matches_live_registry_across_chaos_battery() {
@@ -53,7 +51,6 @@ fn observed_sweep_is_thread_count_independent() {
 #[test]
 fn pchannel_only_critical_refusal_leaves_trace_and_metrics_in_step() {
     let mut hv = Hypervisor::new(HypervisorParams::new(2)).expect("two plain VMs");
-    hv.enable_trace(64);
     hv.attach_obs(64);
 
     // Normal → Degraded → PchannelOnly: the R-channel is down.
@@ -61,13 +58,11 @@ fn pchannel_only_critical_refusal_leaves_trace_and_metrics_in_step() {
     hv.degrade();
 
     // A refused critical job is a miss; a refused best-effort job is shed.
-    assert_eq!(
-        hv.submit(RtJob::new(0, 1, 0, 1, 100)),
-        Err(HvError::DegradedMode)
-    );
+    let degraded = Err(SubmitError::Refused(RefuseReason::Degraded));
+    assert_eq!(hv.submit(RtJob::new(0, 1, 0, 1, 100)), degraded);
     assert_eq!(
         hv.submit(RtJob::new(1, 2, 0, 1, 100).best_effort()),
-        Err(HvError::DegradedMode)
+        degraded
     );
 
     let metrics = hv.metrics();
@@ -75,9 +70,8 @@ fn pchannel_only_critical_refusal_leaves_trace_and_metrics_in_step() {
     assert_eq!(metrics.vm(0).missed, 1);
     assert_eq!(metrics.vm(0).critical_missed, 1);
 
-    // The regression: the legacy trace and the obs sink both carry the
-    // miss, so folding the events reproduces the registry exactly.
-    assert_eq!(hv.trace().of_kind(TraceKind::DeadlineMiss).count(), 1);
+    // The regression: the obs sink carries the miss, so folding the
+    // events reproduces the registry exactly.
     let obs = hv.obs().expect("obs attached");
     assert_eq!(obs.sink.of_kind(ObsKind::DeadlineMiss).count(), 1);
     assert_eq!(obs.sink.of_kind(ObsKind::Shed).count(), 1);

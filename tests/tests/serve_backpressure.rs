@@ -12,6 +12,7 @@ use ioguard_faults::FaultPlan;
 use ioguard_hypervisor::driver::RetryPolicy;
 use ioguard_hypervisor::hypervisor::{AdmissionGuard, DegradationPolicy, HvMode};
 use ioguard_sched::{PeriodicServer, SporadicTask, TaskSet};
+use ioguard_serve::replay::{ReplayConfig, ReplayDriver};
 use ioguard_serve::server::{ServeCluster, ServeConfig};
 use ioguard_serve::wire::{self, Request, Response};
 
@@ -232,4 +233,103 @@ fn mode_changes_surface_exactly_once_per_client_per_transition() {
             .any(|r| matches!(r, Response::Shed { client: 1, .. })),
         "best-effort request in PchannelOnly must be shed: {all:?}"
     );
+}
+
+/// Runs the submit-time-sweep scenario on a one-shard cluster and returns
+/// every response: best-effort tasks 1 and 2 (wcet 2, deadline 2) and
+/// task 4 (wcet 2, deadline 16) at slot 0, best-effort task 3 (wcet 1,
+/// deadline 8) at slot 2. Task 2 expires while task 1 runs; the deadline
+/// sweep that finds it is the one task 3's submission triggers.
+fn sweep_scenario(trace_capacity: usize) -> Vec<Response> {
+    let mut config = ServeConfig::new(1, 4);
+    config.trace_capacity = trace_capacity;
+    let mut cluster = ServeCluster::new(config).expect("cluster builds");
+    let mut responses = vec![cluster.connect(0, server(), &tasks())];
+    for slot in 0..20u64 {
+        let frames: Vec<(u32, Bytes)> = match slot {
+            0 => vec![
+                (0, frame(0, 1, 2, 2, false)),
+                (0, frame(0, 2, 2, 2, false)),
+                (0, frame(0, 4, 2, 16, false)),
+            ],
+            2 => vec![(0, frame(0, 3, 1, 8, false))],
+            _ => Vec::new(),
+        };
+        responses.extend(cluster.ingest(&frames, 1));
+        responses.extend(cluster.step());
+    }
+    responses
+}
+
+#[test]
+fn every_accepted_request_gets_exactly_one_final_answer() {
+    let responses = sweep_scenario(ServeConfig::new(1, 4).trace_capacity);
+    let mut accepted: Vec<u64> = Vec::new();
+    let mut answers: Vec<u64> = Vec::new();
+    for resp in &responses {
+        match *resp {
+            Response::Accepted { task_id, .. } => accepted.push(task_id),
+            Response::Completed { task_id, .. }
+            | Response::Missed { task_id, .. }
+            | Response::Shed { task_id, .. } => answers.push(task_id),
+            _ => {}
+        }
+    }
+    accepted.sort_unstable();
+    answers.sort_unstable();
+    assert_eq!(accepted, vec![1, 2, 3, 4], "{responses:?}");
+    assert_eq!(answers, accepted, "one final answer each: {responses:?}");
+    assert!(
+        responses.contains(&Response::Missed {
+            client: 0,
+            task_id: 2,
+            critical: false
+        }),
+        "the miss found by the submit-time sweep is answered: {responses:?}"
+    );
+}
+
+#[test]
+fn degradation_sheds_each_best_effort_request_by_id() {
+    let mut cluster = ServeCluster::new(ServeConfig::new(1, 4)).expect("cluster builds");
+    let mut responses = vec![cluster.connect(0, server(), &tasks())];
+    let frames = [
+        (0, frame(0, 11, 4, 64, false)),
+        (0, frame(0, 12, 4, 64, false)),
+        (0, frame(0, 13, 4, 64, true)),
+    ];
+    responses.extend(cluster.ingest(&frames, 1));
+    responses.extend(cluster.step());
+    responses.extend(cluster.degrade(0));
+    for _ in 0..40 {
+        responses.extend(cluster.step());
+    }
+    let shed: Vec<u64> = responses
+        .iter()
+        .filter_map(|r| match *r {
+            Response::Shed { task_id, .. } => Some(task_id),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(shed, vec![11, 12], "one Shed per request: {responses:?}");
+    assert!(
+        responses
+            .iter()
+            .any(|r| matches!(r, Response::Completed { task_id: 13, .. })),
+        "the critical request still completes: {responses:?}"
+    );
+}
+
+#[test]
+fn trace_ring_size_never_changes_client_responses() {
+    assert_eq!(sweep_scenario(1), sweep_scenario(1 << 16));
+}
+
+#[test]
+fn replay_leaves_no_accepted_request_unanswered() {
+    let report = ReplayDriver::new(ReplayConfig::new(5_000))
+        .run()
+        .expect("replay config is valid");
+    assert_eq!(report.requests_sent, 5_000);
+    assert_eq!(report.unanswered, 0, "{report:?}");
 }
