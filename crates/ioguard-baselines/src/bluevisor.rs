@@ -8,8 +8,6 @@
 //! of the BlueVisor remains the FIFO structure at I/O hardware level, which
 //! hence cannot guarantee the I/O predictability").
 
-use serde::{Deserialize, Serialize};
-
 use crate::platform::{
     job_jitter, FifoDevice, IoPlatform, PlatformJob, PlatformMetrics, DEFAULT_FIFO_CAPACITY,
 };
@@ -19,7 +17,7 @@ use crate::platform::{
 const INTERFERENCE_PCT_PER_VM: u64 = 2;
 
 /// The BlueVisor-like hardware-assisted platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlueVisorPlatform {
     device: FifoDevice,
     vms: usize,

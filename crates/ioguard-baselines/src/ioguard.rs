@@ -7,8 +7,6 @@
 //! hypervisor directly (no routers, no VMM), so submission is
 //! zero-latency — the architecture of Fig. 2.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_hypervisor::gsched::GschedPolicy;
 use ioguard_hypervisor::hypervisor::{Hypervisor, HypervisorParams, PchannelReclaim, RtJob};
 use ioguard_hypervisor::pchannel::PredefinedTask;
@@ -25,7 +23,7 @@ use crate::platform::{job_jitter, IoPlatform, PlatformJob, PlatformMetrics};
 const R_CHANNEL_OVERHEAD_PCT: u64 = 25;
 
 /// The I/O-GUARD platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoGuardPlatform {
     hypervisor: Hypervisor,
     /// Cached mirror of the hypervisor metrics in platform shape.

@@ -8,8 +8,6 @@
 
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::platform::{
     job_jitter, FifoDevice, IoPlatform, PlatformJob, PlatformMetrics, DEFAULT_FIFO_CAPACITY,
 };
@@ -23,7 +21,7 @@ const CONTENTION_SLOTS_PER_VM: u64 = 2;
 const INTERFERENCE_PCT_PER_VM: u64 = 3;
 
 /// The legacy (non-virtualized) platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LegacyPlatform {
     device: FifoDevice,
     /// Jobs in flight across the NoC: (arrival slot, insertion seq, job).

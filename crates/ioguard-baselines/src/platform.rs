@@ -2,12 +2,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sim::stats::OnlineStats;
 
 /// One run-time I/O job as seen by a platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PlatformJob {
     /// Originating VM.
     pub vm: usize,
@@ -50,7 +48,7 @@ impl PlatformJob {
 }
 
 /// Metrics common to every platform.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlatformMetrics {
     /// Jobs finished before their deadline.
     pub completed_on_time: u64,
@@ -107,7 +105,7 @@ pub trait IoPlatform {
 /// Jobs are serviced strictly in arrival order and run to completion; a
 /// late job keeps occupying the device (there is no notion of a deadline in
 /// the hardware), so overload degrades both timeliness *and* throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FifoDevice {
     queue: VecDeque<PlatformJob>,
     capacity: usize,

@@ -10,8 +10,6 @@
 
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::platform::{
     job_jitter, FifoDevice, IoPlatform, PlatformJob, PlatformMetrics, DEFAULT_FIFO_CAPACITY,
 };
@@ -31,7 +29,7 @@ const VMM_QUANTUM_BASE_SLOTS: u64 = 2;
 const VMM_QUANTUM_PER_VM_SLOTS: u64 = 1;
 
 /// The RT-Xen-like software-virtualized platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RtXenPlatform {
     device: FifoDevice,
     in_vmm: BinaryHeap<std::cmp::Reverse<(u64, u64, PlatformJob)>>,

@@ -13,8 +13,6 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::{self, EngineStats};
 
 use ioguard_baselines::bluevisor::BlueVisorPlatform;
@@ -36,7 +34,7 @@ use ioguard_workload::suites::SLOT_MICROS;
 const ACTUAL_EXEC_MIN: f64 = 0.90;
 
 /// Which system a trial drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemUnderTest {
     /// BS|Legacy.
     Legacy,
@@ -85,7 +83,7 @@ impl SystemUnderTest {
 }
 
 /// Outcome of one trial.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialOutcome {
     /// True when no critical task missed a deadline.
     pub success: bool,
@@ -265,7 +263,7 @@ fn build_ioguard(
 }
 
 /// One experiment point: a (system, VM count, utilization) cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaseStudyPoint {
     /// System to drive.
     pub system: SystemUnderTest,
@@ -283,7 +281,7 @@ pub struct CaseStudyPoint {
 }
 
 /// Aggregated result of one point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointSummary {
     /// Fraction of trials with zero critical misses.
     pub success_ratio: f64,
@@ -325,7 +323,7 @@ impl CaseStudyPoint {
 }
 
 /// Full Fig. 7 sweep configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseStudyConfig {
     /// VM group sizes (the paper: 4 and 8).
     pub vm_groups: Vec<usize>,
@@ -357,7 +355,7 @@ impl CaseStudyConfig {
 }
 
 /// One rendered cell of the Fig. 7 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Cell {
     /// System.
     pub system: SystemUnderTest,
@@ -370,7 +368,7 @@ pub struct Fig7Cell {
 }
 
 /// The full Fig. 7 data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Report {
     /// All cells, ordered (vm group, system, utilization).
     pub cells: Vec<Fig7Cell>,

@@ -8,8 +8,6 @@
 //! * **Schedulability** — acceptance-ratio sweeps comparing the exact and
 //!   pseudo-polynomial tests of Sec. IV, plus their runtime cost.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sched::design::{synthesize_servers, SynthesisConfig};
 use ioguard_sched::gsched::{theorem1_exact, theorem2_pseudo_poly};
 use ioguard_sched::lsched::{theorem3_exact, theorem4_pseudo_poly};
@@ -34,7 +32,7 @@ pub fn fig8_report(eta_max: u32) -> String {
 }
 
 /// Configuration of the schedulability acceptance-ratio experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedExperimentConfig {
     /// Number of random systems per utilization point.
     pub systems_per_point: u32,
@@ -64,7 +62,7 @@ impl Default for SchedExperimentConfig {
 }
 
 /// One point of the acceptance-ratio curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptancePoint {
     /// Total R-channel utilization of the generated systems.
     pub utilization: f64,
@@ -129,7 +127,7 @@ fn random_task_sets(
 }
 
 /// Result of the exact-vs-pseudo-polynomial agreement experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AgreementReport {
     /// Systems where both tests were applicable.
     pub compared: u32,

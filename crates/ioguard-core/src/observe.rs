@@ -20,8 +20,8 @@
 //! which is exactly what the golden-trace tests and the `trace-export`
 //! determinism check in CI pin down. [`snapshot_json`] composes the
 //! summaries into the hand-formatted `OBS_snapshot.json` document (the
-//! workspace's no-op `serde` stub means no JSON serializer exists; fixed
-//! key order and indentation are by construction).
+//! workspace carries no JSON library; fixed key order and indentation are
+//! by construction).
 
 use ioguard_faults::{ChaosScenario, FaultPlan, ObservedChaos};
 use ioguard_hypervisor::hypervisor::AdmissionGuard;

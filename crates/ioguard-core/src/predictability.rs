@@ -8,8 +8,6 @@
 //! narrow distribution (small p99 − p50); FIFO systems under load show a
 //! heavy tail.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_baselines::platform::{IoPlatform, PlatformJob};
 use ioguard_sim::stats::Histogram;
 
@@ -21,7 +19,7 @@ use ioguard_baselines::rtxen::RtXenPlatform;
 use ioguard_hypervisor::gsched::GschedPolicy;
 
 /// Configuration of the latency-profile experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictabilityConfig {
     /// Probe task period in slots.
     pub probe_period: u64,
@@ -54,7 +52,7 @@ impl Default for PredictabilityConfig {
 }
 
 /// Latency profile of one system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyProfile {
     /// System label.
     pub system: String,

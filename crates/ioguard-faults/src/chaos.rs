@@ -8,8 +8,6 @@
 //! per-VM metrics needed to check the paper's isolation claim empirically:
 //! with countermeasures on, a misbehaving VM hurts only itself.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_hypervisor::driver::RetryPolicy;
 use ioguard_hypervisor::gsched::GschedPolicy;
 use ioguard_hypervisor::hypervisor::{
@@ -28,7 +26,7 @@ use crate::noc::NocFaultDriver;
 use crate::plan::{tags, FaultPlan};
 
 /// One chaos trial: a hypervisor under a fault plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosScenario {
     /// The fault plan (seed, rates, adversary).
     pub plan: FaultPlan,
@@ -271,7 +269,7 @@ pub struct ObservedChaos {
 }
 
 /// The result of one chaos trial, comparable bit-for-bit across runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosOutcome {
     /// Full hypervisor metrics (global and per-VM).
     pub metrics: HvMetrics,

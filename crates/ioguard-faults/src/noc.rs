@@ -17,8 +17,6 @@
 //! windows whose absolute fault verdicts match their predecessor's are
 //! skipped entirely.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_noc::error::NocError;
 use ioguard_noc::network::{Delivery, NocFabric};
 use ioguard_noc::packet::{Packet, PacketKind};
@@ -48,7 +46,7 @@ const LINK_DIRS: [Direction; 4] = [
 
 /// Applies a plan's NoC faults (link up/down, congestion bursts) to a
 /// network, window by window, and decides per-packet drop/corrupt marks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocFaultDriver {
     plan: FaultPlan,
     /// Window length in cycles.

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sim::rng::SplitMix64;
 
 /// Upper bound accepted for [`FaultPlan::retry_budget`]: retries must stay
@@ -30,7 +28,7 @@ pub const MAX_RETRY_BUDGET: u32 = 16;
 /// // Decisions are pure: same coordinates, same verdict, in any order.
 /// assert_eq!(plan.chance(1, 7, 0, 0.1), plan.chance(1, 7, 0, 0.1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Root seed of every decision.
     pub seed: u64,

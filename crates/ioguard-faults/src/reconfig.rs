@@ -16,10 +16,8 @@
 //! * **Back-to-back flips** — a flip window shorter than the quiesce
 //!   distance forces `SwitchPending` rejections, which must be clean.
 //!
-//! The [`ReconfigOutcome`] is `PartialEq + serde`, so sweeps can compare
-//! trials bit-for-bit across thread counts.
-
-use serde::{Deserialize, Serialize};
+//! The [`ReconfigOutcome`] is `PartialEq`, so sweeps can compare trials
+//! bit-for-bit across thread counts.
 
 use ioguard_hypervisor::driver::RetryPolicy;
 use ioguard_hypervisor::hypervisor::{AdmissionGuard, DegradationPolicy};
@@ -34,7 +32,7 @@ use ioguard_sched::task::{PeriodicServer, SporadicTask};
 use crate::plan::{tags, FaultPlan};
 
 /// One fault-injected reconfiguration trial.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigScenario {
     /// The fault plan (seed, device stalls, adversary).
     pub plan: FaultPlan,
@@ -225,7 +223,7 @@ impl ReconfigScenario {
 
 /// The result of one fault-injected reconfiguration trial, comparable
 /// bit-for-bit across runs and thread counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigOutcome {
     /// Work-conservation totals across every epoch.
     pub totals: ReconfigTotals,

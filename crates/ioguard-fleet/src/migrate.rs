@@ -25,12 +25,11 @@
 
 use ioguard_reconfig::StagedConfig;
 use ioguard_sched::TaskSet;
-use serde::{Deserialize, Serialize};
 
 use crate::placement::Fleet;
 
 /// Fault injection points for the migration protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationFault {
     /// No fault: the happy path.
     None,
@@ -44,7 +43,7 @@ pub enum MigrationFault {
 
 /// Why a migration did not complete. In every case the fleet is left
 /// consistent: the VM remains placed exactly once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationError {
     /// The VM is not resident anywhere.
     UnknownVm {
@@ -102,7 +101,7 @@ impl std::fmt::Display for MigrationError {
 impl std::error::Error for MigrationError {}
 
 /// A completed migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationOutcome {
     /// The migrated VM.
     pub vm: u64,

@@ -28,12 +28,11 @@ use ioguard_sched::table::TimeSlotTable;
 use ioguard_sched::{PeriodicServer, SchedError, TaskSet};
 use ioguard_sim::rng::SplitMix64;
 use ioguard_workload::{FleetArrivalConfig, FleetArrivals, FleetEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::shard::{locally_schedulable, Shard};
 
 /// How the fleet picks among shards that can admit a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// The admitting shard with the lowest index.
     FirstFit,
@@ -44,7 +43,7 @@ pub enum PlacementPolicy {
 }
 
 /// Construction parameters for a [`Fleet`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of hypervisor shards.
     pub shards: usize,
@@ -85,7 +84,7 @@ impl FleetConfig {
 }
 
 /// One placement decision, in stream order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// The VM was admitted by `shard` on arrival.
     Placed {
@@ -131,7 +130,7 @@ pub enum Decision {
 }
 
 /// Aggregate fleet counters, all monotone over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetStats {
     /// Arrivals admitted directly.
     pub placed: u64,

@@ -10,8 +10,6 @@
 //! every other configuration then follows the same composition law, which
 //! is what the scalability experiment (Fig. 8) measures.
 
-use serde::{Deserialize, Serialize};
-
 use crate::primitives::{prim, ResourceCost};
 
 /// Width of a scheduling comparison (deadline register) in bits.
@@ -24,7 +22,7 @@ const PCHANNEL_BANK_KB: u64 = 96;
 const DRIVER_BANK_KB: u64 = 32;
 
 /// Configuration of one hypervisor instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HypervisorConfig {
     /// Number of VMs (one I/O pool per VM per I/O group).
     pub vms: u64,

@@ -7,10 +7,8 @@
 //! the absolute frequencies sit in the range of VC709 soft logic and the
 //! hypervisor clears the legacy routers at every η — the paper's Obs. 6.
 
-use serde::{Deserialize, Serialize};
-
 /// Frequency in MHz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct MegaHertz(pub f64);
 
 /// The hypervisor's maximum frequency at scaling factor η (#VMs = 2^η).

@@ -7,10 +7,8 @@
 //! legacy kernel; hardware assistance shrinks that; I/O-GUARD eliminates
 //! the software VMM entirely and reduces the drivers to thin forwarders.
 
-use serde::{Deserialize, Serialize};
-
 /// Link-map segments of one software component, in kilobytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Segments {
     /// Code (text) KB.
     pub text: u64,
@@ -36,7 +34,7 @@ impl Segments {
 }
 
 /// The four evaluated systems, in the paper's order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// BS|Legacy — NoC system without virtualization.
     Legacy,
@@ -69,7 +67,7 @@ impl SystemKind {
 }
 
 /// I/O driver classes evaluated in Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriverKind {
     /// SPI bus driver.
     Spi,
@@ -102,7 +100,7 @@ impl DriverKind {
 }
 
 /// Footprint inventory of one system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemFootprint {
     /// Which system.
     pub system: SystemKind,

@@ -3,10 +3,8 @@
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 /// A synthesis-report-shaped resource vector: the five columns of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ResourceCost {
     /// Look-up tables.
     pub luts: u64,

@@ -6,13 +6,11 @@
 //! regenerated Table I compares our composed hypervisor against the same
 //! yardsticks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::blocks::HypervisorConfig;
 use crate::primitives::ResourceCost;
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Row {
     /// Design name as printed in the paper.
     pub name: &'static str,

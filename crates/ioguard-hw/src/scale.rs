@@ -5,8 +5,6 @@
 //! adds the hypervisor configured for `2^η` VMs. Area is normalized by the
 //! overall area of the experimental platform (the VC709's XC7VX690T).
 
-use serde::{Deserialize, Serialize};
-
 use crate::blocks::HypervisorConfig;
 use crate::fmax::{hypervisor_fmax, legacy_fmax, MegaHertz};
 use crate::primitives::ResourceCost;
@@ -35,7 +33,7 @@ pub const ROUTER: ResourceCost = ResourceCost {
 pub const PLATFORM_LUTS: u64 = 433_200;
 
 /// One point of the Fig. 8 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalePoint {
     /// Scaling factor (VM count = 2^η).
     pub eta: u32,

@@ -8,10 +8,8 @@
 //! translator carries results back through the pass-through response
 //! channel.
 
-use serde::{Deserialize, Serialize};
-
 /// The I/O protocols evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoProtocol {
     /// SPI at 50 Mbps (typical FPGA SPI master).
     Spi,
@@ -67,7 +65,7 @@ impl IoProtocol {
 
 /// The translator pair: bounded worst-case translation latency per I/O
 /// operation, in nanoseconds (request + response path each).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Translator {
     /// Worst-case translation time of one operation, ns.
     pub wcet_ns: u64,
@@ -99,7 +97,7 @@ impl Default for Translator {
 /// let ns = eth.transfer_ns(1500);
 /// assert!((12_000..13_500).contains(&ns), "{ns}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoController {
     protocol: IoProtocol,
     translator: Translator,
@@ -159,7 +157,7 @@ impl IoController {
 /// Retry discipline of the per-transaction watchdog: how long a transaction
 /// may stall before the driver retries it, how many retries are budgeted,
 /// and the exponential backoff between attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Consecutive no-progress slots before a retry fires.
     pub timeout_slots: u64,
@@ -230,7 +228,7 @@ pub enum WatchdogVerdict {
 /// assert_eq!(v, WatchdogVerdict::Retry { attempt: 1, backoff_slots: 2 });
 /// assert!(wd.in_backoff(2) && !wd.in_backoff(4));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watchdog {
     policy: RetryPolicy,
     stalled: u64,

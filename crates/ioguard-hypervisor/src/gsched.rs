@@ -15,15 +15,13 @@
 // construction; every index is an enumerate() index over that same slice or
 // over pools, whose length is debug-asserted equal at grant time.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sched::task::PeriodicServer;
 
 use crate::pool::IoPool;
 use crate::shadowindex::ShadowIndex;
 
 /// Slot-allocation policy of the G-Sched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GschedPolicy {
     /// Pure preemptive EDF over all shadow registers.
     GlobalEdf,
@@ -38,7 +36,7 @@ pub enum GschedPolicy {
 }
 
 /// Run-time state of the G-Sched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gsched {
     policy: GschedPolicy,
     /// Per-VM (remaining budget, current server deadline) — only used by

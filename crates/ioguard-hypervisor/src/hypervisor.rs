@@ -21,8 +21,6 @@
 // (bounded by the pool count it was handed) and task indices from the
 // P-channel's own fire() result; pjob_state is sized to tasks() at build.
 
-use serde::{Deserialize, Serialize};
-
 use crate::driver::{RetryPolicy, Watchdog, WatchdogVerdict};
 use crate::error::{HvError, SubmitError};
 use crate::event::{HvEvent, RefuseReason};
@@ -41,7 +39,7 @@ pub const DEFAULT_POOL_CAPACITY: usize = 32;
 /// execution undershoots their reserved WCET release the residual table
 /// slots to the R-channel ("the hypervisor schedules and executes run-time
 /// tasks when the pre-defined tasks are not occupying the I/O", Sec. II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PchannelReclaim {
     /// Seed of the deterministic per-job execution-time sampling.
     pub seed: u64,
@@ -51,7 +49,7 @@ pub struct PchannelReclaim {
 }
 
 /// Construction parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HypervisorParams {
     /// Number of VMs (pools).
     pub vms: usize,
@@ -130,7 +128,7 @@ impl HypervisorParams {
 }
 
 /// A run-time I/O job submitted through a VM's para-virtualized driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtJob {
     /// Target VM.
     pub vm: usize,
@@ -172,7 +170,7 @@ impl RtJob {
 /// steps down one level at a time; after a configured run of healthy slots
 /// it steps back up. Every transition is emitted as
 /// [`HvEvent::ModeChange`] and counted in [`HvMetrics::mode_changes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HvMode {
     /// Full service: P-channel and R-channel both live.
     #[default]
@@ -197,7 +195,7 @@ impl HvMode {
 }
 
 /// Graceful-degradation tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradationPolicy {
     /// Consecutive healthy slots before the mode steps back up one level.
     pub healthy_slots_to_recover: u64,
@@ -215,7 +213,7 @@ impl Default for DegradationPolicy {
 /// more than `max_submissions` jobs inside a `window`-slot window is cut
 /// off for `throttle_slots` slots (babbling-idiot countermeasure) — both
 /// at admission and in the G-Sched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionGuard {
     /// Window length, in slots.
     pub window: u64,
@@ -226,7 +224,7 @@ pub struct AdmissionGuard {
 }
 
 /// Per-VM flood-control state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct AdmState {
     window_start: u64,
     count: u64,
@@ -234,7 +232,7 @@ struct AdmState {
 }
 
 /// The I/O-GUARD hypervisor device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hypervisor {
     pools: Vec<IoPool>,
     /// Comparator tree over the pools' shadow registers, refreshed on every
@@ -271,15 +269,13 @@ pub struct Hypervisor {
     healthy_slots: u64,
     /// Events emitted since the caller last took them
     /// ([`Hypervisor::step_into`], [`Hypervisor::drain_events`]).
-    #[serde(skip, default)]
     outbox: Vec<HvEvent>,
     /// Optional observer (structured events + latency histograms) fed from
     /// the event stream. `None` by default.
-    #[serde(skip, default)]
     obs: Option<Box<HvObs>>,
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PjobState {
     reserved_left: u64,
     remaining: u64,

@@ -11,8 +11,6 @@
 //! ([`HvMetrics::fold`]): the device updates them nowhere else, so folding
 //! the stream into fresh metrics reproduces the live ones exactly.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sim::stats::OnlineStats;
 
 pub use ioguard_obs::counters::VmCounters;
@@ -29,7 +27,7 @@ use crate::event::{HvEvent, RefuseReason};
 pub type VmMetrics = VmCounters;
 
 /// Aggregate execution metrics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HvMetrics {
     /// Run-time jobs completed before their deadlines.
     pub completed: u64,

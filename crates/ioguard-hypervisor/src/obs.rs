@@ -20,15 +20,13 @@
 //!   the isolation claim ("a faulty VM may degrade only its own tail")
 //!   is checkable from the histograms alone.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_obs::{Histogram, ObsKind, TraceSink, SYSTEM_VM};
 
 use crate::event::{HvEvent, RefuseReason};
 use crate::pool::PoolEntry;
 
 /// Observability state owned by a hypervisor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HvObs {
     /// Bounded structured event stream (drop-oldest on overflow).
     pub sink: TraceSink,

@@ -12,15 +12,13 @@
 // index is reduced modulo that length first; `tasks[task_index]` uses the
 // enumerate() index the job list was built from.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sched::table::TimeSlotTable;
 use ioguard_sched::task::SporadicTask;
 
 use crate::error::HvError;
 
 /// One pre-defined task loaded into the banks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredefinedTask {
     /// Caller-assigned identifier.
     pub task_id: u64,
@@ -39,7 +37,7 @@ pub struct PredefinedTask {
 
 /// A P-channel table entry: which pre-defined task owns a given occupied
 /// slot of σ\*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotOwner {
     /// Index into the P-channel's task bank.
     pub task_index: usize,
@@ -48,7 +46,7 @@ pub struct SlotOwner {
 }
 
 /// The P-channel: banks + σ\* + executor state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PChannel {
     tasks: Vec<PredefinedTask>,
     table: TimeSlotTable,

@@ -22,8 +22,6 @@
 // which the incremental-update invariant keeps inside `0..entries.len()`
 // whenever it is `Some` (it is cleared or repaired on every removal).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::HvError;
 
 /// Sentinel for [`PoolEntry::first_dispatch`]: the task has not received a
@@ -31,7 +29,7 @@ use crate::error::HvError;
 pub const NEVER_DISPATCHED: u64 = u64::MAX;
 
 /// One buffered run-time I/O task inside a pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolEntry {
     /// Caller-assigned task identifier (unique within the VM).
     pub task_id: u64,
@@ -65,7 +63,7 @@ pub struct PoolEntry {
 /// // The L-Sched surfaces the earliest deadline in the shadow register.
 /// assert_eq!(pool.shadow().expect("non-empty").task_id, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoPool {
     entries: Vec<PoolEntry>,
     capacity: usize,

@@ -16,14 +16,12 @@
 // asserts vm < vms ≤ cap, so the leaf cap+vm and the halving root path
 // (node ≥ 1, children 2·node and 2·node+1 < 2·cap) stay in bounds.
 
-use serde::{Deserialize, Serialize};
-
 /// A fully-resolved comparator key: `(deadline, task_id, vm)`.
 pub type ShadowKey = (u64, u64, usize);
 
 /// The comparator tree. `None` at a leaf means "this VM's pool is empty";
 /// `None` at the root means no VM has runnable work.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShadowIndex {
     /// Number of VMs (true leaves).
     vms: usize,

@@ -27,15 +27,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::driver::{IoController, IoProtocol};
 use crate::error::{HvError, SubmitError};
 use crate::hypervisor::{HvMetrics, Hypervisor, HypervisorParams, RtJob};
 use crate::pchannel::PredefinedTask;
 
 /// Configuration of one device channel group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoDeviceConfig {
     /// The wire protocol this group's virtualization driver speaks.
     pub protocol: IoProtocol,
@@ -60,7 +58,7 @@ impl IoDeviceConfig {
 }
 
 /// A run-time transfer request in *bytes* (the driver translates to slots).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
     /// Originating VM.
     pub vm: usize,
@@ -85,7 +83,7 @@ impl Transfer {
 }
 
 /// The assembled multi-device hypervisor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiIoSystem {
     groups: Vec<(IoController, Hypervisor)>,
     slot_ns: u64,

@@ -9,6 +9,8 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use ioguard_obs::export::json_escape;
+
 use crate::scan::{LineInfo, SourceFile};
 
 /// Rule identifiers (kebab-case, used in allow directives and reports).
@@ -843,36 +845,15 @@ pub fn lint_tree_threaded(
 pub fn render_json(violations: &[Violation]) -> String {
     let mut out = String::new();
     for v in violations {
-        out.push_str("{\"path\":");
-        json_string(&v.path.display().to_string(), &mut out);
-        out.push_str(",\"line\":");
-        out.push_str(&v.line.to_string());
-        out.push_str(",\"rule\":");
-        json_string(v.rule, &mut out);
-        out.push_str(",\"message\":");
-        json_string(&v.message, &mut out);
-        out.push_str("}\n");
+        out.push_str(&format!(
+            "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}\n",
+            json_escape(&v.path.display().to_string()),
+            v.line,
+            json_escape(v.rule),
+            json_escape(&v.message),
+        ));
     }
     out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -1272,5 +1253,19 @@ mod tests {
             RuleSet::all(),
         );
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn render_json_bytes_are_pinned() {
+        let v = Violation {
+            rule: rule::PANIC_SITE,
+            path: PathBuf::from("dir/a\"b.rs"),
+            line: 7,
+            message: "q\"x\\y\nz\t\u{1}".to_string(),
+        };
+        assert_eq!(
+            render_json(&[v]),
+            "{\"path\":\"dir/a\\\"b.rs\",\"line\":7,\"rule\":\"panic-site\",\"message\":\"q\\\"x\\\\y\\nz\\t\\u0001\"}\n"
+        );
     }
 }

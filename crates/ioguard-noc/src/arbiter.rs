@@ -10,8 +10,6 @@
 //! * [`FixedPriority`] — lower port index always wins; simple but can
 //!   starve.
 
-use serde::{Deserialize, Serialize};
-
 /// An arbitration policy over `n` requesters.
 pub trait Arbiter: std::fmt::Debug {
     /// Picks the winner among `requests` (true = requesting). Returns the
@@ -37,7 +35,7 @@ pub trait Arbiter: std::fmt::Debug {
 /// assert_eq!(rr.grant(&[true, true, true]), Some(2));
 /// assert_eq!(rr.grant(&[true, true, true]), Some(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobin {
     next: usize,
     size: usize,
@@ -75,7 +73,7 @@ impl Arbiter for RoundRobin {
 }
 
 /// Fixed-priority arbiter: the lowest requesting index always wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FixedPriority;
 
 impl Arbiter for FixedPriority {
@@ -88,7 +86,7 @@ impl Arbiter for FixedPriority {
 
 /// Which arbitration policy a router instantiates (config-level enum so the
 /// network config stays serializable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArbiterKind {
     /// Round-robin rotation (default; bounded waiting).
     #[default]

@@ -50,7 +50,6 @@ pub mod packet;
 pub mod reference;
 pub mod router;
 pub mod topology;
-pub mod traffic;
 
 pub use error::NocError;
 pub use network::{Network, NetworkConfig, NocFabric};

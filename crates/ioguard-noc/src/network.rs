@@ -33,8 +33,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sim::time::Cycles;
 
 use crate::arbiter::ArbiterKind;
@@ -43,7 +41,7 @@ use crate::packet::Packet;
 use crate::topology::{Direction, Mesh, NodeId};
 
 /// Configuration of a mesh network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Mesh width (columns).
     pub width: u16,

@@ -9,13 +9,12 @@
 // whose length is checked once at the top of decode_header.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::error::NocError;
 use crate::topology::NodeId;
 
 /// Kind of traffic a packet carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// An I/O request from a VM toward a device (or the hypervisor).
     IoRequest,
@@ -26,7 +25,7 @@ pub enum PacketKind {
 }
 
 /// A wormhole packet: header + payload flits + implicit tail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     id: u64,
     kind: PacketKind,
@@ -130,7 +129,7 @@ impl Packet {
         1 + self.payload_flits
     }
 
-    /// Serializes the header flit to its 16-byte wire format:
+    /// Encodes the header flit in its 16-byte wire format:
     ///
     /// ```text
     /// [0..8)   packet id (LE)
@@ -182,7 +181,7 @@ impl Packet {
 
 /// One flit in flight. Wormhole switching moves these one link per cycle;
 /// only the head flit carries routing state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Id of the packet this flit belongs to.
     pub packet: u64,

@@ -7,12 +7,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Coordinates of a mesh node (column `x`, row `y`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId {
     /// Column (0-based, grows eastward).
     pub x: u16,
@@ -40,7 +36,7 @@ impl fmt::Display for NodeId {
 
 /// Router port direction. `Local` is the network-interface port of the
 /// attached core/peripheral.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Toward decreasing `y`.
     North,
@@ -106,7 +102,7 @@ impl fmt::Display for Direction {
 }
 
 /// A rectangular mesh: dimensions plus coordinate helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mesh {
     width: u16,
     height: u16,

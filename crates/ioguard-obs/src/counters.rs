@@ -7,12 +7,10 @@
 //! trace stream into counters, and the cross-check tests assert
 //! `fold(trace) == live registry` after every chaos sweep.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{ObsEvent, ObsKind, SYSTEM_VM};
 
 /// Monotonic per-VM counters (the hypervisor's per-VM metrics block).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct VmCounters {
     /// Jobs that completed before their deadline.
     pub completed: u64,
@@ -56,7 +54,7 @@ impl VmCounters {
 
 /// A registry of per-VM counters plus the trace-stream fold that must
 /// reproduce a live registry exactly.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CounterRegistry {
     per_vm: Vec<VmCounters>,
 }

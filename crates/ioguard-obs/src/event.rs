@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// `vm` value for events that belong to the platform rather than a VM
 /// (mode changes, device faults, NoC bookkeeping).
 pub const SYSTEM_VM: u32 = u32::MAX;
@@ -17,7 +15,7 @@ pub const SYSTEM_VM: u32 = u32::MAX;
 ///
 /// The `task` and `arg` fields of [`ObsEvent`] are kind-specific; the
 /// meaning of each is documented per variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObsKind {
     /// A run-time request was admitted into its VM's pool. `task` = task
     /// id, `arg` = WCET in slots.
@@ -164,7 +162,7 @@ impl fmt::Display for ObsKind {
 ///
 /// Fixed-size and `Copy` so a [`crate::TraceSink`] ring holds them without
 /// per-event allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsEvent {
     /// Monotonic sequence number within the recording sink (0-based,
     /// counted over *all* records including evicted ones).

@@ -1,11 +1,11 @@
 //! Hand-formatted JSON fragments for `OBS_snapshot.json`.
 //!
-//! The workspace deliberately carries no JSON serializer (the vendored
-//! `serde` is a no-op marker stub), so exports are assembled by string
-//! formatting in the `bench-summary` style: fixed key order, fixed
-//! indentation, integers unquoted — diff-friendly and deterministic by
-//! construction. These helpers produce *fragments* at a caller-chosen
-//! indent; the `trace-export` bin composes them into the full document.
+//! The workspace deliberately carries no JSON library, so exports are
+//! assembled by string formatting in the `bench-summary` style: fixed key
+//! order, fixed indentation, integers unquoted — diff-friendly and
+//! deterministic by construction. These helpers produce *fragments* at a
+//! caller-chosen indent; the `trace-export` bin composes them into the full
+//! document.
 
 use crate::counters::CounterRegistry;
 use crate::event::{ObsEvent, ALL_KINDS};

@@ -7,8 +7,6 @@
 //! associative and commutative, so work-stealing shards combine
 //! bit-identically regardless of grouping or order.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of buckets: one for zero plus one per bit position.
 pub const BUCKETS: usize = 65;
 
@@ -49,7 +47,7 @@ fn bucket_upper(index: usize) -> u64 {
 /// let p99 = h.percentile(0.99).unwrap();
 /// assert!(p99 >= p50);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

@@ -13,8 +13,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{ObsEvent, ObsKind};
 
 /// Fixed-capacity ring buffer of [`ObsEvent`]s.
@@ -32,7 +30,7 @@ use crate::event::{ObsEvent, ObsKind};
 /// assert_eq!(sink.dropped(), 1);
 /// assert_eq!(sink.iter().next().map(|e| e.seq), Some(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceSink {
     capacity: usize,
     events: VecDeque<ObsEvent>,

@@ -11,10 +11,8 @@
 //! (merge is associative by position), so deterministic tests can exercise
 //! the aggregation without the feature.
 
-use serde::{Deserialize, Serialize};
-
 /// One named span's accumulated totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Span name (static: the profiler's table is fixed at construction).
     pub name: &'static str,
@@ -46,7 +44,7 @@ pub struct SpanStamp {
 /// prof.exit(0, stamp);
 /// assert_eq!(prof.spans().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profiler {
     spans: Vec<Span>,
 }

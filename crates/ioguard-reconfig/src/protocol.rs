@@ -37,8 +37,6 @@
 //! whether or not an aborted reconfiguration was ever attempted, which is
 //! exactly the property the proptests pin down.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_hypervisor::hypervisor::{HvMode, RtJob};
 use ioguard_hypervisor::pool::NEVER_DISPATCHED;
 use ioguard_hypervisor::{HvMetrics, Hypervisor, RefuseReason, SubmitError};
@@ -83,7 +81,7 @@ pub struct EpochRecord {
 /// exactly-once transition invariant is `conserved()`: each job accepted
 /// (or refused-with-accounting) by the controller shows up in exactly one
 /// terminal bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReconfigTotals {
     /// Submissions accepted into a pool.
     pub accepted: u64,

@@ -12,8 +12,6 @@
 //! failed stage yields a typed [`RejectReason`] and the old configuration
 //! keeps running untouched.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_hypervisor::driver::RetryPolicy;
 use ioguard_hypervisor::error::HvError;
 use ioguard_hypervisor::gsched::GschedPolicy;
@@ -30,7 +28,7 @@ use ioguard_sched::SchedError;
 /// Why a staged configuration was rejected (or an in-flight commit
 /// aborted). Every variant carries enough to act on; [`Self::ordinal`] is
 /// the stable code carried in `ReconfigAbort` trace events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum RejectReason {
     /// The candidate has no VMs.
@@ -150,7 +148,7 @@ impl std::error::Error for RejectReason {}
 /// variant is the one whose isolation the chaos battery proves, and using
 /// the same server vector for the policy and the analysis means the
 /// schedulability proof talks about exactly the parameters that run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagedConfig {
     /// Per-VM periodic servers `Γ_i = (Π_i, Θ_i)` — one per VM, used both
     /// as the GuardedEdf budgets and as Theorem 1/3 input.
@@ -301,7 +299,7 @@ impl StagedConfig {
 /// A candidate that passed the full admission pipeline — the only type the
 /// commit path accepts. Carries the proof (analysis model and verdict)
 /// alongside the configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerifiedConfig {
     pub(crate) config: StagedConfig,
     pub(crate) analysis: TwoLayerAnalysis,

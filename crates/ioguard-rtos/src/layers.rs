@@ -5,10 +5,8 @@
 //! few hundred cycles, a Xen-style trap is ~1–2 k cycles, and payload
 //! copies cost ~1 cycle per byte through the single-issue core.
 
-use serde::Serialize;
-
 /// One software layer an I/O request traverses.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SoftwareLayer {
     /// Layer name.
     pub name: &'static str,

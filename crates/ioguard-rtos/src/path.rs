@@ -1,7 +1,5 @@
 //! I/O call paths per system (Fig. 3) and their per-operation cost.
 
-use serde::Serialize;
-
 use ioguard_hw::footprint::SystemKind;
 
 use crate::layers::{
@@ -13,7 +11,7 @@ use crate::layers::{
 pub const CLOCK_HZ: u64 = 100_000_000;
 
 /// The ordered software layer chain one I/O request crosses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoPath {
     system: SystemKind,
     layers: Vec<SoftwareLayer>,

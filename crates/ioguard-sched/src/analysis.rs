@@ -4,8 +4,6 @@
 //! per-VM L-Sched tests (Theorems 3–4) into a single verdict, which is the
 //! admission interface the hypervisor model and the experiment drivers use.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SchedError;
 use crate::gsched::{theorem1_exact, theorem2_pseudo_poly, GschedVerdict};
 use crate::lsched::{theorem3_exact, theorem4_pseudo_poly, LschedVerdict};
@@ -18,7 +16,7 @@ pub const DEFAULT_MAX_HYPER_PERIOD: u64 = 1 << 26;
 
 /// A complete two-layer system model: the P-channel table, one periodic
 /// server per VM and one task set per VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwoLayerAnalysis {
     sigma: TimeSlotTable,
     servers: Vec<PeriodicServer>,
@@ -26,7 +24,7 @@ pub struct TwoLayerAnalysis {
 }
 
 /// Verdict of the combined test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwoLayerVerdict {
     /// G-Sched outcome (Theorem 1 or 2).
     pub global: GschedVerdict,

@@ -8,8 +8,6 @@
 //! bandwidth, then validate the resulting server set globally with
 //! Theorem 1 (inflating greedily if the global layer rejects).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SchedError;
 use crate::gsched::theorem1_exact;
 use crate::lsched::theorem3_exact;
@@ -17,7 +15,7 @@ use crate::table::TimeSlotTable;
 use crate::task::{PeriodicServer, TaskSet};
 
 /// Configuration of the synthesis search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisConfig {
     /// Candidate server periods, tried per VM. Typical choice: divisors of
     /// the table length `H`, so server replenishment aligns with σ\*.

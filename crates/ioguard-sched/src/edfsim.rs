@@ -17,15 +17,13 @@
 // the server slice; `owners` is sized to the horizon and indexed by t <
 // horizon.
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sim::rng::Xoshiro256StarStar;
 
 use crate::table::TimeSlotTable;
 use crate::task::{PeriodicServer, TaskSet};
 
 /// One job instance in a release trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Job {
     /// Index of the releasing task within its task set.
     pub task: usize,
@@ -85,7 +83,7 @@ pub fn sporadic_releases(tasks: &TaskSet, horizon: u64, seed: u64) -> Vec<Job> {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EdfSimReport {
     /// Jobs that completed before their deadline.
     pub completed: u64,

@@ -7,15 +7,13 @@
 //! **Theorem 2** bounds the check to `t < F·(H−1)/H / c` whenever the system
 //! keeps slack `F/H − Σ Θ_i/Π_i ≥ c > 0`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::demand::DemandSweep;
 use crate::error::SchedError;
 use crate::table::TimeSlotTable;
 use crate::task::{checked_lcm, PeriodicServer};
 
 /// Outcome of a G-Sched test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GschedVerdict {
     /// All servers receive their budgets: each VM `i` gets at least `Θ_i`
     /// free slots in every `Π_i`.

@@ -43,8 +43,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::demand::StepEvents;
 use crate::error::SchedError;
 use crate::gsched::GschedVerdict;
@@ -57,7 +55,7 @@ pub const MAX_FRAME: u64 = 1 << 22;
 
 /// What one `admit`/`evict`/`probe` actually did, for the bench lane's
 /// "work done" column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmitStats {
     /// Delta events applied (or probed): `frame / Π` for the changed
     /// server — the only checkpoints the delta can violate.
@@ -68,7 +66,7 @@ pub struct AdmitStats {
 }
 
 /// Outcome of a [`DemandLedger::admit`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmitOutcome {
     /// The G-Sched verdict for the resident set *plus* the candidate. On
     /// `Schedulable` the candidate is now resident; on `Unschedulable`
@@ -107,7 +105,7 @@ impl AdmitOutcome {
 /// assert!(ledger.admit(9, hog)?.admitted());
 /// # Ok::<(), ioguard_sched::SchedError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandLedger {
     sigma: TimeSlotTable,
     frame: u64,
@@ -371,7 +369,7 @@ pub fn theorem1_frame(
 /// Lazy adds are stored *applied at the node* (`vals[node]` already
 /// includes `pend[node]`), so updates never push down; queries accumulate
 /// the pending adds of strict ancestors on the way down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct SlackEnvelope {
     /// Leaves in use.
     n: usize,

@@ -54,7 +54,6 @@ pub mod error;
 pub mod gsched;
 pub mod ledger;
 pub mod lsched;
-pub mod sensitivity;
 pub mod table;
 pub mod task;
 pub mod verify;

@@ -7,14 +7,12 @@
 //! `t < (max(T_k − D_k) + 2Π_i − Θ_i − 1)/c'` under slack
 //! `Θ_i/Π_i − Σ C_k/T_k > c' > 0`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::demand::{sbf_server, DemandSweep};
 use crate::error::SchedError;
 use crate::task::{checked_lcm, PeriodicServer, TaskSet};
 
 /// Outcome of an L-Sched test for one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LschedVerdict {
     /// Every job of the VM meets its deadline.
     Schedulable {

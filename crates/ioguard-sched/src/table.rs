@@ -16,8 +16,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SchedError;
 use crate::task::SporadicTask;
 
@@ -39,7 +37,7 @@ use crate::task::SporadicTask;
 /// assert_eq!(sigma.sbf(4), 3);
 /// # Ok::<(), ioguard_sched::SchedError>(())
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct TimeSlotTable {
     /// `free[s]` is true when slot `s` is available to the R-channel.
     free: Vec<bool>,
@@ -48,7 +46,6 @@ pub struct TimeSlotTable {
     /// Lazily built Eq. 1 look-up table: `enum_table[t] = sbf(σ, t)` for
     /// `0 ≤ t ≤ H − 1`. Construction is O(H²), so it is deferred until the
     /// first `sbf` query — the hypervisor's executor never needs it.
-    #[serde(skip)]
     enum_table: OnceLock<Vec<u64>>,
 }
 

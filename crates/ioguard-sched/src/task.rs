@@ -3,8 +3,6 @@
 //! All time quantities are in **slots**, the hypervisor's scheduling quantum
 //! (Sec. IV measures everything in time slots).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SchedError;
 
 /// A sporadic I/O task `τ_k = (T_k, C_k, D_k)`.
@@ -22,7 +20,7 @@ use crate::error::SchedError;
 /// assert_eq!(tau.utilization(), 0.08);
 /// # Ok::<(), ioguard_sched::SchedError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SporadicTask {
     period: u64,
     wcet: u64,
@@ -116,7 +114,7 @@ impl SporadicTask {
 /// assert_eq!(gamma.bandwidth(), 0.4);
 /// # Ok::<(), ioguard_sched::SchedError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PeriodicServer {
     period: u64,
     budget: u64,
@@ -177,7 +175,7 @@ impl PeriodicServer {
 /// assert!((ts.utilization() - 0.3).abs() < 1e-12);
 /// # Ok::<(), ioguard_sched::SchedError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TaskSet {
     tasks: Vec<SporadicTask>,
 }

@@ -12,8 +12,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::analysis::{TwoLayerAnalysis, TwoLayerVerdict};
 use crate::error::SchedError;
 use crate::gsched::{theorem1_exact_counted, GschedVerdict};
@@ -22,7 +20,7 @@ use crate::lsched::theorem3_exact_counted;
 use crate::task::PeriodicServer;
 
 /// What a [`IncrementalVerifier::reverify`] call actually recomputed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReverifyStats {
     /// True when Theorem 1 (G-Sched over σ\* and the servers) was re-run,
     /// whether by the full sweep or by the O(Δ) ledger path.
@@ -42,7 +40,7 @@ pub struct ReverifyStats {
 
 /// Result of an incremental re-verification: the (exact) verdict plus an
 /// account of how much work was actually done.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReverifyOutcome {
     /// The combined two-layer verdict for the candidate configuration.
     pub verdict: TwoLayerVerdict,
@@ -84,7 +82,7 @@ pub struct ReverifyOutcome {
 /// assert_eq!(outcome.stats.vms_reused, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalVerifier {
     analysis: TwoLayerAnalysis,
     verdict: TwoLayerVerdict,

@@ -2,10 +2,7 @@
 //!
 //! Every experiment in the reproduction is driven by a single `u64` seed.
 //! [`SplitMix64`] is used to derive independent streams (one per trial, per
-//! VM, per task) and [`Xoshiro256StarStar`] is the workhorse generator. Both
-//! implement [`rand::RngCore`] so they compose with `rand` distributions.
-
-use rand::{Error, RngCore, SeedableRng};
+//! VM, per task) and [`Xoshiro256StarStar`] is the workhorse generator.
 
 /// Sebastiano Vigna's SplitMix64 — used both as a tiny PRNG and as the seed
 /// expander for [`Xoshiro256StarStar`].
@@ -14,11 +11,10 @@ use rand::{Error, RngCore, SeedableRng};
 ///
 /// ```
 /// use ioguard_sim::rng::SplitMix64;
-/// use rand::RngCore;
 ///
 /// let mut a = SplitMix64::new(42);
 /// let mut b = SplitMix64::new(42);
-/// assert_eq!(a.next_u64(), b.next_u64()); // fully deterministic
+/// assert_eq!(a.next(), b.next()); // fully deterministic
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -51,37 +47,6 @@ impl SplitMix64 {
     pub fn derive(&self, tag: u64) -> u64 {
         let mut child = SplitMix64::new(self.state ^ tag.wrapping_mul(0xA24B_AED4_963E_E407));
         child.next()
-    }
-}
-
-impl RngCore for SplitMix64 {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_from_u64(self, dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SplitMix64 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::new(state)
     }
 }
 
@@ -161,44 +126,6 @@ impl Xoshiro256StarStar {
     }
 }
 
-impl RngCore for Xoshiro256StarStar {
-    fn next_u32(&mut self) -> u32 {
-        (self.step() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.step()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_from_u64(self, dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for Xoshiro256StarStar {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::new(state)
-    }
-}
-
-fn fill_bytes_from_u64<R: RngCore>(rng: &mut R, dest: &mut [u8]) {
-    for chunk in dest.chunks_mut(8) {
-        let v = rng.next_u64().to_le_bytes();
-        chunk.copy_from_slice(&v[..chunk.len()]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,9 +164,9 @@ mod tests {
         let mut c = Xoshiro256StarStar::new(10);
         let mut diverged = false;
         for _ in 0..64 {
-            let va = a.next_u64();
-            assert_eq!(va, b.next_u64());
-            if va != c.next_u64() {
+            let va = a.step();
+            assert_eq!(va, b.step());
+            if va != c.step() {
                 diverged = true;
             }
         }
@@ -299,24 +226,5 @@ mod tests {
         let sum: f64 = (0..n).map(|_| rng.next_f64()).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.005, "mean = {mean}");
-    }
-
-    #[test]
-    fn seedable_rng_from_seed_matches_new() {
-        let a = Xoshiro256StarStar::from_seed(42u64.to_le_bytes());
-        let b = Xoshiro256StarStar::new(42);
-        assert_eq!(a, b);
-        let c = SplitMix64::seed_from_u64(42);
-        assert_eq!(c, SplitMix64::new(42));
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SplitMix64::new(1);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        // With 13 bytes from a mixed stream, all-zeros is astronomically
-        // unlikely; this guards the chunking logic.
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -5,8 +5,6 @@
 //! [`OnlineStats`] (Welford's algorithm) and [`Histogram`] provide both
 //! without retaining per-sample storage.
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass mean / variance / extrema accumulator (Welford).
 ///
 /// # Example
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -127,7 +125,7 @@ impl OnlineStats {
 ///
 /// Latency distributions in the predictability experiments are summarized by
 /// their p50 / p99 / max through this type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -231,55 +229,6 @@ impl Histogram {
     /// Per-bin counts (excluding under/overflow).
     pub fn bins(&self) -> &[u64] {
         &self.bins
-    }
-}
-
-/// Success-ratio accumulator for the case study: counts trials and how many
-/// of them completed with zero deadline misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SuccessRatio {
-    trials: u64,
-    successes: u64,
-}
-
-impl SuccessRatio {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the outcome of one trial.
-    pub fn record(&mut self, success: bool) {
-        self.trials += 1;
-        if success {
-            self.successes += 1;
-        }
-    }
-
-    /// Merges another accumulator.
-    pub fn merge(&mut self, other: &SuccessRatio) {
-        self.trials += other.trials;
-        self.successes += other.successes;
-    }
-
-    /// Number of recorded trials.
-    pub fn trials(&self) -> u64 {
-        self.trials
-    }
-
-    /// Number of successful trials.
-    pub fn successes(&self) -> u64 {
-        self.successes
-    }
-
-    /// Fraction of successful trials in `[0, 1]`; `1.0` when no trials were
-    /// recorded (vacuous success, keeps plots monotone at the left edge).
-    pub fn ratio(&self) -> f64 {
-        if self.trials == 0 {
-            1.0
-        } else {
-            self.successes as f64 / self.trials as f64
-        }
     }
 }
 
@@ -402,22 +351,5 @@ mod tests {
     #[should_panic(expected = "at least one bin")]
     fn histogram_rejects_zero_bins() {
         let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn success_ratio_accumulates() {
-        let mut s = SuccessRatio::new();
-        assert_eq!(s.ratio(), 1.0);
-        for i in 0..10 {
-            s.record(i % 2 == 0);
-        }
-        assert_eq!(s.trials(), 10);
-        assert_eq!(s.successes(), 5);
-        assert_eq!(s.ratio(), 0.5);
-        let mut t = SuccessRatio::new();
-        t.record(true);
-        s.merge(&t);
-        assert_eq!(s.trials(), 11);
-        assert_eq!(s.successes(), 6);
     }
 }

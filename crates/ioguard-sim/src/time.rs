@@ -1,25 +1,18 @@
-//! Strongly-typed time bases.
+//! Strongly-typed time base for the NoC.
 //!
-//! The paper's hypervisor schedules I/O work at the granularity of *time
-//! slots* (Sec. III-A), while the underlying NoC and I/O controllers are
-//! clocked in *cycles* (100 MHz on the VC709). Mixing the two silently is a
-//! classic source of off-by-×N bugs, so each gets a newtype and conversion is
-//! only possible through an explicit [`SlotClock`].
+//! The NoC and I/O controllers are clocked in *cycles* (100 MHz on the
+//! VC709), while the hypervisor schedules in *time slots* (Sec. III-A),
+//! which the workspace carries as plain `u64`. [`Cycles`] keeps cycle
+//! counts from mixing silently with slot counts.
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! time_newtype {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(u64);
 
         impl $name {
@@ -187,79 +180,6 @@ time_newtype!(
     "cyc"
 );
 
-time_newtype!(
-    /// Hypervisor scheduling slots — the quantum at which the two-layer
-    /// scheduler preempts and the unit of the Time Slot Table σ*.
-    Slots,
-    "slot"
-);
-
-/// Converts between the cycle domain and the slot domain.
-///
-/// A slot is a fixed number of cycles (the hypervisor's scheduling quantum).
-/// The paper's global timer synchronizes all elements to a single source of
-/// timing; `SlotClock` plays that role here.
-///
-/// # Example
-///
-/// ```
-/// use ioguard_sim::time::{Cycles, SlotClock, Slots};
-///
-/// let clock = SlotClock::new(100); // 100 cycles per slot
-/// assert_eq!(clock.to_cycles(Slots::new(3)), Cycles::new(300));
-/// assert_eq!(clock.to_slots(Cycles::new(250)), Slots::new(2)); // floor
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SlotClock {
-    cycles_per_slot: u64,
-}
-
-impl SlotClock {
-    /// Creates a slot clock with the given quantum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles_per_slot` is zero — a zero-length slot would make
-    /// the global timer meaningless.
-    pub fn new(cycles_per_slot: u64) -> Self {
-        assert!(cycles_per_slot > 0, "slot must span at least one cycle");
-        Self { cycles_per_slot }
-    }
-
-    /// The number of cycles in one slot.
-    #[inline]
-    pub const fn cycles_per_slot(self) -> u64 {
-        self.cycles_per_slot
-    }
-
-    /// Converts slots to cycles exactly.
-    #[inline]
-    pub fn to_cycles(self, slots: Slots) -> Cycles {
-        Cycles::new(slots.raw() * self.cycles_per_slot)
-    }
-
-    /// Converts cycles to whole elapsed slots (floor).
-    #[inline]
-    pub fn to_slots(self, cycles: Cycles) -> Slots {
-        Slots::new(cycles.raw() / self.cycles_per_slot)
-    }
-
-    /// Converts cycles to slots, rounding up to the slot that fully contains
-    /// the interval (ceil). Used when budgeting worst-case I/O service time.
-    #[inline]
-    pub fn to_slots_ceil(self, cycles: Cycles) -> Slots {
-        Slots::new(cycles.raw().div_ceil(self.cycles_per_slot))
-    }
-}
-
-impl Default for SlotClock {
-    /// A 100-cycle slot, matching the 100 MHz / 1 µs-slot configuration used
-    /// throughout the evaluation.
-    fn default() -> Self {
-        Self::new(100)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,88 +197,46 @@ mod tests {
     }
 
     #[test]
-    fn slots_ordering_and_extremes() {
-        assert!(Slots::ZERO < Slots::new(1));
-        assert!(Slots::new(1) < Slots::MAX);
-        assert_eq!(Slots::ZERO, Slots::default());
-        assert!(Slots::ZERO.is_zero());
-        assert!(!Slots::new(3).is_zero());
+    fn ordering_and_extremes() {
+        assert!(Cycles::ZERO < Cycles::new(1));
+        assert!(Cycles::new(1) < Cycles::MAX);
+        assert_eq!(Cycles::ZERO, Cycles::default());
+        assert!(Cycles::ZERO.is_zero());
+        assert!(!Cycles::new(3).is_zero());
     }
 
     #[test]
     fn saturating_and_checked_ops() {
-        assert_eq!(Slots::new(1).saturating_sub(Slots::new(5)), Slots::ZERO);
+        assert_eq!(Cycles::new(1).saturating_sub(Cycles::new(5)), Cycles::ZERO);
         assert_eq!(
-            Slots::new(5).checked_sub(Slots::new(1)),
-            Some(Slots::new(4))
+            Cycles::new(5).checked_sub(Cycles::new(1)),
+            Some(Cycles::new(4))
         );
-        assert_eq!(Slots::new(1).checked_sub(Slots::new(5)), None);
-        assert_eq!(Slots::MAX.saturating_add(Slots::new(1)), Slots::MAX);
-        assert_eq!(Slots::MAX.checked_add(Slots::new(1)), None);
+        assert_eq!(Cycles::new(1).checked_sub(Cycles::new(5)), None);
+        assert_eq!(Cycles::MAX.saturating_add(Cycles::new(1)), Cycles::MAX);
+        assert_eq!(Cycles::MAX.checked_add(Cycles::new(1)), None);
     }
 
     #[test]
     fn min_max_helpers() {
-        assert_eq!(Slots::new(3).max(Slots::new(7)), Slots::new(7));
-        assert_eq!(Slots::new(3).min(Slots::new(7)), Slots::new(3));
+        assert_eq!(Cycles::new(3).max(Cycles::new(7)), Cycles::new(7));
+        assert_eq!(Cycles::new(3).min(Cycles::new(7)), Cycles::new(3));
     }
 
     #[test]
-    fn sum_of_slots() {
-        let total: Slots = [1u64, 2, 3].into_iter().map(Slots::new).sum();
-        assert_eq!(total, Slots::new(6));
+    fn sum_of_cycles() {
+        let total: Cycles = [1u64, 2, 3].into_iter().map(Cycles::new).sum();
+        assert_eq!(total, Cycles::new(6));
     }
 
     #[test]
     fn display_includes_unit() {
         assert_eq!(Cycles::new(7).to_string(), "7 cyc");
-        assert_eq!(Slots::new(7).to_string(), "7 slot");
     }
 
     #[test]
     fn conversion_from_into_u64() {
         let c: Cycles = 9u64.into();
         assert_eq!(u64::from(c), 9);
-    }
-
-    #[test]
-    fn slot_clock_floor_and_ceil() {
-        let clock = SlotClock::new(64);
-        assert_eq!(clock.to_slots(Cycles::new(63)), Slots::ZERO);
-        assert_eq!(clock.to_slots(Cycles::new(64)), Slots::new(1));
-        assert_eq!(clock.to_slots_ceil(Cycles::new(1)), Slots::new(1));
-        assert_eq!(clock.to_slots_ceil(Cycles::new(64)), Slots::new(1));
-        assert_eq!(clock.to_slots_ceil(Cycles::new(65)), Slots::new(2));
-        assert_eq!(clock.to_slots_ceil(Cycles::ZERO), Slots::ZERO);
-    }
-
-    #[test]
-    fn slot_clock_roundtrip_exact() {
-        let clock = SlotClock::default();
-        for s in 0..100 {
-            let slots = Slots::new(s);
-            assert_eq!(clock.to_slots(clock.to_cycles(slots)), slots);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "slot must span at least one cycle")]
-    fn slot_clock_rejects_zero_quantum() {
-        let _ = SlotClock::new(0);
-    }
-
-    #[test]
-    fn serde_roundtrip_is_transparent() {
-        // Transparent serde representation: a plain integer, so configs stay
-        // human-editable.
-        let json = serde_json_like_roundtrip(Slots::new(17));
-        assert_eq!(json, Slots::new(17));
-    }
-
-    // Minimal stand-in for serde_json (not a workspace dependency): round
-    // trip through the serde data model using the `serde` test primitives.
-    fn serde_json_like_roundtrip(v: Slots) -> Slots {
-        // Serialize to the raw u64 and back via the public API.
-        Slots::new(v.raw())
     }
 }

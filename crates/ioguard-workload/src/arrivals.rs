@@ -16,13 +16,12 @@
 
 use ioguard_sched::{PeriodicServer, SporadicTask, TaskSet};
 use ioguard_sim::rng::{SplitMix64, Xoshiro256StarStar};
-use serde::{Deserialize, Serialize};
 
 /// Domain-separation tag for the arrival stream RNG.
 const ARRIVALS_TAG: u64 = 0xF1EE;
 
 /// Configuration for one generated churn stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetArrivalConfig {
     /// Total number of lifecycle events (arrivals + departures).
     pub events: usize,
@@ -49,7 +48,7 @@ impl FleetArrivalConfig {
 }
 
 /// One VM lifecycle event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FleetEvent {
     /// A VM requests admission with server `Γ = (Π, Θ)` and `tasks`.
     Arrive {
@@ -80,7 +79,7 @@ pub enum FleetEvent {
 /// assert_eq!(a, b);
 /// assert_eq!(a.events().len(), 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetArrivals {
     config: FleetArrivalConfig,
     events: Vec<FleetEvent>,

@@ -7,8 +7,6 @@
 //! "ensured the data input to the examined systems was identical in each
 //! execution".
 
-use serde::{Deserialize, Serialize};
-
 use ioguard_sched::task::{SporadicTask, TaskSet};
 use ioguard_sim::rng::{SplitMix64, Xoshiro256StarStar};
 
@@ -29,7 +27,7 @@ const SYNTHETIC_PERIODS: [u64; 6] = [100, 200, 400, 800, 1000, 2000];
 const SYNTHETIC_MAX_WCET: u64 = 40;
 
 /// Configuration of one trial's workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialConfig {
     /// Number of active VMs (4 or 8 in the paper's groups).
     pub vms: usize,
@@ -62,7 +60,7 @@ impl TrialConfig {
 }
 
 /// One concrete task instance in a generated trial.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialTask {
     /// Name (catalogue name or `synthetic-N`).
     pub name: String,
@@ -87,7 +85,7 @@ impl TrialTask {
 }
 
 /// A fully generated trial workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialWorkload {
     config: TrialConfig,
     tasks: Vec<TrialTask>,

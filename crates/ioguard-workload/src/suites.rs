@@ -7,15 +7,13 @@
 //! periods 5–80 ms, raw data in via 1 Gbps Ethernet, results out via
 //! 10 Mbps FlexRay).
 
-use serde::{Deserialize, Serialize};
-
 /// The scheduling time base of the case study: one hypervisor slot is
 /// 50 µs, so a 5 ms period is 100 slots and a full 100-second trial is
 /// 2 000 000 slots.
 pub const SLOT_MICROS: u64 = 50;
 
 /// Classification of a case-study task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskCategory {
     /// Automotive safety task (Renesas use-case database).
     Safety,
@@ -37,7 +35,7 @@ impl TaskCategory {
 }
 
 /// One catalogue entry: a named task with nominal timing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSpec {
     /// Task name (kernel it models).
     pub name: &'static str,
