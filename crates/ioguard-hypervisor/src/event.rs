@@ -104,7 +104,7 @@ pub enum HvEvent {
         /// Attempt number.
         attempt: u32,
     },
-    /// The device became faulty (stall window or stuck controller).
+    /// The device became faulty (an injected stall window opened).
     Fault,
     /// The device resumed service.
     Recovery,

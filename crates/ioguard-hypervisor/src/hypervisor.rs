@@ -261,8 +261,6 @@ pub struct Hypervisor {
     adm_state: Vec<AdmState>,
     /// Device stalled while `now < device_stall_until` (transient fault).
     device_stall_until: u64,
-    /// Controller stuck until explicitly cleared (persistent fault).
-    device_stuck: bool,
     /// Edge detector for Fault/Recovery events.
     device_fault_active: bool,
     /// Consecutive healthy slots (drives mode recovery).
@@ -349,7 +347,6 @@ impl Hypervisor {
             admission: params.admission_guard,
             adm_state: vec![AdmState::default(); params.vms],
             device_stall_until: 0,
-            device_stuck: false,
             device_fault_active: false,
             healthy_slots: 0,
             outbox: Vec::new(),
@@ -429,20 +426,14 @@ impl Hypervisor {
         self.device_stall_until = self.device_stall_until.max(self.now.saturating_add(slots));
     }
 
-    /// Sets or clears the stuck-controller fault (persists until cleared).
-    pub fn set_device_stuck(&mut self, stuck: bool) {
-        self.device_stuck = stuck;
-    }
-
-    /// True while a device fault (stall window or stuck controller) is in
-    /// effect at the current slot.
+    /// True while an injected device stall is in effect at the current
+    /// slot.
     pub fn device_faulty(&self) -> bool {
-        self.device_stuck || self.now < self.device_stall_until
+        self.now < self.device_stall_until
     }
 
-    /// Clears all injected device faults.
+    /// Clears any injected device stall.
     pub fn clear_device_faults(&mut self) {
-        self.device_stuck = false;
         self.device_stall_until = 0;
     }
 

@@ -46,8 +46,8 @@ pub struct HvMetrics {
     pub rchannel_slots: u64,
     /// Free slots left idle (no eligible work).
     pub idle_slots: u64,
-    /// Granted slots burned against a stalled or stuck device (no job
-    /// progress; the watchdog counts these toward its timeout).
+    /// Granted slots burned against a stalled device (no job progress;
+    /// the watchdog counts these toward its timeout).
     pub stalled_slots: u64,
     /// Slots the executor sat out while the watchdog's exponential backoff
     /// window was open.

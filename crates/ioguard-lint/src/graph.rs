@@ -1,12 +1,12 @@
 //! Layer 1.5 — the interprocedural concurrency model.
 //!
-//! Two places in the workspace share memory across threads: the
-//! work-stealing trial engine (`ioguard-core::engine`: mutex-guarded
-//! per-worker deques and an atomic steal counter) and the serving
-//! executor (`ioguard-serve::executor`: an atomic wake flag). Per-line
-//! token scans cannot reason about that kind of code: a lock-order
-//! inversion involves two functions, and a guard held across a barrier
-//! wait is a *liveness* property of a span of code, not a single line.
+//! One place in the workspace shares memory across threads: the
+//! work-stealing engine (`ioguard-core::engine`: mutex-guarded per-worker
+//! deques and an atomic steal counter), which runs the trials and also
+//! `ServeCluster::ingest`'s frame decode. Per-line token scans cannot
+//! reason about that kind of code: a lock-order inversion involves two
+//! functions, and a guard held across a barrier wait is a *liveness*
+//! property of a span of code, not a single line.
 //!
 //! This module builds a lightweight item model on top of the stripped-line
 //! scanner ([`crate::scan`]) — no `syn`, the workspace builds offline:

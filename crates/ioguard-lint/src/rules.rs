@@ -810,14 +810,10 @@ pub fn collect_rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-/// Lints every `.rs` file under `dir` (recursively) with `rules`.
-pub fn lint_tree(dir: &Path, rules: RuleSet, out: &mut Vec<Violation>) -> Result<usize, String> {
-    lint_tree_threaded(dir, rules, 1, out)
-}
-
-/// [`lint_tree`] with file scanning spread over the work-stealing engine.
-/// Results are scattered back in work-list (path) order before merging, so
-/// the violation list is identical at any thread count.
+/// Lints every `.rs` file under `dir` (recursively) with `rules`, file
+/// scanning spread over the work-stealing engine. Results are scattered
+/// back in work-list (path) order before merging, so the violation list is
+/// identical at any thread count.
 pub fn lint_tree_threaded(
     dir: &Path,
     rules: RuleSet,

@@ -953,15 +953,6 @@ impl Network {
             remaining -= 1;
         }
     }
-
-    /// The cycle at which something can next happen: `now` while any flit
-    /// is buffered, `None` (never, absent new injections or faults) when
-    /// the fabric is idle. Schedulers layering fault windows or injection
-    /// processes on top combine this with their own horizons to decide how
-    /// far [`Network::run_for`] may jump.
-    pub fn next_activity(&self) -> Option<Cycles> {
-        (self.live_flits > 0).then_some(self.now)
-    }
 }
 
 impl NocFabric for Network {

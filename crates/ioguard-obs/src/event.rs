@@ -53,7 +53,7 @@ pub enum ObsKind {
     ThrottledSlot,
     /// The watchdog retried a stalled transaction. `arg` = attempt number.
     Retry,
-    /// A fault became active (device stall, stuck controller).
+    /// A fault became active (a device stall window opened).
     Fault,
     /// A previously faulty component resumed service.
     Recovery,

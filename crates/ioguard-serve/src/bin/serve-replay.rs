@@ -13,10 +13,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::cell::RefCell;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::rc::Rc;
 
 use ioguard_serve::replay::{ReplayConfig, ReplayDriver};
 use ioguard_serve::wire::Response;
@@ -101,13 +99,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let snapshot_dir = cli.out_dir.clone();
-    let last_page: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
-    let page_handle = Rc::clone(&last_page);
+    let mut last_page = String::new();
     let driver = ReplayDriver::new(config);
-    let report = match driver.run_with(move |slot, page, json| {
-        *page_handle.borrow_mut() = page.to_string();
-        if let Some(dir) = &snapshot_dir {
+    let report = match driver.run_with(|slot, page, json| {
+        last_page = page.to_string();
+        if let Some(dir) = &cli.out_dir {
             if let Err(error) = std::fs::write(dir.join("OBS_snapshot.json"), json) {
                 eprintln!("serve-replay: snapshot at slot {slot} failed: {error}");
             }
@@ -160,16 +156,10 @@ fn main() -> ExitCode {
         );
     }
     println!("  unanswered        {}", report.unanswered);
-    println!("  preemptions       {}", report.preemptions);
     println!("  snapshots         {}", report.snapshots);
-    println!(
-        "  exec: polls={} rounds={} stalled={}",
-        report.exec.polls, report.exec.rounds, report.exec.stalled
-    );
 
     if let Some(dir) = &cli.out_dir {
-        let page = last_page.borrow();
-        let body = if page.is_empty() {
+        let body = if last_page.is_empty() {
             // No snapshot fired (snapshot_every 0): render the end-state
             // page from the counters the report carries.
             ioguard_obs::prom::render_page(
@@ -180,7 +170,7 @@ fn main() -> ExitCode {
                 ],
             )
         } else {
-            page.clone()
+            last_page
         };
         if let Err(error) = std::fs::write(dir.join("serve_metrics.prom"), body) {
             eprintln!("serve-replay: writing scrape page failed: {error}");
@@ -188,13 +178,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if report.exec.stalled > 0 {
-        eprintln!(
-            "serve-replay: executor stalled with {} tasks",
-            report.exec.stalled
-        );
-        return ExitCode::FAILURE;
-    }
     if report.unanswered > 0 {
         eprintln!(
             "serve-replay: {} accepted requests never got a final answer",

@@ -1,4 +1,4 @@
-//! # ioguard-serve — async serving front-end for the I/O-GUARD stack
+//! # ioguard-serve — serving front-end for the I/O-GUARD stack
 //!
 //! Everything else in this workspace is batch trials: build a scenario,
 //! run it, inspect the trace. This crate is the **online** posture the
@@ -13,18 +13,15 @@
 //!
 //! The crate is deliberately **deterministic end to end**:
 //!
-//! - [`executor`] is a cooperative-preemption async engine with a
-//!   *virtual clock* — tasks yield at await points, timers advance the
-//!   clock to the next armed slot, and the poll order is a pure function
-//!   of spawn order. No wall clock, no OS threads in the serve loop.
 //! - [`wire`] decodes requests **zero-copy** over the vendored `bytes`
 //!   crate: payloads are sub-views of the ingress buffer, never copied,
 //!   and malformed frames return typed errors without consuming bytes.
 //! - [`server`] applies backpressure with *bounded* per-client queues
 //!   (lint-clean under the `unbounded-spillover` rule) and surfaces
 //!   every dropped or refused request as a typed response.
-//! - [`replay`] is the test harness headline: a virtual-clock
-//!   [`replay::ReplayDriver`] feeds synthesized arrival traces (reusing
+//! - [`replay`] is the test harness headline: [`replay::ReplayDriver`]
+//!   is one loop over virtual slots — no wall clock, no scheduler — that
+//!   feeds synthesized arrival traces (reusing
 //!   [`ioguard_workload::arrivals::FleetArrivals`]) at millions of
 //!   requests per run, and the observable outcome — trace bytes and
 //!   counter folds — is bit-identical at any decode worker count.
@@ -32,12 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod replay;
 pub mod server;
 pub mod wire;
 
-pub use executor::{Executor, ExecutorStats, Preemptor, VirtualClock};
 pub use replay::{ReplayConfig, ReplayDriver, ReplayReport};
 pub use server::{ServeCluster, ServeConfig, ServeError};
 pub use wire::{RejectReason, Request, Response, WireError};

@@ -3,23 +3,22 @@
 //! [`ReplayDriver`] is the serving front-end's test harness headline: it
 //! synthesizes a client population from
 //! [`ioguard_workload::arrivals::FleetArrivals`] (the same churn streams
-//! the fleet layer replays), runs connect/disconnect lifecycle plus
-//! periodic request emission for every resident client on the
-//! [`crate::executor`], and drives a [`ServeCluster`] one virtual slot
-//! at a time — millions of requests per run, zero wall-clock
-//! dependence. The observable outcome (response fold digest, counter
-//! totals, latency histograms) is a pure function of the
-//! [`ReplayConfig`]: same config, same bytes, at *any* decode worker
-//! count, which is exactly what the differential test asserts.
+//! the fleet layer replays) and drives a [`ServeCluster`] one virtual
+//! slot at a time in a single loop: each slot runs the due
+//! connect/disconnect lifecycle events, emits the due periodic requests
+//! of every resident client, then ingests and steps the cluster —
+//! millions of requests per run, zero wall-clock dependence. The
+//! observable outcome (response fold digest, counter totals, latency
+//! histograms) is a pure function of the [`ReplayConfig`]: same config,
+//! same bytes, at *any* decode worker count, which is exactly what the
+//! differential test asserts.
 //!
 //! [`canonical_scenario`] is the scripted sibling: a small fixed cast
 //! (two well-behaved clients, one babbler, malformed frames, a device
 //! stall, a mid-run connect and a disconnect) whose serve trace is
 //! pinned as `tests/goldens/serve.trace`.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
 use ioguard_hypervisor::driver::RetryPolicy;
@@ -30,7 +29,6 @@ use ioguard_sched::{PeriodicServer, SporadicTask, TaskSet};
 use ioguard_sim::rng::SplitMix64;
 use ioguard_workload::arrivals::{FleetArrivalConfig, FleetArrivals, FleetEvent};
 
-use crate::executor::{Executor, ExecutorStats, Preemptor};
 use crate::server::{ServeCluster, ServeConfig, ServeError};
 use crate::wire::{self, Request, Response};
 
@@ -80,14 +78,6 @@ impl ResponseFold {
         self.total = self.total.saturating_add(1);
     }
 
-    /// Count of responses with the given 1-based kind ordinal.
-    pub fn count_of(&self, kind_ordinal: u8) -> u64 {
-        self.counts
-            .get(usize::from(kind_ordinal).saturating_sub(1))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Order-sensitive digest of every folded response rendering.
     pub fn digest(&self) -> u64 {
         self.digest
@@ -122,13 +112,11 @@ pub struct ReplayConfig {
     pub frame: u64,
     /// Slots between consecutive lifecycle events.
     pub event_spacing: u64,
-    /// Slots the serve loop keeps running after the last send.
+    /// Slots the loop keeps running after the load generator stops.
     pub drain_slots: u64,
     /// Snapshot cadence in slots for [`ReplayDriver::run_with`]
     /// (0 disables snapshots).
     pub snapshot_every: u64,
-    /// Cooperative-preemption quantum for the executor tasks.
-    pub preempt_quantum: u64,
     /// Root seed.
     pub seed: u64,
 }
@@ -146,7 +134,6 @@ impl ReplayConfig {
             event_spacing: 4,
             drain_slots: 2048,
             snapshot_every: 0,
-            preempt_quantum: 4096,
             seed: 0x5EED,
         }
     }
@@ -194,10 +181,6 @@ pub struct ReplayReport {
     pub deadline_bound_critical: u64,
     /// Largest relative deadline among emitted best-effort requests.
     pub deadline_bound_best_effort: u64,
-    /// Executor accounting.
-    pub exec: ExecutorStats,
-    /// Cooperative preemptions taken.
-    pub preemptions: u64,
     /// Accepted requests with no completed, missed or shed response at
     /// the end of the run (must be 0: every accepted request is answered).
     pub unanswered: u64,
@@ -205,40 +188,24 @@ pub struct ReplayReport {
     pub snapshots: u64,
 }
 
-struct ReplayShared {
-    cluster: ServeCluster,
-    pending: Vec<(u32, Bytes)>,
-    fold: ResponseFold,
-    /// Accepted `(client, task_id)` pairs still waiting for their answer.
-    awaiting: BTreeSet<(u32, u64)>,
-    sent: u64,
-    bound_critical: u64,
-    bound_best_effort: u64,
-    end_slot: Option<u64>,
-    finished: bool,
-    snapshots: u64,
-}
-
-impl ReplayShared {
-    /// Folds one response and tracks each accepted request until its
-    /// final answer.
-    fn record(&mut self, resp: &Response) {
-        self.fold.push(resp);
-        match *resp {
-            Response::Accepted { client, task_id } => {
-                self.awaiting.insert((client, task_id));
-            }
-            Response::Completed {
-                client, task_id, ..
-            }
-            | Response::Missed {
-                client, task_id, ..
-            }
-            | Response::Shed { client, task_id } => {
-                self.awaiting.remove(&(client, task_id));
-            }
-            _ => {}
+/// Folds one response and tracks each accepted request in `awaiting`
+/// until its final answer.
+fn record(fold: &mut ResponseFold, awaiting: &mut BTreeSet<(u32, u64)>, resp: &Response) {
+    fold.push(resp);
+    match *resp {
+        Response::Accepted { client, task_id } => {
+            awaiting.insert((client, task_id));
         }
+        Response::Completed {
+            client, task_id, ..
+        }
+        | Response::Missed {
+            client, task_id, ..
+        }
+        | Response::Shed { client, task_id } => {
+            awaiting.remove(&(client, task_id));
+        }
+        _ => {}
     }
 }
 
@@ -269,244 +236,150 @@ impl ReplayDriver {
     }
 
     /// Runs the replay, invoking `on_snapshot(slot, prom_text, json)`
-    /// every [`ReplayConfig::snapshot_every`] slots.
+    /// after the step of every slot that is a positive multiple of
+    /// [`ReplayConfig::snapshot_every`], except the last slot.
     pub fn run_with(
         &self,
-        on_snapshot: impl FnMut(u64, &str, &str) + 'static,
+        mut on_snapshot: impl FnMut(u64, &str, &str),
     ) -> Result<ReplayReport, ServeError> {
         let cfg = self.config;
-        let cluster = ServeCluster::new(cfg.serve_config())?;
-        let shared = Rc::new(RefCell::new(ReplayShared {
-            cluster,
-            pending: Vec::new(),
-            fold: ResponseFold::new(),
-            awaiting: BTreeSet::new(),
-            sent: 0,
-            bound_critical: 0,
-            bound_best_effort: 0,
-            end_slot: None,
-            finished: false,
-            snapshots: 0,
-        }));
-        let mut exec = Executor::new();
-        let clock = exec.clock();
-        let preempt = Preemptor::new(cfg.preempt_quantum.max(1));
-
-        // Task 0: the load generator — lifecycle churn + periodic
-        // request emission for every resident client.
-        {
-            let shared = Rc::clone(&shared);
-            let clock = clock.clone();
-            let preempt = preempt.clone();
-            exec.spawn(async move {
-                let stream = FleetArrivals::generate(&FleetArrivalConfig {
-                    events: cfg.events,
-                    target_resident: cfg.target_resident,
-                    frame: cfg.frame,
-                    seed: cfg.seed,
-                });
-                let mut lifecycle: VecDeque<FleetEvent> = stream.events().iter().cloned().collect();
-                let mut releases: BTreeMap<u64, Vec<ReleaseKey>> = BTreeMap::new();
-                let mix = SplitMix64::new(cfg.seed ^ 0x5EED_CAFE);
-                let mut next_event_slot = 1u64;
-                let mut task_seq = 0u64;
-                loop {
-                    let slot = clock.now();
-                    // Lifecycle events due this slot.
-                    while next_event_slot <= slot {
-                        let Some(event) = lifecycle.pop_front() else {
-                            break;
-                        };
-                        let mut state = shared.borrow_mut();
-                        match event {
-                            FleetEvent::Arrive { vm, server, tasks } => {
-                                let client = u32::try_from(vm).unwrap_or(u32::MAX);
-                                let resp = state.cluster.connect(client, server, &tasks);
-                                let connected = matches!(resp, Response::Connected { .. });
-                                state.fold.push(&resp);
-                                if connected {
-                                    for (idx, task) in tasks.iter().enumerate() {
-                                        let tag = (vm << 8) | (idx as u64);
-                                        let critical = mix.derive(tag ^ 0xC417) % 10 < 3;
-                                        let offset = mix.derive(tag ^ 0x0FF5) % task.period();
-                                        let first = slot.saturating_add(1).saturating_add(offset);
-                                        releases.entry(first).or_default().push(ReleaseKey {
-                                            client,
-                                            period: task.period(),
-                                            wcet: task.wcet(),
-                                            deadline_rel: task.deadline(),
-                                            critical,
-                                        });
-                                    }
+        let mut cluster = ServeCluster::new(cfg.serve_config())?;
+        let stream = FleetArrivals::generate(&FleetArrivalConfig {
+            events: cfg.events,
+            target_resident: cfg.target_resident,
+            frame: cfg.frame,
+            seed: cfg.seed,
+        });
+        let mut lifecycle: VecDeque<FleetEvent> = stream.events().iter().cloned().collect();
+        let mut releases: BTreeMap<u64, Vec<ReleaseKey>> = BTreeMap::new();
+        let mix = SplitMix64::new(cfg.seed ^ 0x5EED_CAFE);
+        let mut next_event_slot = 1u64;
+        let mut task_seq = 0u64;
+        let mut sent = 0u64;
+        let mut bound_critical = 0u64;
+        let mut bound_best_effort = 0u64;
+        let mut fold = ResponseFold::new();
+        // Accepted `(client, task_id)` pairs still waiting for their answer.
+        let mut awaiting: BTreeSet<(u32, u64)> = BTreeSet::new();
+        let mut frames: Vec<(u32, Bytes)> = Vec::new();
+        // Set when the generator stops; the run ends after this slot.
+        let mut end_slot: Option<u64> = None;
+        let mut snapshots = 0u64;
+        for slot in 0u64.. {
+            frames.clear();
+            if end_slot.is_none() {
+                // Lifecycle events due this slot.
+                while next_event_slot <= slot {
+                    let Some(event) = lifecycle.pop_front() else {
+                        break;
+                    };
+                    match event {
+                        FleetEvent::Arrive { vm, server, tasks } => {
+                            let client = u32::try_from(vm).unwrap_or(u32::MAX);
+                            let resp = cluster.connect(client, server, &tasks);
+                            fold.push(&resp);
+                            if matches!(resp, Response::Connected { .. }) {
+                                for (idx, task) in tasks.iter().enumerate() {
+                                    let tag = (vm << 8) | (idx as u64);
+                                    let critical = mix.derive(tag ^ 0xC417) % 10 < 3;
+                                    let offset = mix.derive(tag ^ 0x0FF5) % task.period();
+                                    let first = slot.saturating_add(1).saturating_add(offset);
+                                    releases.entry(first).or_default().push(ReleaseKey {
+                                        client,
+                                        period: task.period(),
+                                        wcet: task.wcet(),
+                                        deadline_rel: task.deadline(),
+                                        critical,
+                                    });
                                 }
                             }
-                            FleetEvent::Depart { vm } => {
-                                let client = u32::try_from(vm).unwrap_or(u32::MAX);
-                                let resp = state.cluster.disconnect(client);
-                                state.fold.push(&resp);
-                            }
                         }
-                        next_event_slot = next_event_slot.saturating_add(cfg.event_spacing);
+                        FleetEvent::Depart { vm } => {
+                            let client = u32::try_from(vm).unwrap_or(u32::MAX);
+                            fold.push(&cluster.disconnect(client));
+                        }
                     }
-                    // Releases due this slot: coalesce one frame buffer
-                    // per client so multi-request frames are exercised.
-                    let mut per_client: BTreeMap<u32, BytesMut> = BTreeMap::new();
-                    loop {
-                        let due = releases
-                            .first_key_value()
-                            .map(|(&at, _)| at <= slot)
-                            .unwrap_or(false);
-                        if !due {
-                            break;
+                    next_event_slot = next_event_slot.saturating_add(cfg.event_spacing);
+                }
+                // Releases due this slot: coalesce one frame buffer per
+                // client so multi-request frames are exercised.
+                let mut per_client: BTreeMap<u32, BytesMut> = BTreeMap::new();
+                while let Some(entry) = releases.first_entry() {
+                    if *entry.key() > slot {
+                        break;
+                    }
+                    for key in entry.remove() {
+                        if !cluster.connected(key.client) || sent >= cfg.requests {
+                            continue;
                         }
-                        let Some((_, keys)) = releases.pop_first() else {
-                            break;
+                        task_seq = task_seq.saturating_add(1);
+                        let request = Request {
+                            client: key.client,
+                            task_id: task_seq,
+                            wcet: key.wcet,
+                            deadline_rel: key.deadline_rel,
+                            critical: key.critical,
+                            payload: Bytes::copy_from_slice(&task_seq.to_le_bytes()),
                         };
-                        for key in keys {
-                            let (connected, budget_left) = {
-                                let state = shared.borrow();
-                                (
-                                    state.cluster.connected(key.client),
-                                    state.sent < cfg.requests,
-                                )
-                            };
-                            if !connected || !budget_left {
-                                continue;
-                            }
-                            task_seq = task_seq.saturating_add(1);
-                            let request = Request {
-                                client: key.client,
-                                task_id: task_seq,
-                                wcet: key.wcet,
-                                deadline_rel: key.deadline_rel,
-                                critical: key.critical,
-                                payload: Bytes::copy_from_slice(&task_seq.to_le_bytes()),
-                            };
-                            let buffer = per_client.entry(key.client).or_default();
-                            if wire::encode_request(&request, buffer).is_ok() {
-                                let mut state = shared.borrow_mut();
-                                state.sent = state.sent.saturating_add(1);
-                                if key.critical {
-                                    state.bound_critical =
-                                        state.bound_critical.max(key.deadline_rel);
-                                } else {
-                                    state.bound_best_effort =
-                                        state.bound_best_effort.max(key.deadline_rel);
-                                }
-                            }
-                            releases
-                                .entry(slot.saturating_add(key.period))
-                                .or_default()
-                                .push(key);
-                        }
-                    }
-                    {
-                        let mut state = shared.borrow_mut();
-                        for (client, buffer) in per_client {
-                            if !buffer.is_empty() {
-                                state.pending.push((client, buffer.freeze()));
+                        let buffer = per_client.entry(key.client).or_default();
+                        if wire::encode_request(&request, buffer).is_ok() {
+                            sent = sent.saturating_add(1);
+                            if key.critical {
+                                bound_critical = bound_critical.max(key.deadline_rel);
+                            } else {
+                                bound_best_effort = bound_best_effort.max(key.deadline_rel);
                             }
                         }
+                        releases
+                            .entry(slot.saturating_add(key.period))
+                            .or_default()
+                            .push(key);
                     }
-                    preempt.work(1);
-                    preempt.checkpoint().await;
-                    let sent = shared.borrow().sent;
-                    let exhausted = releases.is_empty() && lifecycle.is_empty();
-                    if sent >= cfg.requests || exhausted {
-                        shared.borrow_mut().end_slot = Some(slot.saturating_add(cfg.drain_slots));
-                        break;
-                    }
-                    clock.sleep_until(slot.saturating_add(1)).await;
                 }
-            });
+                frames.extend(
+                    per_client
+                        .into_iter()
+                        .filter(|(_, buffer)| !buffer.is_empty())
+                        .map(|(client, buffer)| (client, buffer.freeze())),
+                );
+                if sent >= cfg.requests || (releases.is_empty() && lifecycle.is_empty()) {
+                    end_slot = Some(slot.saturating_add(cfg.drain_slots));
+                }
+            }
+            for resp in &cluster.ingest(&frames, cfg.workers) {
+                record(&mut fold, &mut awaiting, resp);
+            }
+            for resp in &cluster.step() {
+                record(&mut fold, &mut awaiting, resp);
+            }
+            if end_slot.is_some_and(|end| slot >= end) {
+                break;
+            }
+            // `is_multiple_of(0)` is false for every positive slot, so a
+            // zero cadence never snapshots.
+            if slot > 0 && slot.is_multiple_of(cfg.snapshot_every) {
+                on_snapshot(
+                    slot,
+                    &serve_prom_page(&cluster),
+                    &serve_snapshot_json(&cluster, slot),
+                );
+                snapshots = snapshots.saturating_add(1);
+            }
         }
 
-        // Task 1: the serve loop — ingest pending frames, step the
-        // cluster, fold every response.
-        {
-            let shared = Rc::clone(&shared);
-            let clock = clock.clone();
-            let preempt = preempt.clone();
-            exec.spawn(async move {
-                loop {
-                    let slot = clock.now();
-                    let frames: Vec<(u32, Bytes)> = {
-                        let mut state = shared.borrow_mut();
-                        std::mem::take(&mut state.pending)
-                    };
-                    {
-                        let mut state = shared.borrow_mut();
-                        let state = &mut *state;
-                        let responses = state.cluster.ingest(&frames, cfg.workers);
-                        for resp in &responses {
-                            state.record(resp);
-                        }
-                        let responses = state.cluster.step();
-                        for resp in &responses {
-                            state.record(resp);
-                        }
-                    }
-                    preempt.work(frames.len().max(1) as u64);
-                    preempt.checkpoint().await;
-                    let done = {
-                        let state = shared.borrow();
-                        state.end_slot.map(|end| slot >= end).unwrap_or(false)
-                    };
-                    if done {
-                        shared.borrow_mut().finished = true;
-                        break;
-                    }
-                    clock.sleep_until(slot.saturating_add(1)).await;
-                }
-            });
-        }
-
-        // Task 2: the metrics exporter — periodic Prometheus page +
-        // OBS_snapshot.json via the caller's hook.
-        if cfg.snapshot_every > 0 {
-            let shared = Rc::clone(&shared);
-            let clock = clock.clone();
-            let mut emit = on_snapshot;
-            exec.spawn(async move {
-                loop {
-                    let slot = clock.now();
-                    let wake = slot.saturating_add(cfg.snapshot_every);
-                    clock.sleep_until(wake).await;
-                    let at = clock.now();
-                    if shared.borrow().finished {
-                        break;
-                    }
-                    let (page, json) = {
-                        let state = shared.borrow();
-                        (
-                            serve_prom_page(&state.cluster),
-                            serve_snapshot_json(&state.cluster, at),
-                        )
-                    };
-                    emit(at, &page, &json);
-                    let mut state = shared.borrow_mut();
-                    state.snapshots = state.snapshots.saturating_add(1);
-                }
-            });
-        }
-
-        let exec_stats = exec.run();
-        let state = shared.borrow();
-        let (e2e_critical, e2e_best_effort) = state.cluster.e2e_histograms();
+        let (e2e_critical, e2e_best_effort) = cluster.e2e_histograms();
         Ok(ReplayReport {
-            requests_sent: state.sent,
-            slots: state.cluster.now(),
-            fold: state.fold.clone(),
-            counter_totals: state.cluster.counters().totals(),
-            counters: state.cluster.counters().clone(),
+            requests_sent: sent,
+            slots: cluster.now(),
+            fold,
+            counter_totals: cluster.counters().totals(),
+            counters: cluster.counters().clone(),
             e2e_critical,
             e2e_best_effort,
-            deadline_bound_critical: state.bound_critical,
-            deadline_bound_best_effort: state.bound_best_effort,
-            exec: exec_stats,
-            preemptions: preempt.preemptions(),
-            unanswered: state.awaiting.len() as u64,
-            snapshots: state.snapshots,
+            deadline_bound_critical: bound_critical,
+            deadline_bound_best_effort: bound_best_effort,
+            unanswered: awaiting.len() as u64,
+            snapshots,
         })
     }
 }
@@ -590,67 +463,31 @@ pub fn canonical_scenario(workers: usize) -> ScenarioOutcome {
     let cluster = ServeCluster::new(config)
         .unwrap_or_else(|e| panic!("canonical scenario construction: {e}")); // lint: allow(panic-site) — scripted fixture config is statically valid; failing loudly beats a silent empty golden
 
-    let shared = Rc::new(RefCell::new(ScenarioShared {
+    let mut state = ScenarioShared {
         cluster,
         pending: Vec::new(),
         fold: ResponseFold::new(),
         shard_of_zero: 0,
-        done: false,
-    }));
-    let mut exec = Executor::new();
-    let clock = exec.clock();
-    let preempt = Preemptor::new(64);
-
-    // Task 0: the scripted load.
-    {
-        let shared = Rc::clone(&shared);
-        let clock = clock.clone();
-        let preempt = preempt.clone();
-        exec.spawn(async move {
-            for slot in 0..200u64 {
-                clock.sleep_until(slot).await;
-                script_slot(&shared, slot);
-                preempt.work(8);
-                preempt.checkpoint().await;
-            }
-        });
+    };
+    for slot in 0..=230u64 {
+        if slot < 200 {
+            script_slot(&mut state, slot);
+        }
+        let frames = std::mem::take(&mut state.pending);
+        for resp in &state.cluster.ingest(&frames, workers) {
+            state.fold.push(resp);
+        }
+        for resp in &state.cluster.step() {
+            state.fold.push(resp);
+        }
     }
-    // Task 1: the serve loop.
-    {
-        let shared = Rc::clone(&shared);
-        let clock = clock.clone();
-        let preempt = preempt.clone();
-        exec.spawn(async move {
-            for slot in 0..=230u64 {
-                clock.sleep_until(slot).await;
-                {
-                    let mut state = shared.borrow_mut();
-                    let state = &mut *state;
-                    let frames = std::mem::take(&mut state.pending);
-                    let responses = state.cluster.ingest(&frames, workers);
-                    for resp in &responses {
-                        state.fold.push(resp);
-                    }
-                    let responses = state.cluster.step();
-                    for resp in &responses {
-                        state.fold.push(resp);
-                    }
-                }
-                preempt.work(4);
-                preempt.checkpoint().await;
-            }
-            shared.borrow_mut().done = true;
-        });
-    }
-    exec.run();
 
-    let state = shared.borrow();
     let trace = state.cluster.sink().render();
     let live = state.cluster.counters().clone();
     let folded = CounterRegistry::from_events(live.vms(), state.cluster.sink().iter());
     ScenarioOutcome {
         trace,
-        fold: state.fold.clone(),
+        fold: state.fold,
         fold_matches_live: folded == live,
         counters: live,
     }
@@ -661,7 +498,6 @@ struct ScenarioShared {
     pending: Vec<(u32, Bytes)>,
     fold: ResponseFold,
     shard_of_zero: usize,
-    done: bool,
 }
 
 fn scenario_request(
@@ -682,9 +518,7 @@ fn scenario_request(
     wire::encode_request_frame(&request).unwrap_or_default()
 }
 
-fn script_slot(shared: &Rc<RefCell<ScenarioShared>>, slot: u64) {
-    let mut state = shared.borrow_mut();
-    let state = &mut *state;
+fn script_slot(state: &mut ScenarioShared, slot: u64) {
     let valid_server = |theta: u64| {
         PeriodicServer::new(256, theta)
             .unwrap_or_else(|_| panic!("scripted server parameters are valid")) // lint: allow(panic-site) — fixed fixture parameters satisfy the server constructor invariants

@@ -5,7 +5,9 @@
 //! clients on the same shard keep a **zero** deadline-miss count; and
 //! staged mode changes (`Normal → Degraded → PchannelOnly`) surface as
 //! typed `ModeChange` responses exactly once per connected client per
-//! transition.
+//! transition. The `ReplayDriver` tests at the end pin that a replay
+//! answers every accepted request, when it ends, when it snapshots and
+//! that its per-class p99 latency stays within the deadline bound.
 
 use bytes::{Bytes, BytesMut};
 use ioguard_faults::FaultPlan;
@@ -332,4 +334,83 @@ fn replay_leaves_no_accepted_request_unanswered() {
         .expect("replay config is valid");
     assert_eq!(report.requests_sent, 5_000);
     assert_eq!(report.unanswered, 0, "{report:?}");
+}
+
+#[test]
+fn replay_ends_drain_slots_after_the_generator_stops() {
+    let drained = ReplayConfig::new(5_000);
+    let mut undrained = drained;
+    undrained.drain_slots = 0;
+    let with_drain = ReplayDriver::new(drained)
+        .run()
+        .expect("replay config is valid");
+    let without_drain = ReplayDriver::new(undrained)
+        .run()
+        .expect("replay config is valid");
+    // The generator never reads `drain_slots`, so it stops at the same
+    // slot in both runs; only the drain tail differs.
+    assert_eq!(with_drain.requests_sent, without_drain.requests_sent);
+    assert_eq!(
+        with_drain.slots,
+        without_drain.slots + drained.drain_slots,
+        "the run ends exactly drain_slots after the generator stops"
+    );
+}
+
+#[test]
+fn snapshots_fire_on_every_multiple_before_the_last_slot() {
+    // Returns the run's last slot and every slot the hook saw.
+    let replay = |snapshot_every: u64| {
+        let mut config = ReplayConfig::new(5_000);
+        config.snapshot_every = snapshot_every;
+        let mut seen: Vec<u64> = Vec::new();
+        let report = ReplayDriver::new(config)
+            .run_with(|slot, _page, json| {
+                assert!(
+                    json.contains(&format!("\"slot\": {slot},")),
+                    "snapshot at slot {slot} names another slot: {json}"
+                );
+                seen.push(slot);
+            })
+            .expect("replay config is valid");
+        assert_eq!(report.snapshots, seen.len() as u64);
+        (report.slots - 1, seen)
+    };
+    let (last, seen) = replay(1000);
+    let expected: Vec<u64> = (1..)
+        .map(|k| k * 1000)
+        .take_while(|&slot| slot < last)
+        .collect();
+    assert!(!expected.is_empty(), "the run is shorter than one cadence");
+    assert_eq!(seen, expected);
+    // A cadence landing on the last slot never fires: the run ends after
+    // that slot's step.
+    assert_eq!(replay(last), (last, Vec::new()));
+}
+
+#[test]
+fn replay_latency_stays_within_the_deadline_bound() {
+    let report = ReplayDriver::new(ReplayConfig::new(5_000))
+        .run()
+        .expect("replay config is valid");
+    for (class, hist, bound) in [
+        (
+            "critical",
+            &report.e2e_critical,
+            report.deadline_bound_critical,
+        ),
+        (
+            "best-effort",
+            &report.e2e_best_effort,
+            report.deadline_bound_best_effort,
+        ),
+    ] {
+        let p99 = hist
+            .percentile(0.99)
+            .unwrap_or_else(|| panic!("no {class} request completed"));
+        assert!(
+            p99 <= bound,
+            "{class} p99 {p99} slots exceeds the {bound}-slot deadline bound"
+        );
+    }
 }
