@@ -469,28 +469,6 @@ impl Fig7Report {
             .filter(|c| c.vms == vms && c.system == system)
             .collect()
     }
-
-    /// Exports the report as CSV (one row per cell), ready for plotting:
-    /// `system,vms,target_utilization,success_ratio,throughput_mbps,throughput_std`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "system,vms,target_utilization,success_ratio,throughput_mbps,throughput_std
-",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{:.2},{:.4},{:.4},{:.4}
-",
-                c.system.label(),
-                c.vms,
-                c.target_utilization,
-                c.summary.success_ratio,
-                c.summary.throughput_mbps,
-                c.summary.throughput_std,
-            ));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Fig7Report {
@@ -638,10 +616,6 @@ mod tests {
         assert!(text.contains("BS|BV"));
         assert!(text.contains("I/O-GUARD-40"));
         assert!(text.contains("2-VM group"));
-        let csv = report.to_csv();
-        assert_eq!(csv.lines().count(), 1 + report.cells.len());
-        assert!(csv.starts_with("system,vms"));
-        assert!(csv.contains("BS|BV,2,0.40,"));
     }
 
     #[test]

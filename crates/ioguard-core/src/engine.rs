@@ -30,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ioguard_obs::Profiler;
 use ioguard_sim::stats::OnlineStats;
 
 /// Aggregate counters of one or more engine runs.
@@ -166,38 +165,6 @@ where
     )
 }
 
-/// As [`run_indexed`], additionally profiling every task into an obs-layer
-/// [`Profiler`] under the `"task"` span.
-///
-/// Per-task durations are measured inside the worker closure and folded
-/// into the profiler in **input order** after the scatter, so the span's
-/// call count is exact and thread-count independent (the nanosecond totals
-/// are wall-clock and vary run to run, as profiling always does).
-pub fn run_indexed_profiled<T, R, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> (Vec<R>, EngineStats, Profiler)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let (pairs, stats) = run_indexed(threads, items, |i, item| {
-        let started = Instant::now();
-        let r = f(i, item);
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        (r, ns)
-    });
-    let mut profiler = Profiler::new(&["task"]);
-    let mut out = Vec::with_capacity(pairs.len());
-    for (r, ns) in pairs {
-        profiler.record_ns(0, ns);
-        out.push(r);
-    }
-    (out, stats, profiler)
-}
-
 /// Pops the next task for worker `w`: front of its own deque, else the
 /// back half of the first non-empty victim (scanning from `w + 1` around
 /// the ring). Returns `None` when every deque is empty — with a static
@@ -301,16 +268,5 @@ mod tests {
     fn resolve_threads_zero_means_all_cores() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
-    }
-
-    #[test]
-    fn profiled_run_counts_every_task() {
-        let items: Vec<u64> = (0..100).collect();
-        let (out, stats, profiler) = run_indexed_profiled(4, &items, |_, &x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(stats.tasks, 100);
-        let span = profiler.spans().first().expect("task span");
-        assert_eq!(span.name, "task");
-        assert_eq!(span.count, 100);
     }
 }

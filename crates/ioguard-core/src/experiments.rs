@@ -7,7 +7,13 @@
 //! * **Fig. 8** — scalability: delegates to [`ioguard_hw::scale`].
 //! * **Schedulability** — acceptance-ratio sweeps comparing the exact and
 //!   pseudo-polynomial tests of Sec. IV, plus their runtime cost.
+//! * **Ablations** — the design choices DESIGN.md §5 isolates: queue
+//!   discipline, P-channel preload fraction, server isolation and NoC
+//!   contention, each at a fixed operating point.
 
+use ioguard_noc::network::{Network, NetworkConfig};
+use ioguard_noc::packet::Packet;
+use ioguard_noc::topology::NodeId;
 use ioguard_sched::design::{synthesize_servers, SynthesisConfig};
 use ioguard_sched::gsched::{theorem1_exact, theorem2_pseudo_poly};
 use ioguard_sched::lsched::{theorem3_exact, theorem4_pseudo_poly};
@@ -15,6 +21,8 @@ use ioguard_sched::table::TimeSlotTable;
 use ioguard_sched::task::{PeriodicServer, SporadicTask, TaskSet};
 use ioguard_sim::rng::Xoshiro256StarStar;
 use ioguard_workload::uunifast::uunifast;
+
+use crate::casestudy::{CaseStudyPoint, PointSummary, SystemUnderTest};
 
 /// Renders the Fig. 6 software-overhead table.
 pub fn fig6_report() -> String {
@@ -185,6 +193,52 @@ pub fn theorem_agreement(config: &SchedExperimentConfig, samples: u32) -> Agreem
     report
 }
 
+/// One ablation operating point: 15 trials of 16 000 slots from seed 77.
+pub fn ablation_point(
+    system: SystemUnderTest,
+    vms: usize,
+    target_utilization: f64,
+) -> PointSummary {
+    CaseStudyPoint {
+        system,
+        vms,
+        target_utilization,
+        trials: 15,
+        seed: 77,
+        horizon_slots: 16_000,
+    }
+    .run()
+}
+
+/// I/O-GUARD at P-channel preload fractions 0–100%, driven past the
+/// paper's sweep (8 VMs, 105% target) to the saturation edge where the
+/// preload fraction separates the configurations (Obs. 3).
+pub fn preload_ablation() -> Vec<(u8, PointSummary)> {
+    [0u8, 20, 40, 60, 70, 80, 100]
+        .into_iter()
+        .map(|pct| {
+            let system = SystemUnderTest::IoGuard { preload_pct: pct };
+            (pct, ablation_point(system, 8, 1.05))
+        })
+        .collect()
+}
+
+/// Latency in cycles of every delivered packet when `flows` 8-flit packets
+/// from the middle row of the paper's 5×5 mesh all head for node (4, 2):
+/// the Fig. 1 contention the hypervisor's direct connection removes.
+pub fn noc_contention_latencies(flows: u64) -> Vec<u64> {
+    let mut net = Network::new(NetworkConfig::paper_platform()).expect("paper mesh is valid");
+    for i in 0..flows {
+        let src = NodeId::new((i % 5) as u16, 2);
+        let packet = Packet::request(i + 1, src, NodeId::new(4, 2), 8).expect("valid packet");
+        net.inject(packet).expect("one packet per NI fits");
+    }
+    net.run_until_idle(100_000)
+        .iter()
+        .map(|d| u64::from(d.latency()))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +273,7 @@ mod tests {
 
     #[test]
     fn theorems_agree_on_every_applicable_sample() {
-        let report = theorem_agreement(&SchedExperimentConfig::default(), 150);
+        let report = theorem_agreement(&SchedExperimentConfig::default(), 300);
         assert!(report.compared > 50);
         assert_eq!(report.agreed, report.compared, "{report:?}");
     }

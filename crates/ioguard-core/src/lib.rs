@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::chaos::{
         ChaosSweep, ChaosSweepReport, ObservedSweepReport, ReconfigSweep, ReconfigSweepReport,
     };
-    pub use crate::engine::{run_indexed, run_indexed_profiled, EngineStats};
+    pub use crate::engine::{run_indexed, EngineStats};
     pub use crate::experiments::{fig6_report, fig8_report, table1_report};
     pub use crate::observe::{
         chaos_observed, end_to_end_observed, reconfig_observed, render_reconfig_trace,

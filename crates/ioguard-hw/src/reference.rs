@@ -102,7 +102,7 @@ pub fn table1() -> Vec<Table1Row> {
     ]
 }
 
-/// Renders Table I as an aligned text table (the benches print this).
+/// Renders Table I as an aligned text table (`ioguard-repro table1` prints this).
 pub fn render_table1() -> String {
     let mut out = String::from("                LUTs  Registers  DSP  RAM (KB)  Power (mW)\n");
     for row in table1() {

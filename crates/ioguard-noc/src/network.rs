@@ -287,6 +287,8 @@ pub struct Network {
     now: Cycles,
     stats: NetworkStats,
     delivered: Vec<Delivery>,
+    /// Calls of `step_cycle`, quiescent ones included.
+    cycles_stepped: u64,
 
     /// Scratch: planned moves for the current cycle.
     moves: Vec<Move>,
@@ -337,6 +339,7 @@ impl Network {
             now: Cycles::ZERO,
             stats: NetworkStats::default(),
             delivered: Vec::new(),
+            cycles_stepped: 0,
             moves: Vec::new(),
             ejected: Vec::new(),
         })
@@ -365,6 +368,14 @@ impl Network {
     /// All deliveries since construction.
     pub fn deliveries(&self) -> &[Delivery] {
         &self.delivered
+    }
+
+    /// Cycles stepped one at a time since construction, quiescent ones
+    /// included. Idle-gap jumps and express transits advance [`Network::now`]
+    /// without stepping, so on sparse traffic this stays far below the
+    /// simulated horizon: it is the host-independent cost of a run.
+    pub fn cycles_stepped(&self) -> u64 {
+        self.cycles_stepped
     }
 
     /// Number of currently failed links.
@@ -674,6 +685,7 @@ impl Network {
     /// visited; a quiescent fabric advances the clock in O(1).
     // lint: hot-path — the innermost simulation loop; dense arrays only
     fn step_cycle(&mut self, out: &mut Vec<Delivery>) {
+        self.cycles_stepped += 1;
         // Quiescence: no flit anywhere means phases 1–4 are all no-ops in
         // the reference semantics (arbiters, locks and counters untouched).
         if self.live_flits == 0 {
@@ -1368,6 +1380,7 @@ mod tests {
         // 10_000 idle cycles cost one clock jump.
         n.run_for(10_000, &mut scratch);
         assert_eq!(n.now().raw(), 10_000);
+        assert_eq!(n.cycles_stepped(), 0, "the idle jump steps no cycle");
         assert!(scratch.is_empty());
         // A packet injected afterwards still gets exact timing.
         n.inject(Packet::request(1, NodeId::new(0, 0), NodeId::new(3, 3), 3).unwrap())

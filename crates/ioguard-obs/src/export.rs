@@ -1,16 +1,14 @@
 //! Hand-formatted JSON fragments for `OBS_snapshot.json`.
 //!
 //! The workspace deliberately carries no JSON library, so exports are
-//! assembled by string formatting in the `bench-summary` style: fixed key
-//! order, fixed indentation, integers unquoted — diff-friendly and
-//! deterministic by construction. These helpers produce *fragments* at a
-//! caller-chosen indent; the `trace-export` bin composes them into the full
-//! document.
+//! assembled by string formatting: fixed key order, fixed indentation,
+//! integers unquoted — diff-friendly and deterministic by construction.
+//! These helpers produce *fragments* at a caller-chosen indent; the
+//! `trace-export` bin composes them into the full document.
 
 use crate::counters::CounterRegistry;
 use crate::event::{ObsEvent, ALL_KINDS};
 use crate::hist::Histogram;
-use crate::span::Profiler;
 
 /// Escapes a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -136,31 +134,6 @@ where
     format!("{{\n{}\n{p}}}", entries.join(",\n"), p = p)
 }
 
-/// A profiler object: one entry per span with count and total nanoseconds.
-/// In default (non-`profiling`) builds every `total_ns` is zero, which is
-/// what keeps `trace-export` output deterministic.
-pub fn profiler_json(prof: &Profiler, indent: usize) -> String {
-    let p = pad(indent);
-    let entries: Vec<String> = prof
-        .spans()
-        .iter()
-        .map(|span| {
-            format!(
-                "{p}  \"{name}\": {{ \"count\": {count}, \"total_ns\": {ns} }}",
-                p = p,
-                name = json_escape(span.name),
-                count = span.count,
-                ns = span.total_ns,
-            )
-        })
-        .collect();
-    if entries.is_empty() {
-        "{}".to_string()
-    } else {
-        format!("{{\n{}\n{p}}}", entries.join(",\n"), p = p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,14 +189,5 @@ mod tests {
         assert!(json.contains("\"admit\": 1"));
         assert!(json.contains("\"noc-deliver\": 0"));
         assert_eq!(json.matches(':').count(), ALL_KINDS.len());
-    }
-
-    #[test]
-    fn profiler_json_lists_spans() {
-        let mut prof = Profiler::new(&["a", "b"]);
-        prof.record_ns(0, 12);
-        let json = profiler_json(&prof, 2);
-        assert!(json.contains("\"a\": { \"count\": 1, \"total_ns\": 12 }"));
-        assert!(json.contains("\"b\": { \"count\": 0, \"total_ns\": 0 }"));
     }
 }

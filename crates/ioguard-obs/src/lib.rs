@@ -18,19 +18,16 @@
 //!   per-VM counter registry (absorbed from the hypervisor's old
 //!   `VmMetrics`), plus the event-stream fold that must reproduce the live
 //!   registry exactly — the metrics/trace cross-check.
-//! * [`span`] — lightweight profiling spans ([`Profiler`]), feature-gated
-//!   (`profiling`) so the default build compiles the hooks to no-ops.
 //! * [`export`] — hand-formatted JSON helpers for the `trace-export` bin
-//!   (`OBS_snapshot.json`), mirroring the `bench-summary` style because the
-//!   workspace has no JSON serializer dependency.
+//!   (`OBS_snapshot.json`), because the workspace has no JSON serializer
+//!   dependency.
 //! * [`prom`] — Prometheus text-format rendering of the counter registry
 //!   and latency histograms, the scrape surface of the `ioguard-serve`
 //!   front-end.
 //!
-//! Everything here is deterministic by construction (no wall clocks outside
-//! the gated `profiling` feature, no hash-ordered containers), so traces
-//! and histograms can be pinned as goldens and replayed bit-identically at
-//! any engine thread count.
+//! Everything here is deterministic by construction (no wall clocks, no
+//! hash-ordered containers), so traces and histograms can be pinned as
+//! goldens and replayed bit-identically at any engine thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,10 +38,8 @@ pub mod export;
 pub mod hist;
 pub mod prom;
 pub mod sink;
-pub mod span;
 
 pub use counters::{CounterRegistry, VmCounters};
 pub use event::{ObsEvent, ObsKind, SYSTEM_VM};
 pub use hist::Histogram;
 pub use sink::TraceSink;
-pub use span::{Profiler, SpanStamp};

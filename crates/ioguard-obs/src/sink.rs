@@ -55,11 +55,6 @@ impl TraceSink {
         Self::new(0)
     }
 
-    /// True when this sink ignores all records.
-    pub fn is_disabled(&self) -> bool {
-        self.capacity == 0
-    }
-
     /// Records one event. O(1), allocation-free after construction.
     #[inline]
     pub fn record(&mut self, at: u64, kind: ObsKind, vm: u32, task: u64, arg: u64) {
@@ -156,7 +151,6 @@ mod tests {
     #[test]
     fn disabled_sink_counts_but_keeps_nothing() {
         let mut s = TraceSink::disabled();
-        assert!(s.is_disabled());
         s.record(1, ObsKind::Admit, 0, 1, 1);
         assert!(s.is_empty());
         assert_eq!(s.dropped(), 1);

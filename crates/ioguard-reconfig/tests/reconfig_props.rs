@@ -136,6 +136,61 @@ fn heaviest_menu_config_is_schedulable() {
     );
 }
 
+#[test]
+fn flips_between_two_and_three_vms_drain_within_budget() {
+    // 64 verified flips between a two-VM and a three-VM population with a
+    // 16-slot drain budget, committed at offsets sweeping the hyperperiod.
+    let beat = |vm: usize, task_id: u64| PredefinedTask {
+        task_id,
+        vm,
+        task: SporadicTask::implicit(8, 1).unwrap(),
+        response_bytes: 32,
+        start_offset: 0,
+    };
+    let mk = |servers: &[(u64, u64)], tasks: &[(u64, u64, u64)], beat: PredefinedTask| {
+        let servers = servers
+            .iter()
+            .map(|&(p, t)| PeriodicServer::new(p, t).unwrap())
+            .collect();
+        let sets = tasks
+            .iter()
+            .map(|&(t, c, d)| vec![SporadicTask::new(t, c, d).unwrap()].into())
+            .collect();
+        let mut config = StagedConfig::new(servers, sets);
+        config.predefined = vec![beat];
+        config
+    };
+    let two_vm = mk(
+        &[(5, 2), (10, 3)],
+        &[(20, 2, 10), (40, 4, 30)],
+        beat(0, 900),
+    );
+    let three_vm = mk(
+        &[(5, 1), (10, 2), (8, 2)],
+        &[(20, 1, 10), (40, 2, 30), (32, 2, 16)],
+        beat(1, 901),
+    );
+    const DRAIN_BUDGET: u64 = 16;
+    const FLIPS: u64 = 64;
+    let mut rc = ReconfigController::new(two_vm.clone(), DRAIN_BUDGET, 1 << 14).unwrap();
+    for flip in 0..FLIPS {
+        rc.run(1 + flip % 7);
+        // Keep the R-channel pools non-empty so every drain carries work.
+        let _ = rc.submit(0, flip + 1, 1, 12, true);
+        let candidate = if flip % 2 == 0 { &three_vm } else { &two_vm };
+        rc.stage(candidate.clone()).expect("candidate verifies");
+        rc.commit().expect("commit fits the budget");
+        // Two hyperperiods always reach the boundary and finish the switch.
+        rc.run(16);
+    }
+    let drains = rc.drain_latencies();
+    assert_eq!(drains.len() as u64, FLIPS, "one drain recorded per flip");
+    assert!(
+        drains.iter().all(|&d| d <= DRAIN_BUDGET),
+        "drain over the {DRAIN_BUDGET}-slot budget: {drains:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

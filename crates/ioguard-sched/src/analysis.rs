@@ -139,11 +139,6 @@ impl TwoLayerAnalysis {
     pub fn total_task_utilization(&self) -> f64 {
         self.task_sets.iter().map(TaskSet::utilization).sum()
     }
-
-    /// Total server bandwidth `Σ Θ_i/Π_i`.
-    pub fn total_server_bandwidth(&self) -> f64 {
-        self.servers.iter().map(PeriodicServer::bandwidth).sum()
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +231,6 @@ mod tests {
     fn utilization_accessors() {
         let a = light_system();
         assert!((a.total_task_utilization() - 0.2).abs() < 1e-12);
-        assert!((a.total_server_bandwidth() - 0.7).abs() < 1e-12);
         assert_eq!(a.vm_count(), 2);
         assert_eq!(a.sigma().len(), 10);
         assert_eq!(a.servers().len(), 2);

@@ -53,8 +53,8 @@ use crate::task::PeriodicServer;
 /// a memory commitment (two `i64` per slot plus tree overhead).
 pub const MAX_FRAME: u64 = 1 << 22;
 
-/// What one `admit`/`evict`/`probe` actually did, for the bench lane's
-/// "work done" column.
+/// What one `admit`/`evict`/`probe` actually did: the work a decision
+/// costs, counted rather than timed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmitStats {
     /// Delta events applied (or probed): `frame / Π` for the changed

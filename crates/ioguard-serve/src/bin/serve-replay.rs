@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! serve-replay [--requests N] [--quick] [--shards N] [--workers N]
-//!              [--seed HEX] [--snapshot-every SLOTS] [--out-dir DIR]
+//!              [--seed N] [--snapshot-every SLOTS] [--out-dir DIR]
 //! ```
 
 #![forbid(unsafe_code)]

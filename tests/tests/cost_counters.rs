@@ -1,0 +1,235 @@
+//! Cost gates that count work instead of timing it.
+//!
+//! Each fast path is checked by a counter that any host reproduces
+//! exactly, with the bound the wall-clock gate it replaces stood for:
+//!
+//! * **Idle jumps.** A sparse trickle through `Network::run_for` steps at
+//!   most one cycle per flit-hop, across 2¹⁹ simulated cycles.
+//! * **Incremental admission.** One `DemandLedger` decision applies only
+//!   the candidate's own `frame/Π` delta events, at most a tenth of what a
+//!   full Theorem 1 sweep over the residents walks.
+//! * **Observation.** An `ObservedFabric` makes exactly the heap
+//!   allocations the plain `Network` under it makes, and no others.
+//!
+//! Allocations are counted per thread by the allocator below, so tests
+//! running in parallel never see each other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ioguard_noc::network::{Delivery, Network, NetworkConfig, NetworkStats, NocFabric};
+use ioguard_noc::obs::ObservedFabric;
+use ioguard_noc::packet::Packet;
+use ioguard_noc::reference::ReferenceNetwork;
+use ioguard_noc::topology::NodeId;
+use ioguard_sched::ledger::{theorem1_frame, DemandLedger};
+use ioguard_sched::table::TimeSlotTable;
+use ioguard_sched::task::PeriodicServer;
+use ioguard_sim::rng::Xoshiro256StarStar;
+
+/// Counts every allocation and reallocation of the calling thread.
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without `Drop`, so reading it never allocates
+    // and stays valid during thread teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the only addition is a thread-local counter bump, which does
+// not allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded verbatim; the caller upholds `GlobalAlloc::alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded verbatim; the caller upholds `alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: forwarded verbatim; the caller upholds `realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded verbatim; the caller upholds `dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on the
+/// calling thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (r, ALLOCS.with(Cell::get) - before)
+}
+
+/// Payload flits per packet (5 flits on the wire with the header).
+const PAYLOAD_FLITS: u32 = 4;
+
+/// What a fabric produced under one stimulus.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    deliveries: Vec<Delivery>,
+    stats: NetworkStats,
+    now: u64,
+}
+
+fn outcome_of<N: NocFabric>(net: &N, deliveries: Vec<Delivery>) -> Outcome {
+    Outcome {
+        deliveries,
+        stats: net.stats(),
+        now: net.now().raw(),
+    }
+}
+
+/// One cross-mesh packet per 8 192 cycles on a 4×4 mesh, 64 packets, each
+/// followed by one `run_for`: the quiescence-heavy shape where the
+/// event-driven core jumps idle gaps and the reference pays every cycle.
+fn drive_sparse<N: NocFabric>(net: &mut N) -> Outcome {
+    let mut deliveries = Vec::new();
+    for i in 0..64u64 {
+        let src = NodeId::new((i % 4) as u16, (i / 4 % 4) as u16);
+        let dst = NodeId::new(3 - src.x, 3 - src.y);
+        let packet = Packet::request(i + 1, src, dst, PAYLOAD_FLITS).expect("valid packet");
+        net.inject(packet).expect("sparse NI queue never fills");
+        net.run_for(8_192, &mut deliveries);
+    }
+    net.run_until_idle_into(1_000_000, &mut deliveries);
+    outcome_of(net, deliveries)
+}
+
+#[test]
+fn sparse_trickle_steps_at_most_one_cycle_per_flit_hop() {
+    let mut net = Network::new(NetworkConfig::mesh(4, 4)).expect("valid mesh");
+    let engine = drive_sparse(&mut net);
+    let mut reference = ReferenceNetwork::new(NetworkConfig::mesh(4, 4)).expect("valid mesh");
+    assert_eq!(
+        engine,
+        drive_sparse(&mut reference),
+        "event-driven core and reference stepper must agree exactly"
+    );
+    assert_eq!(engine.stats.delivered, 64, "trickle fully delivered");
+    assert_eq!(engine.stats.flit_hops, 1_600);
+    assert_eq!(engine.now, 64 * 8_192);
+    // At most one stepped cycle per flit-hop, which also clears the old
+    // floor of covering the horizon ≥3× faster than per-cycle stepping.
+    let stepped = net.cycles_stepped();
+    assert!(
+        stepped <= engine.stats.flit_hops,
+        "{stepped} cycles stepped for {} flit-hops over {} simulated cycles",
+        engine.stats.flit_hops,
+        engine.now
+    );
+}
+
+#[test]
+fn one_admission_decision_touches_a_tenth_of_a_full_sweep_at_most() {
+    const FRAME: u64 = 1 << 20;
+    let sigma = TimeSlotTable::from_occupied(64, &[0]).expect("valid σ*");
+    let mut ledger = DemandLedger::new(sigma.clone(), FRAME).expect("harmonic frame");
+    // 10⁴ residents, Π cycling over 2¹⁴…2¹⁷, Θ = 1: many small reservations.
+    let menu = [1u64 << 14, 1 << 15, 1 << 16, 1 << 17];
+    let mut servers = Vec::with_capacity(10_000);
+    for (id, &pi) in (0..10_000u64).zip(menu.iter().cycle()) {
+        let server = PeriodicServer::new(pi, 1).expect("valid server");
+        let before = ledger.events_applied();
+        let outcome = ledger.admit(id, server).expect("harmonic period");
+        assert!(outcome.admitted(), "resident {id} fits");
+        assert_eq!(
+            ledger.events_applied() - before,
+            FRAME / pi,
+            "admitting resident {id} applied events beyond its own delta"
+        );
+        servers.push(server);
+    }
+    let oracle = theorem1_frame(&sigma, &servers, FRAME);
+    assert!(oracle.is_schedulable());
+    assert_eq!(ledger.verdict(), oracle, "incremental verdict diverged");
+
+    // The full sweep walks every resident's step events.
+    let full_sweep: u64 = servers.iter().map(|s| FRAME / s.period()).sum();
+    assert_eq!(full_sweep, 300_000);
+
+    let candidate = PeriodicServer::new(1 << 14, 1).expect("valid server");
+    for id in 1_000_000..1_000_064u64 {
+        let before = ledger.events_applied();
+        let outcome = ledger.admit(id, candidate).expect("harmonic period");
+        assert!(outcome.admitted(), "candidate {id} fits");
+        ledger.evict(id).expect("candidate is resident");
+        assert_eq!(
+            ledger.events_applied() - before,
+            2 * FRAME / candidate.period(),
+            "an admit/evict pair applies the candidate's delta twice, nothing else"
+        );
+        assert_eq!(outcome.stats.delta_events, 64);
+        assert!(outcome.stats.delta_events * 10 <= full_sweep);
+    }
+}
+
+/// Seeded uniform-random traffic on an 8×8 mesh at 30% injection per node
+/// for 1 000 cycles, then a drain. A full NI queue drops the offer:
+/// saturation is the point.
+fn drive_saturated<N: NocFabric>(net: &mut N) -> Outcome {
+    let nodes: Vec<NodeId> = net.mesh().iter_nodes().collect();
+    let mut rng = Xoshiro256StarStar::new(0x0_c0de_5eed);
+    let mut deliveries = Vec::new();
+    let mut next_id = 1u64;
+    for _ in 0..1_000 {
+        for &src in &nodes {
+            if !rng.chance(0.30) {
+                continue;
+            }
+            let dst = loop {
+                let candidate = NodeId::new(rng.range_u64(0, 8) as u16, rng.range_u64(0, 8) as u16);
+                if candidate != src {
+                    break candidate;
+                }
+            };
+            let packet = Packet::request(next_id, src, dst, PAYLOAD_FLITS).expect("valid packet");
+            next_id += 1;
+            let _ = net.inject(packet);
+        }
+        net.step_into(&mut deliveries);
+    }
+    net.run_until_idle_into(1_000_000, &mut deliveries);
+    outcome_of(net, deliveries)
+}
+
+#[test]
+fn observer_adds_no_heap_allocation() {
+    let mut plain = Network::new(NetworkConfig::mesh(8, 8)).expect("valid mesh");
+    let (plain_outcome, plain_allocs) = counted(|| drive_saturated(&mut plain));
+
+    let inner = Network::new(NetworkConfig::mesh(8, 8)).expect("valid mesh");
+    let mut observed = ObservedFabric::new(inner, 1 << 16);
+    let (observed_outcome, observed_allocs) = counted(|| drive_saturated(&mut observed));
+
+    assert_eq!(
+        observed_outcome, plain_outcome,
+        "observation must not perturb the NoC"
+    );
+    assert!(
+        observed.latency().count() > 0,
+        "the observer saw deliveries"
+    );
+    assert_eq!(
+        observed_allocs, plain_allocs,
+        "an attached observer allocated on the data path"
+    );
+}

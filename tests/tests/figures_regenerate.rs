@@ -1,9 +1,9 @@
 //! Integration checks that every published table/figure regenerates with
-//! the paper's qualitative shape (small trial counts — the benches run the
-//! full versions).
+//! the paper's qualitative shape (small trial counts — `ioguard-repro`
+//! runs the full versions), plus the preload ablation's ordering.
 
 use ioguard_core::casestudy::{CaseStudyConfig, CaseStudyPoint, Fig7Report, SystemUnderTest};
-use ioguard_core::experiments::{fig6_report, fig8_report, table1_report};
+use ioguard_core::experiments::{fig6_report, fig8_report, preload_ablation, table1_report};
 use ioguard_hw::blocks::HypervisorConfig;
 use ioguard_hw::reference;
 use ioguard_hw::scale::fig8_sweep;
@@ -124,6 +124,21 @@ fn fig7_obs4_vm_scaling() {
         xen_8 <= xen_4,
         "RT-Xen degrades with more VMs: 4VM {xen_4} vs 8VM {xen_8}"
     );
+}
+
+/// Obs. 3's "more pre-loading introduces more benefits" at the saturation
+/// edge: success never drops sharply as the preload fraction grows.
+#[test]
+fn preload_ablation_success_never_drops_sharply() {
+    let sweep = preload_ablation();
+    assert_eq!(sweep.len(), 7);
+    for pair in sweep.windows(2) {
+        let ((_, prev), (pct, next)) = (pair[0], pair[1]);
+        assert!(
+            next.success_ratio >= prev.success_ratio - 0.15,
+            "preload {pct}%: success dropped sharply vs previous step ({sweep:?})"
+        );
+    }
 }
 
 #[test]
