@@ -28,7 +28,6 @@ pub struct IoGuardPlatform {
     hypervisor: Hypervisor,
     /// Cached mirror of the hypervisor metrics in platform shape.
     metrics: PlatformMetrics,
-    name: &'static str,
 }
 
 impl IoGuardPlatform {
@@ -50,7 +49,6 @@ impl IoGuardPlatform {
         Ok(Self {
             hypervisor: Hypervisor::new(params)?,
             metrics: PlatformMetrics::default(),
-            name: "I/O-GUARD",
         })
     }
 
@@ -72,20 +70,7 @@ impl IoGuardPlatform {
         Ok(Self {
             hypervisor: Hypervisor::new(params)?,
             metrics: PlatformMetrics::default(),
-            name: "I/O-GUARD",
         })
-    }
-
-    /// Overrides the display name (the case study labels configurations
-    /// "I/O-GUARD-40" / "I/O-GUARD-70").
-    pub fn with_name(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
-    }
-
-    /// Access to the wrapped hypervisor (for inspection in tests).
-    pub fn hypervisor(&self) -> &Hypervisor {
-        &self.hypervisor
     }
 
     fn refresh_metrics(&mut self) {
@@ -105,7 +90,7 @@ impl IoGuardPlatform {
 
 impl IoPlatform for IoGuardPlatform {
     fn name(&self) -> &'static str {
-        self.name
+        "I/O-GUARD"
     }
 
     fn submit(&mut self, job: PlatformJob) {
@@ -177,11 +162,8 @@ mod tests {
 
     #[test]
     fn predefined_tasks_run_without_submission() {
-        let p40 = IoGuardPlatform::new(2, vec![predefined(1, 4, 1)], GschedPolicy::GlobalEdf)
-            .unwrap()
-            .with_name("I/O-GUARD-40");
-        let mut p = p40;
-        assert_eq!(p.name(), "I/O-GUARD-40");
+        let mut p =
+            IoGuardPlatform::new(2, vec![predefined(1, 4, 1)], GschedPolicy::GlobalEdf).unwrap();
         for _ in 0..40 {
             p.step();
         }

@@ -70,11 +70,6 @@ impl NocFaultDriver {
         }
     }
 
-    /// The plan driving this driver.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// True when the plan wants packet `id` discarded at ejection.
     pub fn should_drop(&self, id: u64) -> bool {
         self.plan.chance(tags::DROP, id, 0, self.plan.drop_rate)

@@ -1,10 +1,11 @@
 //! Pins the `.fault` fixture format shared with `ioguard-lint`.
 //!
-//! The lint crate is deliberately dependency-free, so it re-implements the
-//! fixture parsing and constraints standalone. These tests keep the two
-//! views of the format from drifting: the lint's good fixture must parse
-//! and validate here, and the lint's seeded-bad fixture must fail
-//! validation here for the same reasons the lint rejects it.
+//! The lint crate re-implements the fixture parsing and constraints
+//! standalone, because it reports every problem with its line while
+//! `FaultPlan::parse` stops at the first. These tests keep the two views
+//! of the format from drifting: the lint's good fixture must parse and
+//! validate here, and the lint's seeded-bad fixture must fail validation
+//! here for the same reasons the lint rejects it.
 
 use std::path::Path;
 

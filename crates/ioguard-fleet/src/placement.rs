@@ -36,10 +36,36 @@ use crate::shard::{locally_schedulable, Shard};
 pub enum PlacementPolicy {
     /// The admitting shard with the lowest index.
     FirstFit,
-    /// The admitting shard with the most end-of-frame slack, ties broken
-    /// by a seeded per-(vm, shard) hash, then by lowest index. Balances
-    /// load so later arrivals and migrations have somewhere to go.
+    /// The admitting shard with the most end-of-frame slack, chosen by
+    /// [`worst_fit`]. Balances load so later arrivals and migrations have
+    /// somewhere to go.
     WorstFitBySlack,
+}
+
+/// Worst-fit by headroom, the one placement choice the fleet and the
+/// serving front-end share.
+///
+/// `candidates` holds `(shard index, headroom)` for each shard that can
+/// take the arriving `id`; the caller decides what "can take" means.
+/// Returns the index with the most headroom. Ties go to the higher seeded
+/// hash `SplitMix64::new(seed).derive(id·φ + index)`, then to the lowest
+/// index, so the choice is a pure function of its inputs. `None` when
+/// there is no candidate.
+pub fn worst_fit(
+    seed: u64,
+    id: u64,
+    candidates: impl IntoIterator<Item = (usize, i64)>,
+) -> Option<usize> {
+    let mix = SplitMix64::new(seed);
+    candidates
+        .into_iter()
+        .max_by_key(|&(index, headroom)| {
+            let tag = id
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(index as u64);
+            (headroom, mix.derive(tag), std::cmp::Reverse(index))
+        })
+        .map(|(index, _)| index)
 }
 
 /// Construction parameters for a [`Fleet`].
@@ -195,11 +221,6 @@ impl Fleet {
         })
     }
 
-    /// The construction config.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// The shards, in index order.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
@@ -256,22 +277,13 @@ impl Fleet {
             (shard.probe(server), shard.headroom())
         });
         self.stats.probes = self.stats.probes.saturating_add(probes.len() as u64);
+        let fitting = probes
+            .into_iter()
+            .enumerate()
+            .filter_map(|(index, (fits, headroom))| fits.then_some((index, headroom)));
         match self.config.policy {
-            PlacementPolicy::FirstFit => probes.iter().position(|(fits, _)| *fits),
-            PlacementPolicy::WorstFitBySlack => {
-                let mix = SplitMix64::new(self.config.seed);
-                probes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (fits, _))| *fits)
-                    .max_by_key(|(index, (_, head))| {
-                        let tag = vm
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add(*index as u64);
-                        (*head, mix.derive(tag), std::cmp::Reverse(*index))
-                    })
-                    .map(|(index, _)| index)
-            }
+            PlacementPolicy::FirstFit => fitting.map(|(index, _)| index).next(),
+            PlacementPolicy::WorstFitBySlack => worst_fit(self.config.seed, vm, fitting),
         }
     }
 
@@ -340,7 +352,7 @@ impl Fleet {
         let mut decisions = Vec::with_capacity(1);
         match event {
             FleetEvent::Arrive { vm, server, tasks } => {
-                if !locally_schedulable(server, tasks) {
+                if !locally_schedulable(server, tasks, self.config.frame) {
                     self.stats.local_rejects = self.stats.local_rejects.saturating_add(1);
                     decisions.push(Decision::LocalReject { vm: *vm });
                 } else if let Some(shard) = self.try_place(*vm, *server, tasks) {
@@ -556,6 +568,55 @@ mod tests {
             "spillover exceeded capacity"
         );
         assert!(fleet.stats().dropped > 0, "drop path never exercised");
+    }
+
+    #[test]
+    fn worst_fit_takes_most_headroom_then_seeded_hash() {
+        assert_eq!(worst_fit(7, 3, [(0, 10), (1, 30), (2, 20)]), Some(1));
+        assert_eq!(worst_fit(7, 3, []), None);
+        // Equal headroom: the shard whose seeded hash is higher wins,
+        // whatever order the candidates come in.
+        let mix = SplitMix64::new(7);
+        let hash =
+            |index: u64| mix.derive(3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(index));
+        let expected = if hash(0) > hash(2) { 0 } else { 2 };
+        assert_eq!(worst_fit(7, 3, [(0, 10), (2, 10)]), Some(expected));
+        assert_eq!(worst_fit(7, 3, [(2, 10), (0, 10)]), Some(expected));
+    }
+
+    #[test]
+    fn non_harmonic_arrival_is_a_local_reject_and_never_blocks_spillover() {
+        let mut fleet =
+            Fleet::new(FleetConfig::new(1, PlacementPolicy::FirstFit, 1)).expect("valid config");
+        let arrive = |vm: u64, period: u64, budget: u64| FleetEvent::Arrive {
+            vm,
+            server: PeriodicServer::new(period, budget).expect("valid server"),
+            tasks: TaskSet::new(),
+        };
+        // Two Θ = 31 servers fill the 63 free slots of every 64.
+        let mut decisions = Vec::new();
+        for event in [
+            arrive(0, 64, 31),
+            arrive(1, 64, 31),
+            // Period 48 does not divide the 4096-slot frame.
+            arrive(2, 48, 1),
+            arrive(3, 64, 31),
+            FleetEvent::Depart { vm: 0 },
+        ] {
+            decisions.extend(fleet.apply(&event));
+        }
+        assert_eq!(
+            decisions,
+            vec![
+                Decision::Placed { vm: 0, shard: 0 },
+                Decision::Placed { vm: 1, shard: 0 },
+                Decision::LocalReject { vm: 2 },
+                Decision::Spilled { vm: 3 },
+                Decision::Departed { vm: 0, shard: 0 },
+                Decision::SpillPlaced { vm: 3, shard: 0 },
+            ]
+        );
+        assert_eq!(fleet.spilled_vms().count(), 0);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! table σ\* and the set of VMs currently bound to it. Global (Theorem 1)
 //! admission goes through the shard's [`DemandLedger`], so an
 //! admit/evict costs `O(frame/Π)` delta events instead of a full sweep;
-//! local (Theorem 3) feasibility of a VM's task set against its own
-//! server is shard-independent and exposed as [`locally_schedulable`] so
-//! the fleet checks it once per arrival, not once per probe.
+//! the local gate (a server period harmonic with the frame, and Theorem 3
+//! feasibility of the VM's task set against its own server) is
+//! shard-independent and exposed as [`locally_schedulable`] so callers
+//! check it once per arrival, not once per probe.
 
 use std::collections::BTreeMap;
 
@@ -20,15 +21,17 @@ use ioguard_sched::{AdmitOutcome, DemandLedger, PeriodicServer, SchedError, Task
 /// draw harmonic task systems whose lcm stays far below this.
 pub const LSCHED_BOUND: u64 = 1 << 26;
 
-/// True when `tasks` is feasible on `server` in isolation (Theorem 3).
+/// True when `server`'s period divides the analysis `frame` every shard
+/// shares, and `tasks` is feasible on `server` in isolation (Theorem 3).
 ///
-/// This does not depend on σ\* or on any other resident VM, so the fleet
-/// evaluates it once per arriving VM; a VM that fails here can never be
+/// Neither test depends on σ\* or on any other resident VM, so callers
+/// evaluate it once per arriving VM; a VM that fails here can never be
 /// placed on *any* shard and is rejected outright rather than spilled.
-pub fn locally_schedulable(server: &PeriodicServer, tasks: &TaskSet) -> bool {
-    theorem3_exact(server, tasks, LSCHED_BOUND)
-        .map(|v| v.is_schedulable())
-        .unwrap_or(false)
+pub fn locally_schedulable(server: &PeriodicServer, tasks: &TaskSet, frame: u64) -> bool {
+    frame.is_multiple_of(server.period())
+        && theorem3_exact(server, tasks, LSCHED_BOUND)
+            .map(|v| v.is_schedulable())
+            .unwrap_or(false)
 }
 
 /// One hypervisor shard.
@@ -94,16 +97,11 @@ impl Shard {
         self.ledger.min_slack()
     }
 
-    /// Lifetime count of delta events applied to the ledger.
-    pub fn events_applied(&self) -> u64 {
-        self.ledger.events_applied()
-    }
-
     /// Read-only Theorem 1 probe: would this shard admit `server`?
     ///
-    /// Never mutates the ledger; safe to fan out across threads. Returns
-    /// `false` (rather than an error) for non-harmonic periods, which the
-    /// fleet treats as "does not fit here".
+    /// Never mutates the ledger; safe to fan out across threads. A
+    /// non-harmonic period never gets here ([`locally_schedulable`]
+    /// rejects it first); should one arrive, the answer is `false`.
     pub fn probe(&self, server: &PeriodicServer) -> bool {
         self.ledger.probe(server).unwrap_or(false)
     }
@@ -178,11 +176,14 @@ mod tests {
         let mut ok = TaskSet::new();
         // Deadline past the blackout 2(Π−Θ) = 480.
         ok.push(SporadicTask::new(2048, 8, 1024).expect("C ≤ D ≤ T"));
-        assert!(locally_schedulable(&server, &ok));
+        assert!(locally_schedulable(&server, &ok, 4096));
         let mut bad = TaskSet::new();
         // Deadline inside the blackout: no supply can arrive in time.
         bad.push(SporadicTask::new(2048, 8, 100).expect("C ≤ D ≤ T"));
-        assert!(!locally_schedulable(&server, &bad));
+        assert!(!locally_schedulable(&server, &bad, 4096));
+        // A period that does not divide the frame fails the gate too.
+        let odd = PeriodicServer::new(48, 4).expect("valid");
+        assert!(!locally_schedulable(&odd, &TaskSet::new(), 4096));
     }
 
     #[test]

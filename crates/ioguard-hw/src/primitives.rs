@@ -133,17 +133,6 @@ pub mod prim {
         ResourceCost::logic(0, width)
     }
 
-    /// One slot of a random-access priority queue: payload register plus
-    /// the parameter slot registers and its access interface (footnote 2 of
-    /// the paper: "the additionally introduced slots are implemented via
-    /// registers").
-    pub const fn pq_slot(payload_width: u64, param_width: u64) -> ResourceCost {
-        ResourceCost::logic(
-            3 + (payload_width + param_width) / 16,
-            (payload_width + param_width) / 8,
-        )
-    }
-
     /// An `n`-to-1 multiplexer over `width`-bit values.
     pub const fn mux(n: u64, width: u64) -> ResourceCost {
         ResourceCost::logic(n * width / 8, 0)
@@ -216,7 +205,6 @@ mod tests {
         assert!(prim::comparator(64).luts > prim::comparator(16).luts);
         assert_eq!(prim::register(32).registers, 32);
         assert_eq!(prim::register(32).luts, 0);
-        assert!(prim::pq_slot(64, 64).registers > prim::pq_slot(16, 16).registers);
         assert!(prim::mux(8, 32).luts > prim::mux(2, 32).luts);
         assert!(prim::fsm(8).luts > prim::fsm(2).luts);
         let bank = prim::bank(128);

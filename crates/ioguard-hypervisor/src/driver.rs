@@ -146,12 +146,6 @@ impl IoController {
         assert!(slot_ns > 0, "slot length must be positive");
         self.service_ns(bytes).div_ceil(slot_ns).max(1)
     }
-
-    /// Sustainable throughput in bytes/second for back-to-back operations
-    /// of `bytes` payload.
-    pub fn throughput_bps(self, bytes: u32) -> f64 {
-        bytes as f64 / (self.service_ns(bytes) as f64 / 1e9)
-    }
 }
 
 /// Retry discipline of the per-transaction watchdog: how long a transaction
@@ -247,16 +241,6 @@ impl Watchdog {
             backoff_until: 0,
             episode: false,
         }
-    }
-
-    /// The retry policy.
-    pub const fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// Retries issued in the current fault episode.
-    pub const fn attempts(&self) -> u32 {
-        self.attempt
     }
 
     /// True while the post-retry backoff window is open at `now`.
@@ -374,16 +358,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_slot_length_panics() {
         let _ = IoController::new(IoProtocol::Spi).service_slots(1, 0);
-    }
-
-    #[test]
-    fn throughput_approaches_line_rate_for_large_frames() {
-        let eth = IoController::new(IoProtocol::Ethernet);
-        let tp = eth.throughput_bps(1500);
-        // ≥ 90% of 125 MB/s.
-        assert!(tp > 0.90 * 125_000_000.0, "throughput {tp}");
-        // Small frames are overhead-dominated.
-        assert!(eth.throughput_bps(64) < tp);
     }
 
     #[test]

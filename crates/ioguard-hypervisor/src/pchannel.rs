@@ -56,9 +56,8 @@ pub struct PChannel {
 
 impl PChannel {
     /// Builds the channel by laying the tasks' jobs out over one
-    /// hyper-period with EDF (the same offline construction as
-    /// [`TimeSlotTable::from_predefined_tasks`], but retaining slot
-    /// ownership so the executor knows *which* task fires).
+    /// hyper-period with EDF — the offline σ\* construction — retaining
+    /// slot ownership so the executor knows *which* task fires.
     ///
     /// # Errors
     ///
@@ -169,12 +168,6 @@ impl PChannel {
         })
     }
 
-    /// An empty channel (no pre-defined tasks): a length-1 all-free table.
-    pub fn empty() -> Self {
-        // lint: allow(panic-site) — infallible by construction: zero tasks give hyper-period 1, within the limit 1
-        Self::build(Vec::new(), 1).expect("empty channel always fits")
-    }
-
     /// The Time Slot Table σ\* the R-channel schedules around.
     pub fn table(&self) -> &TimeSlotTable {
         &self.table
@@ -228,7 +221,7 @@ mod tests {
 
     #[test]
     fn empty_channel_is_all_free() {
-        let p = PChannel::empty();
+        let p = PChannel::build(Vec::new(), 1).unwrap();
         assert_eq!(p.hyper_period(), 1);
         assert_eq!(p.fire(0), None);
         assert_eq!(p.fire(12345), None);

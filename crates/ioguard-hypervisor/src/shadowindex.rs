@@ -78,15 +78,6 @@ impl ShadowIndex {
     pub fn min(&self) -> Option<ShadowKey> {
         self.tree[1]
     }
-
-    /// VM `vm`'s currently-installed key (primarily for assertions; an
-    /// out-of-range VM reads as empty).
-    pub fn leaf(&self, vm: usize) -> Option<ShadowKey> {
-        self.tree
-            .get(self.cap.saturating_add(vm))
-            .copied()
-            .flatten()
-    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //!
 //! Chaos fixtures (`*.fault`, consumed by `ioguard-faults::FaultPlan`) are
 //! flat `key = value` files. This module re-implements their parsing and
-//! static constraints *standalone* — `ioguard-lint` deliberately depends on
-//! nothing in the workspace, so the format is mirrored here rather than
-//! imported; `ioguard-faults` carries a round-trip test pinning the two
-//! views of the format together.
+//! static constraints rather than calling `FaultPlan::parse`, because a
+//! checker must report *every* problem with its line, while
+//! `FaultPlan::parse` stops at the first bad line and
+//! `FaultPlan::validate` reports no lines; `ioguard-faults` carries a
+//! round-trip test pinning the two views of the format together.
 //!
 //! Constraints certified before a plan is allowed near CI:
 //!

@@ -5,8 +5,8 @@
 //! deques and an atomic steal counter), which runs the trials and also
 //! `ServeCluster::ingest`'s frame decode. Per-line token scans cannot
 //! reason about that kind of code: a lock-order inversion involves two
-//! functions, and a guard held across a barrier wait is a *liveness*
-//! property of a span of code, not a single line.
+//! functions, and which guards are live at a call is a property of a span
+//! of code, not a single line.
 //!
 //! This module builds a lightweight item model on top of the stripped-line
 //! scanner ([`crate::scan`]) — no `syn`, the workspace builds offline:
@@ -19,19 +19,14 @@
 //! * per-function **summaries**: lock acquisitions (`.lock()` with the
 //!   receiver's field name), the guard's live range (a `let`-bound guard
 //!   lives until its block closes or an explicit `drop(guard)`; an unbound
-//!   temporary dies with its statement), barrier waits (`.arrive(` /
-//!   `.wait(` and functions named like barriers), `Ordering::*` atomic
-//!   accesses, and blocking operations.
+//!   temporary dies with its statement), `Ordering::*` atomic accesses,
+//!   and blocking operations.
 //!
-//! Four rules run over the model (see [`check_concurrency`]):
+//! Three rules run over the model (see [`check_concurrency`]):
 //!
 //! * [`rule::LOCK_ORDER`] — the workspace lock-acquisition graph, closed
 //!   over calls, must be acyclic (a cycle means two threads can take the
 //!   same mutexes in opposite orders and deadlock);
-//! * [`rule::LOCK_ACROSS_BARRIER`] — no guard may be live at a barrier
-//!   wait, directly or through a call whose summary reaches one (a peer
-//!   thread would block on the mutex while this thread blocks on the
-//!   barrier);
 //! * [`rule::RELAXED_ORDERING`] — on atomic fields that are both read and
 //!   written (the cross-thread ones), `Ordering::Relaxed` and unpaired
 //!   `Acquire`/`Release` need a justified allow;
@@ -134,8 +129,6 @@ pub struct FnInfo {
     pub locks: Vec<LockAcq>,
     /// (held, acquired) pairs observed directly in this body.
     pub lock_pairs: Vec<(String, String, Site)>,
-    /// Direct barrier waits, with the locks held at each.
-    pub barriers: Vec<(Site, Vec<String>)>,
     /// Call sites.
     pub calls: Vec<CallSite>,
     /// Atomic accesses with explicit orderings.
@@ -270,7 +263,6 @@ fn extract_file(file: &SourceFile, fns: &mut Vec<FnInfo>) {
                             hot: line.in_hot_path,
                             locks: Vec::new(),
                             lock_pairs: Vec::new(),
-                            barriers: Vec::new(),
                             calls: Vec::new(),
                             atomics: Vec::new(),
                             blocking: Vec::new(),
@@ -338,11 +330,6 @@ fn extract_file(file: &SourceFile, fns: &mut Vec<FnInfo>) {
                 info.lock_pairs
                     .push((h.clone(), lock.clone(), site.clone()));
             }
-        }
-
-        // Barrier waits.
-        if contains_token(code, ".arrive(") || contains_token(code, ".wait(") {
-            info.barriers.push((site.clone(), held.clone()));
         }
 
         // Calls.
@@ -559,12 +546,11 @@ fn drop_args(code: &str) -> Vec<String> {
     out
 }
 
-/// Runs the four concurrency rules over the model built from `files`.
+/// Runs the three concurrency rules over the model built from `files`.
 pub fn check_concurrency(files: &[SourceFile]) -> Vec<Violation> {
     let graph = CodeGraph::build(files);
     let mut out = Vec::new();
     check_lock_order(&graph, &mut out);
-    check_lock_across_barrier(&graph, &mut out);
     check_relaxed_ordering(&graph, &mut out);
     check_blocking_in_hot_path(&graph, &mut out);
     out
@@ -598,42 +584,6 @@ fn transitive_acquisitions(graph: &CodeGraph) -> Vec<BTreeSet<String>> {
         }
         if !changed {
             return acq;
-        }
-    }
-}
-
-/// True per function when it (or anything it calls) waits on a barrier.
-/// Functions *named* like barrier operations (`arrive`, `wait`, `*barrier*`)
-/// count as direct waiters — a hand-rolled barrier's body is a spin on a
-/// generation counter, not an `.arrive(` token.
-fn transitive_barriers(graph: &CodeGraph) -> Vec<bool> {
-    let mut has: Vec<bool> = graph
-        .fns
-        .iter()
-        .map(|f| {
-            !f.barriers.is_empty()
-                || f.name == "arrive"
-                || f.name == "wait"
-                || f.name.contains("barrier")
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..graph.fns.len() {
-            if has[i] {
-                continue;
-            }
-            let hit = graph.fns[i]
-                .calls
-                .iter()
-                .any(|c| graph.resolve(&c.callee).iter().any(|&j| has[j]));
-            if hit {
-                has[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            return has;
         }
     }
 }
@@ -724,51 +674,6 @@ fn check_lock_order(graph: &CodeGraph, out: &mut Vec<Violation>) {
             }
         }
     }
-}
-
-/// `lock-across-barrier`: a live guard at a direct barrier wait, or at a
-/// call whose transitive summary reaches one.
-fn check_lock_across_barrier(graph: &CodeGraph, out: &mut Vec<Violation>) {
-    let barrier = transitive_barriers(graph);
-    for f in &graph.fns {
-        for (site, held) in &f.barriers {
-            report_barrier_hold(f, site, held, "a barrier wait", out);
-        }
-        for call in &f.calls {
-            if call.held.is_empty() {
-                continue;
-            }
-            if graph.resolve(&call.callee).iter().any(|&j| barrier[j]) {
-                let what = format!("`{}` (which reaches a barrier wait)", call.callee);
-                report_barrier_hold(f, &call.site, &call.held, &what, out);
-            }
-        }
-    }
-}
-
-fn report_barrier_hold(
-    f: &FnInfo,
-    site: &Site,
-    held: &[String],
-    what: &str,
-    out: &mut Vec<Violation>,
-) {
-    if held.is_empty() || site.allows(rule::LOCK_ACROSS_BARRIER) {
-        return;
-    }
-    out.push(Violation {
-        rule: rule::LOCK_ACROSS_BARRIER,
-        path: f.path.clone(),
-        line: site.line,
-        message: format!(
-            "guard for `{}` still live across {} in `{}` — a peer thread \
-             blocking on the mutex deadlocks against the barrier; drop the \
-             guard first, or justify with lint: allow(lock-across-barrier)",
-            held.join("`, `"),
-            what,
-            f.name
-        ),
-    });
 }
 
 /// `relaxed-ordering`: on fields with both reads and writes (the shared
@@ -969,31 +874,6 @@ mod tests {
              fn rev(&self) {\n    let b = self.beta.lock();\n    drop(b);\n    let a = self.alpha.lock();\n}\n",
         );
         assert!(!rules_hit(&v).contains(&rule::LOCK_ORDER), "{v:?}");
-    }
-
-    #[test]
-    fn lock_across_barrier_direct() {
-        let v = conc(
-            "fn worker(&self) {\n    let g = self.queue.lock();\n    self.sync.arrive(true);\n}\n",
-        );
-        assert!(rules_hit(&v).contains(&rule::LOCK_ACROSS_BARRIER), "{v:?}");
-    }
-
-    #[test]
-    fn lock_across_barrier_through_call() {
-        let v = conc(
-            "fn worker(&self) {\n    let g = self.queue.lock();\n    self.finish_epoch();\n}\n\
-             fn finish_epoch(&self) {\n    self.sync.arrive(true);\n}\n",
-        );
-        assert!(rules_hit(&v).contains(&rule::LOCK_ACROSS_BARRIER), "{v:?}");
-    }
-
-    #[test]
-    fn guard_dropped_before_barrier_clean() {
-        let v = conc(
-            "fn worker(&self) {\n    {\n        let g = self.queue.lock();\n    }\n    self.sync.arrive(true);\n}\n",
-        );
-        assert!(!rules_hit(&v).contains(&rule::LOCK_ACROSS_BARRIER), "{v:?}");
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Workspace static analysis for the I/O-GUARD reproduction.
 //!
-//! Two layers, both deterministic and dependency-free (the workspace builds
-//! offline against vendored stubs, so there is no `syn` here):
+//! Two layers, both deterministic and free of external parser crates (the
+//! workspace builds offline against vendored stubs, so there is no `syn`
+//! here). The crate does depend on six workspace crates: the model
+//! verifier checks σ\*, servers, NoC routes and the Fig. 7 configurations
+//! through their own types, JSON output uses the `ioguard-obs` escaper,
+//! and file scanning runs on the `ioguard-core` engine:
 //!
 //! * **Layer 1 — source lints** ([`scan`], [`rules`]): a token/line-level
 //!   analyzer enforcing the invariants PR 1 made load-bearing — panic-free

@@ -38,9 +38,6 @@ pub mod rule {
     /// A cycle in the workspace lock-acquisition graph (closed over calls):
     /// two threads taking the same mutexes in opposite orders can deadlock.
     pub const LOCK_ORDER: &str = "lock-order";
-    /// A mutex guard still live across a barrier wait — a peer thread
-    /// blocks on the mutex while this thread blocks on the barrier.
-    pub const LOCK_ACROSS_BARRIER: &str = "lock-across-barrier";
     /// `Ordering::Relaxed` (or an unpaired `Acquire`/`Release`) on an atomic
     /// field that other threads also write.
     pub const RELAXED_ORDERING: &str = "relaxed-ordering";
@@ -808,31 +805,6 @@ pub fn collect_rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     }
     files.sort();
     Ok(files)
-}
-
-/// Lints every `.rs` file under `dir` (recursively) with `rules`, file
-/// scanning spread over the work-stealing engine. Results are scattered
-/// back in work-list (path) order before merging, so the violation list is
-/// identical at any thread count.
-pub fn lint_tree_threaded(
-    dir: &Path,
-    rules: RuleSet,
-    threads: usize,
-    out: &mut Vec<Violation>,
-) -> Result<usize, String> {
-    let files = collect_rs_files(dir)?;
-    let (results, _) = ioguard_core::engine::run_indexed(threads, &files, |_, path| {
-        SourceFile::load(path).map(|file| {
-            let mut v = Vec::new();
-            lint_file(&file, rules, &mut v);
-            v
-        })
-    });
-    let scanned = results.len();
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(scanned)
 }
 
 /// Renders violations as machine-readable JSON lines: one object per

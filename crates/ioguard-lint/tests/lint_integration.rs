@@ -135,18 +135,6 @@ fn seeded_lockorder_fixture_is_rejected() {
 }
 
 #[test]
-fn seeded_barrier_fixture_is_rejected() {
-    let path = fixture("bad_barrier.rs");
-    let violations = check_paths(&[path.as_path()]).expect("fixture readable");
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.rule == rule::LOCK_ACROSS_BARRIER),
-        "{violations:?}"
-    );
-}
-
-#[test]
 fn seeded_relaxed_fixture_is_rejected() {
     let path = fixture("bad_relaxed.rs");
     let violations = check_paths(&[path.as_path()]).expect("fixture readable");

@@ -55,11 +55,6 @@ impl<N: NocFabric> ObservedFabric<N> {
         &self.latency
     }
 
-    /// The wrapped fabric.
-    pub fn inner(&self) -> &N {
-        &self.inner
-    }
-
     /// Unwraps into the fabric and the collected observations.
     pub fn into_parts(self) -> (N, TraceSink, Histogram) {
         (self.inner, self.sink, self.latency)

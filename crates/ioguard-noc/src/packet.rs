@@ -5,11 +5,6 @@
 //! carrying routing and virtualization metadata followed by payload flits
 //! and a *tail flit* that releases the wormhole channel.
 
-// lint: allow(indexing, file) — the header codec indexes a 16-byte buffer
-// whose length is checked once at the top of decode_header.
-
-use bytes::{BufMut, Bytes, BytesMut};
-
 use crate::error::NocError;
 use crate::topology::NodeId;
 
@@ -79,20 +74,6 @@ impl Packet {
         Self::new(id, PacketKind::IoRequest, src, dst, payload_flits, 0)
     }
 
-    /// Convenience constructor for an I/O response from VM 0.
-    ///
-    /// # Errors
-    ///
-    /// See [`Packet::new`].
-    pub fn response(
-        id: u64,
-        src: NodeId,
-        dst: NodeId,
-        payload_flits: u32,
-    ) -> Result<Self, NocError> {
-        Self::new(id, PacketKind::IoResponse, src, dst, payload_flits, 0)
-    }
-
     /// Packet id (unique per injection).
     pub const fn id(&self) -> u64 {
         self.id
@@ -127,55 +108,6 @@ impl Packet {
     /// doubles as the tail).
     pub const fn total_flits(&self) -> u32 {
         1 + self.payload_flits
-    }
-
-    /// Encodes the header flit in its 16-byte wire format:
-    ///
-    /// ```text
-    /// [0..8)   packet id (LE)
-    /// [8]      kind (0 = request, 1 = response, 2 = memory)
-    /// [9..11)  src (x, y)
-    /// [11..13) dst (x, y)
-    /// [13..15) vm (LE u16, saturating)
-    /// [15]     reserved (0)
-    /// ```
-    pub fn encode_header(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u64_le(self.id);
-        buf.put_u8(match self.kind {
-            PacketKind::IoRequest => 0,
-            PacketKind::IoResponse => 1,
-            PacketKind::Memory => 2,
-        });
-        buf.put_u8(self.src.x as u8);
-        buf.put_u8(self.src.y as u8);
-        buf.put_u8(self.dst.x as u8);
-        buf.put_u8(self.dst.y as u8);
-        buf.put_u16_le(self.vm.min(u16::MAX as u32) as u16);
-        buf.put_u8(0);
-        buf.freeze()
-    }
-
-    /// Decodes a header flit produced by [`Packet::encode_header`], with the
-    /// payload flit count supplied out of band (it travels in the NI's
-    /// length register, not the header).
-    ///
-    /// Returns `None` if the buffer is malformed.
-    pub fn decode_header(bytes: &[u8], payload_flits: u32) -> Option<Self> {
-        if bytes.len() != 16 {
-            return None;
-        }
-        let id = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
-        let kind = match bytes[8] {
-            0 => PacketKind::IoRequest,
-            1 => PacketKind::IoResponse,
-            2 => PacketKind::Memory,
-            _ => return None,
-        };
-        let src = NodeId::new(bytes[9] as u16, bytes[10] as u16);
-        let dst = NodeId::new(bytes[11] as u16, bytes[12] as u16);
-        let vm = u16::from_le_bytes(bytes[13..15].try_into().ok()?) as u32;
-        Packet::new(id, kind, src, dst, payload_flits, vm).ok()
     }
 }
 
@@ -258,35 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn header_roundtrip() {
-        let p = Packet::new(
-            0xDEAD_BEEF_CAFE_F00D,
-            PacketKind::IoResponse,
-            node(4, 0),
-            node(2, 3),
-            11,
-            42,
-        )
-        .unwrap();
-        let wire = p.encode_header();
-        assert_eq!(wire.len(), 16);
-        let decoded = Packet::decode_header(&wire, 11).unwrap();
-        assert_eq!(decoded, p);
-    }
-
-    #[test]
-    fn decode_rejects_malformed() {
-        assert!(Packet::decode_header(&[0u8; 15], 1).is_none());
-        assert!(Packet::decode_header(&[0u8; 17], 1).is_none());
-        let mut bad_kind = [0u8; 16];
-        bad_kind[8] = 9;
-        assert!(Packet::decode_header(&bad_kind, 1).is_none());
-        // Valid header but zero payload count fails Packet::new.
-        let p = Packet::request(1, node(0, 0), node(1, 1), 2).unwrap();
-        assert!(Packet::decode_header(&p.encode_header(), 0).is_none());
-    }
-
-    #[test]
     fn flit_stream_structure() {
         let p = Packet::request(3, node(0, 0), node(2, 2), 3).unwrap();
         let flits = Flit::stream(&p);
@@ -300,10 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn request_and_response_constructors() {
+    fn request_constructor_is_an_io_request_from_vm_0() {
         let rq = Packet::request(1, node(0, 0), node(1, 0), 2).unwrap();
         assert_eq!(rq.kind(), PacketKind::IoRequest);
-        let rs = Packet::response(2, node(1, 0), node(0, 0), 2).unwrap();
-        assert_eq!(rs.kind(), PacketKind::IoResponse);
+        assert_eq!(rq.vm(), 0);
     }
 }

@@ -44,7 +44,6 @@ pub struct ReferenceNetwork {
     /// order is the id order — never hasher- or platform-dependent — on the
     /// path that feeds the deterministic simulator.
     in_flight: BTreeMap<u64, InFlight>,
-    delivered: Vec<Delivery>,
     injection_depth: usize,
     class_aware: bool,
     now: Cycles,
@@ -84,7 +83,6 @@ impl ReferenceNetwork {
             routers,
             injection,
             in_flight: BTreeMap::new(),
-            delivered: Vec::new(),
             injection_depth: config.injection_depth,
             class_aware: config.class_aware,
             now: Cycles::ZERO,
@@ -106,26 +104,12 @@ impl ReferenceNetwork {
         Ok(self.mesh.index_of(node))
     }
 
-    /// Advances the fabric one cycle, returning this cycle's deliveries as
-    /// a fresh `Vec` (the historical API shape; the hot-path equivalent is
-    /// [`NocFabric::step_into`]).
-    pub fn step(&mut self) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        self.step_into(&mut out);
-        out
-    }
-
     /// Steps until no packet is in flight or `max_cycles` elapse. Returns
     /// everything delivered during the run.
     pub fn run_until_idle(&mut self, max_cycles: u64) -> Vec<Delivery> {
         let mut all = Vec::new();
         self.run_until_idle_into(max_cycles, &mut all);
         all
-    }
-
-    /// All deliveries since construction.
-    pub fn deliveries(&self) -> &[Delivery] {
-        &self.delivered
     }
 }
 
@@ -351,14 +335,12 @@ impl NocFabric for ReferenceNetwork {
                 let corrupted = self.corrupt_marked.remove(&flit.packet);
                 self.stats.delivered += 1;
                 self.stats.corrupted += u64::from(corrupted);
-                let delivery = Delivery {
+                out.push(Delivery {
                     packet: done.packet,
                     injected_at: done.injected_at,
                     delivered_at: self.now,
                     corrupted,
-                };
-                out.push(delivery.clone());
-                self.delivered.push(delivery);
+                });
             }
         }
     }

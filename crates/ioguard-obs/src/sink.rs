@@ -50,11 +50,6 @@ impl TraceSink {
         }
     }
 
-    /// A disabled sink: every record is a counted no-op.
-    pub fn disabled() -> Self {
-        Self::new(0)
-    }
-
     /// Records one event. O(1), allocation-free after construction.
     #[inline]
     pub fn record(&mut self, at: u64, kind: ObsKind, vm: u32, task: u64, arg: u64) {
@@ -150,7 +145,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_counts_but_keeps_nothing() {
-        let mut s = TraceSink::disabled();
+        let mut s = TraceSink::new(0);
         s.record(1, ObsKind::Admit, 0, 1, 1);
         assert!(s.is_empty());
         assert_eq!(s.dropped(), 1);

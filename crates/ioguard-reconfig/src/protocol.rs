@@ -247,11 +247,6 @@ impl ReconfigController {
         &mut self.hv
     }
 
-    /// The live configuration.
-    pub fn config(&self) -> &StagedConfig {
-        &self.config
-    }
-
     /// The controller's reconfiguration trace
     /// (Stage/Verify/Commit/Abort/Drain events).
     pub fn sink(&self) -> &TraceSink {
@@ -299,12 +294,6 @@ impl ReconfigController {
         &self.dropped_departed
     }
 
-    /// `(vm, task_id)` of carried entries lost to successor pool
-    /// overflow, across all switches.
-    pub fn restore_overflow(&self) -> &[(usize, u64)] {
-        &self.restore_overflow
-    }
-
     /// Stages a candidate configuration: records the attempt, runs the
     /// offline admission pipeline (incrementally against the proven live
     /// configuration), and holds the verified result for [`Self::commit`].
@@ -331,7 +320,7 @@ impl ReconfigController {
                 .record(at, ObsKind::ReconfigAbort, SYSTEM_VM, id, reason.ordinal());
             return Err(reason);
         }
-        match candidate.verify_incremental(&mut self.verifier) {
+        match candidate.verify_incremental(&self.verifier) {
             Ok(verified) => {
                 self.sink
                     .record(at, ObsKind::ReconfigVerify, SYSTEM_VM, id, 1);

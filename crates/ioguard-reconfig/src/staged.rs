@@ -233,7 +233,7 @@ impl StagedConfig {
     /// A typed [`RejectReason`], exactly as [`Self::verify`].
     pub fn verify_incremental(
         &self,
-        verifier: &mut IncrementalVerifier,
+        verifier: &IncrementalVerifier,
     ) -> Result<VerifiedConfig, RejectReason> {
         let analysis = self.static_checks()?;
         let outcome = match verifier.reverify(&analysis) {
@@ -424,11 +424,11 @@ mod tests {
     fn incremental_verify_matches_full() {
         let base = light_config();
         let full = base.verify().unwrap();
-        let mut verifier = IncrementalVerifier::new(full.analysis().clone()).unwrap();
+        let verifier = IncrementalVerifier::new(full.analysis().clone()).unwrap();
         // Change only VM 1's task set.
         let mut next = base.clone();
         next.task_sets = vec![vec![task(20, 2, 10)].into(), vec![task(40, 2, 30)].into()];
-        let inc = next.verify_incremental(&mut verifier).unwrap();
+        let inc = next.verify_incremental(&verifier).unwrap();
         let scratch = next.verify().unwrap();
         assert_eq!(inc.verdict(), scratch.verdict());
         assert!(!inc.stats().global_rerun);

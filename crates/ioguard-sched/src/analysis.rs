@@ -1,17 +1,19 @@
 //! Combined two-layer admission analysis.
 //!
-//! Bundles the G-Sched test (Theorems 1–2) over the Time Slot Table with the
-//! per-VM L-Sched tests (Theorems 3–4) into a single verdict, which is the
-//! admission interface the hypervisor model and the experiment drivers use.
+//! Bundles the exact G-Sched test (Theorem 1) over the Time Slot Table with
+//! the exact per-VM L-Sched tests (Theorem 3) into a single verdict, which
+//! is the admission interface the hypervisor model and the experiment
+//! drivers use. The pseudo-polynomial Theorems 2 and 4 stay per layer in
+//! [`crate::gsched`] and [`crate::lsched`].
 
 use crate::error::SchedError;
-use crate::gsched::{theorem1_exact, theorem2_pseudo_poly, GschedVerdict};
-use crate::lsched::{theorem3_exact, theorem4_pseudo_poly, LschedVerdict};
+use crate::gsched::{theorem1_exact, GschedVerdict};
+use crate::lsched::{theorem3_exact, LschedVerdict};
 use crate::table::TimeSlotTable;
 use crate::task::{PeriodicServer, TaskSet};
 
-/// Default cap on exact-test hyper-periods before the analysis refuses and
-/// the caller must fall back to the pseudo-polynomial tests.
+/// Default cap on exact-test hyper-periods before the analysis refuses
+/// with [`SchedError::HyperPeriodOverflow`].
 pub const DEFAULT_MAX_HYPER_PERIOD: u64 = 1 << 26;
 
 /// A complete two-layer system model: the P-channel table, one periodic
@@ -99,8 +101,10 @@ impl TwoLayerAnalysis {
     /// # Errors
     ///
     /// Propagates [`SchedError::HyperPeriodOverflow`] when an exact test's
-    /// LCM bound exceeds [`DEFAULT_MAX_HYPER_PERIOD`]; callers should then
-    /// use [`Self::schedulable_pseudo`].
+    /// LCM bound exceeds [`DEFAULT_MAX_HYPER_PERIOD`]; callers can then run
+    /// the pseudo-polynomial tests per layer
+    /// ([`crate::gsched::theorem2_pseudo_poly`],
+    /// [`crate::lsched::theorem4_pseudo_poly`]).
     pub fn schedulable(&self) -> Result<TwoLayerVerdict, SchedError> {
         self.schedulable_with_limit(DEFAULT_MAX_HYPER_PERIOD)
     }
@@ -117,27 +121,6 @@ impl TwoLayerAnalysis {
             per_vm.push(theorem3_exact(server, tasks, max_hyper)?);
         }
         Ok(TwoLayerVerdict { global, per_vm })
-    }
-
-    /// Runs the pseudo-polynomial tests (Theorems 2 and 4) with slack
-    /// constants `c` (global) and `c_prime` (per VM).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError::SlackTooSmall`] when a layer's slack
-    /// precondition fails.
-    pub fn schedulable_pseudo(&self, c: f64, c_prime: f64) -> Result<TwoLayerVerdict, SchedError> {
-        let global = theorem2_pseudo_poly(&self.sigma, &self.servers, c)?;
-        let mut per_vm = Vec::with_capacity(self.servers.len());
-        for (server, tasks) in self.servers.iter().zip(&self.task_sets) {
-            per_vm.push(theorem4_pseudo_poly(server, tasks, c_prime)?);
-        }
-        Ok(TwoLayerVerdict { global, per_vm })
-    }
-
-    /// Total R-channel utilization across all VMs.
-    pub fn total_task_utilization(&self) -> f64 {
-        self.task_sets.iter().map(TaskSet::utilization).sum()
     }
 }
 
@@ -177,8 +160,6 @@ mod tests {
         let exact = a.schedulable().unwrap();
         assert!(exact.is_schedulable());
         assert!(exact.failing_vms().is_empty());
-        let pseudo = a.schedulable_pseudo(0.01, 0.01).unwrap();
-        assert!(pseudo.is_schedulable());
     }
 
     #[test]
@@ -230,7 +211,6 @@ mod tests {
     #[test]
     fn utilization_accessors() {
         let a = light_system();
-        assert!((a.total_task_utilization() - 0.2).abs() < 1e-12);
         assert_eq!(a.vm_count(), 2);
         assert_eq!(a.sigma().len(), 10);
         assert_eq!(a.servers().len(), 2);

@@ -143,11 +143,6 @@ impl DemandLedger {
         })
     }
 
-    /// The analysis frame.
-    pub fn frame(&self) -> u64 {
-        self.frame
-    }
-
     /// The time slot table the envelope was built from.
     pub fn sigma(&self) -> &TimeSlotTable {
         &self.sigma

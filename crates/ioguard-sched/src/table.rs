@@ -17,7 +17,6 @@
 use std::sync::OnceLock;
 
 use crate::error::SchedError;
-use crate::task::SporadicTask;
 
 /// A cyclic time slot table σ\* of length `H`: each slot is either occupied
 /// by a pre-defined (P-channel) I/O job or free for R-channel jobs.
@@ -107,73 +106,6 @@ impl TimeSlotTable {
             return Err(SchedError::InvalidTable {
                 reason: "table length must be positive".into(),
             });
-        }
-        Ok(Self::from_free_mask(free))
-    }
-
-    /// Builds σ\* by laying out a set of strictly periodic pre-defined tasks
-    /// with EDF over one hyper-period, mimicking the P-channel's offline
-    /// table construction.
-    ///
-    /// Each task releases at `0, T, 2T, …` and occupies `C` slots per
-    /// release, placed earliest-deadline-first into the earliest free slots.
-    ///
-    /// # Errors
-    ///
-    /// * [`SchedError::HyperPeriodOverflow`] if the hyper-period exceeds
-    ///   `max_len` or overflows.
-    /// * [`SchedError::InvalidTable`] if the tasks do not fit (a pre-defined
-    ///   job would miss its deadline), since the P-channel guarantees its
-    ///   tasks by construction.
-    pub fn from_predefined_tasks(tasks: &[SporadicTask], max_len: u64) -> Result<Self, SchedError> {
-        let hyper = tasks
-            .iter()
-            .map(SporadicTask::period)
-            .try_fold(1u64, crate::task::checked_lcm)
-            .ok_or(SchedError::HyperPeriodOverflow { limit: 0 })?;
-        if hyper > max_len {
-            return Err(SchedError::HyperPeriodOverflow { limit: max_len });
-        }
-        let h = hyper as usize;
-        let mut free = vec![true; h];
-
-        // Collect all jobs over one hyper-period: (deadline, release, wcet).
-        let mut jobs: Vec<(u64, u64, u64)> = Vec::new();
-        for task in tasks {
-            let mut release = 0u64;
-            while release < hyper {
-                jobs.push((
-                    release.saturating_add(task.deadline()),
-                    release,
-                    task.wcet(),
-                ));
-                release = release.saturating_add(task.period());
-            }
-        }
-        // EDF order: earliest absolute deadline first.
-        jobs.sort_unstable();
-
-        // Greedy placement: each job takes the earliest free slots in
-        // [release, deadline). This is exact EDF for unit-slot placement.
-        for (deadline, release, wcet) in jobs {
-            let mut need = wcet;
-            let mut slot = release;
-            while need > 0 && slot < deadline {
-                let s = slot as usize;
-                if free[s] {
-                    free[s] = false;
-                    need -= 1;
-                }
-                slot += 1;
-            }
-            if need > 0 {
-                return Err(SchedError::InvalidTable {
-                    reason: format!(
-                        "pre-defined job (release {release}, deadline {deadline}) \
-                         does not fit: {need} slots short"
-                    ),
-                });
-            }
         }
         Ok(Self::from_free_mask(free))
     }
@@ -420,64 +352,6 @@ mod tests {
         for (len, &val) in t.enum_table().iter().enumerate() {
             assert_eq!(val, t.sbf(len as u64));
         }
-    }
-
-    #[test]
-    fn from_predefined_tasks_builds_feasible_table() {
-        // Two periodic tasks: (T=4, C=1) and (T=8, C=2) → hyper-period 8,
-        // occupancy 2·1 + 2 = 4 slots, F = 4.
-        let tasks = vec![
-            SporadicTask::implicit(4, 1).unwrap(),
-            SporadicTask::implicit(8, 2).unwrap(),
-        ];
-        let t = TimeSlotTable::from_predefined_tasks(&tasks, 1000).unwrap();
-        assert_eq!(t.len(), 8);
-        assert_eq!(t.free_slots(), 4);
-    }
-
-    #[test]
-    fn from_predefined_tasks_rejects_overload() {
-        // Utilization 1.25 cannot fit.
-        let tasks = vec![
-            SporadicTask::implicit(4, 3).unwrap(),
-            SporadicTask::implicit(2, 1).unwrap(),
-        ];
-        assert!(matches!(
-            TimeSlotTable::from_predefined_tasks(&tasks, 1000),
-            Err(SchedError::InvalidTable { .. })
-        ));
-    }
-
-    #[test]
-    fn from_predefined_tasks_respects_max_len() {
-        let tasks = vec![
-            SporadicTask::implicit(7, 1).unwrap(),
-            SporadicTask::implicit(11, 1).unwrap(),
-            SporadicTask::implicit(13, 1).unwrap(),
-        ];
-        // Hyper-period 1001 > 100.
-        assert!(matches!(
-            TimeSlotTable::from_predefined_tasks(&tasks, 100),
-            Err(SchedError::HyperPeriodOverflow { limit: 100 })
-        ));
-    }
-
-    #[test]
-    fn from_predefined_tasks_empty_is_all_free() {
-        let t = TimeSlotTable::from_predefined_tasks(&[], 10).unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.free_slots(), 1);
-    }
-
-    #[test]
-    fn predefined_tasks_with_tight_deadlines_placed_correctly() {
-        // Task with D < T: (T=4, C=2, D=2) must occupy slots 0,1 then 4,5.
-        let tasks = vec![SporadicTask::new(4, 2, 2).unwrap()];
-        let t = TimeSlotTable::from_predefined_tasks(&tasks, 100).unwrap();
-        assert!(!t.is_free(0));
-        assert!(!t.is_free(1));
-        assert!(t.is_free(2));
-        assert!(t.is_free(3));
     }
 
     #[test]

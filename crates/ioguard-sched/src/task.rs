@@ -93,12 +93,6 @@ impl SporadicTask {
     pub fn utilization(&self) -> f64 {
         self.wcet as f64 / self.period as f64
     }
-
-    /// Laxity `D_k − C_k`: scheduling freedom per job.
-    #[inline]
-    pub const fn laxity(&self) -> u64 {
-        self.deadline - self.wcet
-    }
 }
 
 /// A periodic server task `Γ_i = (Π_i, Θ_i)` supporting one VM: invoked every
@@ -149,13 +143,6 @@ impl PeriodicServer {
     #[inline]
     pub fn bandwidth(&self) -> f64 {
         self.budget as f64 / self.period as f64
-    }
-
-    /// Worst-case starvation interval of the periodic resource model:
-    /// `2(Π − Θ)` slots can pass with no supply at all.
-    #[inline]
-    pub const fn worst_case_gap(&self) -> u64 {
-        2u64.saturating_mul(self.period.saturating_sub(self.budget))
     }
 }
 
@@ -209,11 +196,6 @@ impl TaskSet {
     /// Iterates over the tasks.
     pub fn iter(&self) -> std::slice::Iter<'_, SporadicTask> {
         self.tasks.iter()
-    }
-
-    /// The tasks as a slice.
-    pub fn as_slice(&self) -> &[SporadicTask] {
-        &self.tasks
     }
 
     /// Largest `T_k − D_k` over the set — the quantity Theorem 4's bound
@@ -298,7 +280,6 @@ mod tests {
         assert_eq!(t.period(), 100);
         assert_eq!(t.wcet(), 10);
         assert_eq!(t.deadline(), 60);
-        assert_eq!(t.laxity(), 50);
         assert!((t.utilization() - 0.1).abs() < 1e-12);
     }
 
@@ -333,9 +314,6 @@ mod tests {
         assert!(PeriodicServer::new(10, 11).is_err());
         let s = PeriodicServer::new(10, 10).unwrap();
         assert_eq!(s.bandwidth(), 1.0);
-        assert_eq!(s.worst_case_gap(), 0);
-        let s = PeriodicServer::new(10, 3).unwrap();
-        assert_eq!(s.worst_case_gap(), 14);
     }
 
     #[test]

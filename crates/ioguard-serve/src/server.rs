@@ -5,11 +5,11 @@
 //! answers *connection* admission) with a [`Hypervisor`] (σ*-driven
 //! dispatch plus the [`AdmissionGuard`] answering *per-request* rate
 //! admission). A client connects by declaring its periodic server
-//! `Γ = (Π, Θ)` and task set — the Theorem 3 local gate and worst-fit
-//! ledger placement decide shard and pool — then streams request frames
-//! which are decoded zero-copy ([`crate::wire`]), buffered in a
-//! **bounded** per-client backlog, and submitted to the shard's
-//! hypervisor at the next slot boundary.
+//! `Γ = (Π, Θ)` and task set — the fleet's local gate and its
+//! worst-fit placement function decide shard and pool — then streams
+//! request frames which are decoded zero-copy ([`crate::wire`]),
+//! buffered in a **bounded** per-client backlog, and submitted to the
+//! shard's hypervisor at the next slot boundary.
 //!
 //! Every fate a request can meet comes back as exactly one typed
 //! [`Response`]: `Accepted` (admitted to the pool), `Completed` (with
@@ -31,6 +31,7 @@ use std::fmt;
 
 use bytes::Bytes;
 use ioguard_core::engine::run_indexed;
+use ioguard_fleet::placement::worst_fit;
 use ioguard_fleet::shard::{locally_schedulable, Shard};
 use ioguard_hypervisor::driver::RetryPolicy;
 use ioguard_hypervisor::hypervisor::{AdmissionGuard, DegradationPolicy, HvMode, RtJob};
@@ -39,7 +40,6 @@ use ioguard_obs::{
     CounterRegistry, Histogram, ObsEvent, ObsKind, TraceSink, VmCounters, SYSTEM_VM,
 };
 use ioguard_sched::{PeriodicServer, TaskSet, TimeSlotTable};
-use ioguard_sim::rng::SplitMix64;
 
 use crate::wire::{self, RejectReason, Request, Response};
 
@@ -83,7 +83,7 @@ pub struct ServeConfig {
     pub max_clients: u32,
     /// Serve trace ring capacity (drop-oldest beyond it).
     pub trace_capacity: usize,
-    /// Seed for deterministic placement tie-breaks.
+    /// Seed for the placement tie-break of the fleet's `worst_fit`.
     pub seed: u64,
 }
 
@@ -175,7 +175,6 @@ pub struct ServeCluster {
     counters: CounterRegistry,
     sink: TraceSink,
     now_slot: u64,
-    mix: SplitMix64,
     /// Hypervisor events handed over and not yet answered (reused).
     events: Vec<HvEvent>,
     /// End-to-end latency of completed critical requests.
@@ -231,7 +230,6 @@ impl ServeCluster {
             counters: CounterRegistry::new(config.max_clients as usize),
             sink: TraceSink::new(config.trace_capacity),
             now_slot: 0,
-            mix: SplitMix64::new(config.seed),
             events: Vec::new(),
             e2e_critical: Histogram::new(),
             e2e_best_effort: Histogram::new(),
@@ -315,9 +313,12 @@ impl ServeCluster {
         (self.e2e_critical.clone(), self.e2e_best_effort.clone())
     }
 
-    /// Connection admission: the Theorem 3 local gate, then worst-fit
-    /// ledger placement (most headroom first, seeded tie-break) across
-    /// shards with a free pool. Returns the typed verdict.
+    /// Connection admission: the local gate
+    /// ([`locally_schedulable`]: a period harmonic with the frame and
+    /// Theorem 3), then the fleet's [`worst_fit`] over the shards that
+    /// have a free pool and whose ledger probe admits `server`, seeded by
+    /// [`ServeConfig::seed`]. Returns the typed verdict: a failed local
+    /// gate is `NotSchedulable`, no fitting shard is `NoCapacity`.
     pub fn connect(&mut self, client: u32, server: PeriodicServer, tasks: &TaskSet) -> Response {
         if client >= self.config.max_clients {
             return Response::ConnectRejected {
@@ -331,26 +332,19 @@ impl ServeCluster {
                 reason: RejectReason::AlreadyConnected,
             };
         }
-        if !locally_schedulable(&server, tasks) {
+        if !locally_schedulable(&server, tasks, self.config.frame) {
             return Response::ConnectRejected {
                 client,
                 reason: RejectReason::NotSchedulable,
             };
         }
-        let mut best: Option<(i64, u64, usize)> = None;
-        for (idx, shard) in self.shards.iter().enumerate() {
-            if shard.free_pools.is_empty() || !shard.ledger.probe(&server) {
-                continue;
-            }
-            let tie = self
-                .mix
-                .derive((u64::from(client) << 16) | trace_idx(idx) as u64);
-            let key = (shard.ledger.headroom(), tie, idx);
-            if best.is_none_or(|b| key > b) {
-                best = Some(key);
-            }
-        }
-        let Some((_, _, idx)) = best else {
+        let candidates = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(_, shard)| !shard.free_pools.is_empty() && shard.ledger.probe(&server))
+            .map(|(idx, shard)| (idx, shard.ledger.headroom()));
+        let Some(idx) = worst_fit(self.config.seed, u64::from(client), candidates) else {
             return Response::ConnectRejected {
                 client,
                 reason: RejectReason::NoCapacity,
@@ -720,5 +714,50 @@ impl ServeCluster {
             | HvEvent::Backoff
             | HvEvent::Idle => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn server(period: u64, budget: u64) -> PeriodicServer {
+        PeriodicServer::new(period, budget).expect("valid server")
+    }
+
+    fn shard_of(response: Response) -> u32 {
+        match response {
+            Response::Connected { shard, .. } => shard,
+            other => panic!("expected a connection, got {other}"),
+        }
+    }
+
+    #[test]
+    fn non_harmonic_server_is_not_schedulable_rather_than_no_capacity() {
+        let mut cluster = ServeCluster::new(ServeConfig::new(2, 2)).expect("valid config");
+        // Period 48 does not divide the 4096-slot frame: no shard can ever
+        // take this declaration, so a retry must not be invited.
+        assert_eq!(
+            cluster.connect(0, server(48, 1), &TaskSet::new()),
+            Response::ConnectRejected {
+                client: 0,
+                reason: RejectReason::NotSchedulable,
+            }
+        );
+        assert_eq!(cluster.connected_count(), 0);
+    }
+
+    #[test]
+    fn connect_skips_a_shard_with_more_headroom_but_no_free_pool() {
+        let mut cluster = ServeCluster::new(ServeConfig::new(2, 2)).expect("valid config");
+        let tasks = TaskSet::new();
+        let light = shard_of(cluster.connect(0, server(64, 1), &tasks));
+        // The other shard is empty, so the heavy client goes there.
+        let heavy = shard_of(cluster.connect(1, server(64, 32), &tasks));
+        assert_ne!(light, heavy);
+        // Two light clients leave more headroom than one heavy client.
+        assert_eq!(shard_of(cluster.connect(2, server(64, 1), &tasks)), light);
+        // The light shard still has the most headroom, but no free pool.
+        assert_eq!(shard_of(cluster.connect(3, server(64, 1), &tasks)), heavy);
     }
 }

@@ -1,4 +1,5 @@
-//! Zero-copy wire codec for serve requests and responses.
+//! Zero-copy wire codec for serve requests, and the typed responses the
+//! serving layer returns.
 //!
 //! ## Request frame layout (little-endian, 34-byte header)
 //!
@@ -22,9 +23,9 @@
 //! the real cursor only advances on success. Byte-soup fuzzing in the
 //! crate's proptest suite leans on both properties.
 //!
-//! Responses are fixed 24-byte frames ([`Response`]); every admission
+//! Responses are typed values ([`Response`]), not frames: every admission
 //! verdict the serving layer can reach — accept, complete, miss,
-//! throttle, shed, reject, mode change — has a typed encoding so clients
+//! throttle, shed, reject, mode change — is one variant, so clients
 //! observe backpressure and graceful degradation in-band.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -32,14 +33,10 @@ use std::fmt;
 
 /// Magic tag opening every request frame.
 pub const REQ_MAGIC: u16 = 0x49C7;
-/// Magic tag opening every response frame.
-pub const RESP_MAGIC: u16 = 0x49C8;
 /// The only wire version this codec speaks.
 pub const WIRE_VERSION: u8 = 1;
 /// Request header length in bytes (fields before the payload).
 pub const REQ_HEADER_LEN: usize = 34;
-/// Fixed response frame length in bytes.
-pub const RESP_LEN: usize = 24;
 /// Upper bound on a request payload; longer frames are rejected.
 pub const MAX_PAYLOAD: usize = 4096;
 
@@ -104,11 +101,6 @@ pub enum WireError {
         /// Claimed payload length.
         len: usize,
     },
-    /// Unknown response kind ordinal.
-    BadResponseKind {
-        /// The kind byte found on the wire.
-        found: u8,
-    },
 }
 
 impl WireError {
@@ -122,7 +114,6 @@ impl WireError {
             WireError::ZeroWcet => 5,
             WireError::DeadlineBeforeWcet { .. } => 6,
             WireError::PayloadTooLong { .. } => 7,
-            WireError::BadResponseKind { .. } => 8,
         }
     }
 }
@@ -146,7 +137,6 @@ impl fmt::Display for WireError {
                     "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
                 )
             }
-            WireError::BadResponseKind { found } => write!(f, "unknown response kind {found}"),
         }
     }
 }
@@ -159,7 +149,9 @@ impl std::error::Error for WireError {}
 pub enum RejectReason {
     /// The frame failed to decode.
     Malformed,
-    /// The client's declared task set fails the Theorem 3 local gate.
+    /// The client's declaration fails the local gate: its server period
+    /// does not divide the analysis frame, or its task set fails
+    /// Theorem 3. No retry of the same declaration can succeed.
     NotSchedulable,
     /// No shard has ledger headroom (Theorem 1) for the server request.
     NoCapacity,
@@ -176,35 +168,6 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    /// Stable wire ordinal.
-    pub fn ordinal(self) -> u64 {
-        match self {
-            RejectReason::Malformed => 1,
-            RejectReason::NotSchedulable => 2,
-            RejectReason::NoCapacity => 3,
-            RejectReason::PoolFull => 4,
-            RejectReason::Degraded => 5,
-            RejectReason::UnknownClient => 6,
-            RejectReason::AlreadyConnected => 7,
-            RejectReason::NotConnected => 8,
-        }
-    }
-
-    /// Inverse of [`RejectReason::ordinal`].
-    pub fn from_ordinal(ordinal: u64) -> Option<Self> {
-        match ordinal {
-            1 => Some(RejectReason::Malformed),
-            2 => Some(RejectReason::NotSchedulable),
-            3 => Some(RejectReason::NoCapacity),
-            4 => Some(RejectReason::PoolFull),
-            5 => Some(RejectReason::Degraded),
-            6 => Some(RejectReason::UnknownClient),
-            7 => Some(RejectReason::AlreadyConnected),
-            8 => Some(RejectReason::NotConnected),
-            _ => None,
-        }
-    }
-
     fn label(self) -> &'static str {
         match self {
             RejectReason::Malformed => "malformed",
@@ -219,7 +182,7 @@ impl RejectReason {
     }
 }
 
-/// One typed response frame streamed back to a client.
+/// One typed response returned to a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Response {
@@ -304,23 +267,7 @@ pub enum Response {
 }
 
 impl Response {
-    /// The client this response addresses.
-    pub fn client(&self) -> u32 {
-        match *self {
-            Response::Connected { client, .. }
-            | Response::ConnectRejected { client, .. }
-            | Response::Disconnected { client }
-            | Response::Accepted { client, .. }
-            | Response::Completed { client, .. }
-            | Response::Missed { client, .. }
-            | Response::Rejected { client, .. }
-            | Response::Throttled { client, .. }
-            | Response::Shed { client, .. }
-            | Response::ModeChange { client, .. } => client,
-        }
-    }
-
-    /// Stable wire ordinal for the response kind.
+    /// Stable 1-based ordinal for the response kind.
     pub fn kind_ordinal(&self) -> u8 {
         match self {
             Response::Connected { .. } => 1,
@@ -353,28 +300,6 @@ impl Response {
             9 => "shed",
             10 => "mode-change",
             _ => "unknown",
-        }
-    }
-
-    /// The `(a, b)` argument pair carried on the wire for this kind.
-    fn args(&self) -> (u64, u64) {
-        match *self {
-            Response::Connected { shard, .. } => (u64::from(shard), 0),
-            Response::ConnectRejected { reason, .. } => (reason.ordinal(), 0),
-            Response::Disconnected { .. } => (0, 0),
-            Response::Accepted { task_id, .. } => (task_id, 0),
-            Response::Completed {
-                task_id, latency, ..
-            } => (task_id, latency),
-            Response::Missed {
-                task_id, critical, ..
-            } => (task_id, u64::from(critical)),
-            Response::Rejected {
-                task_id, reason, ..
-            } => (task_id, reason.ordinal()),
-            Response::Throttled { task_id, until, .. } => (task_id, until),
-            Response::Shed { task_id, .. } => (task_id, 0),
-            Response::ModeChange { shard, mode, .. } => (u64::from(shard), u64::from(mode)),
         }
     }
 }
@@ -557,83 +482,6 @@ pub fn decode_stream(buf: &mut Bytes) -> (Vec<Request>, Option<WireError>) {
     (out, None)
 }
 
-/// Encodes `resp` onto `out` as a fixed [`RESP_LEN`]-byte frame.
-pub fn encode_response(resp: &Response, out: &mut BytesMut) {
-    let (a, b) = resp.args();
-    out.put_u16_le(RESP_MAGIC);
-    out.put_u8(WIRE_VERSION);
-    out.put_u8(resp.kind_ordinal());
-    out.put_u32_le(resp.client());
-    out.put_u64_le(a);
-    out.put_u64_le(b);
-}
-
-/// Decodes one response frame off the front of `buf`. Transactional
-/// like [`decode_request`]: failures leave `buf` untouched.
-pub fn decode_response(buf: &mut Bytes) -> Result<Response, WireError> {
-    let have = buf.remaining();
-    if have < RESP_LEN {
-        return Err(WireError::Truncated {
-            need: RESP_LEN,
-            have,
-        });
-    }
-    let mut peek = buf.clone();
-    let magic = peek.get_u16_le();
-    if magic != RESP_MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    let version = peek.get_u8();
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion { found: version });
-    }
-    let kind = peek.get_u8();
-    let client = peek.get_u32_le();
-    let a = peek.get_u64_le();
-    let b = peek.get_u64_le();
-    let shard = u32::try_from(a).unwrap_or(u32::MAX);
-    let resp = match kind {
-        1 => Response::Connected { client, shard },
-        2 => Response::ConnectRejected {
-            client,
-            reason: RejectReason::from_ordinal(a)
-                .ok_or(WireError::BadResponseKind { found: kind })?,
-        },
-        3 => Response::Disconnected { client },
-        4 => Response::Accepted { client, task_id: a },
-        5 => Response::Completed {
-            client,
-            task_id: a,
-            latency: b,
-        },
-        6 => Response::Missed {
-            client,
-            task_id: a,
-            critical: b != 0,
-        },
-        7 => Response::Rejected {
-            client,
-            task_id: a,
-            reason: RejectReason::from_ordinal(b)
-                .ok_or(WireError::BadResponseKind { found: kind })?,
-        },
-        8 => Response::Throttled {
-            client,
-            task_id: a,
-            until: b,
-        },
-        9 => Response::Shed { client, task_id: a },
-        10 => Response::ModeChange {
-            client,
-            shard,
-            mode: u32::try_from(b).unwrap_or(u32::MAX),
-        },
-        other => return Err(WireError::BadResponseKind { found: other }),
-    };
-    buf.advance(RESP_LEN);
-    Ok(resp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,62 +524,6 @@ mod tests {
             Err(WireError::BadMagic { found: 0 })
         );
         assert_eq!(bad, before);
-    }
-
-    #[test]
-    fn response_round_trip_all_kinds() {
-        let kinds = [
-            Response::Connected {
-                client: 1,
-                shard: 2,
-            },
-            Response::ConnectRejected {
-                client: 1,
-                reason: RejectReason::NoCapacity,
-            },
-            Response::Disconnected { client: 1 },
-            Response::Accepted {
-                client: 1,
-                task_id: 5,
-            },
-            Response::Completed {
-                client: 1,
-                task_id: 5,
-                latency: 9,
-            },
-            Response::Missed {
-                client: 1,
-                task_id: 5,
-                critical: true,
-            },
-            Response::Rejected {
-                client: 1,
-                task_id: 5,
-                reason: RejectReason::PoolFull,
-            },
-            Response::Throttled {
-                client: 1,
-                task_id: 5,
-                until: 64,
-            },
-            Response::Shed {
-                client: 1,
-                task_id: 5,
-            },
-            Response::ModeChange {
-                client: 1,
-                shard: 0,
-                mode: 2,
-            },
-        ];
-        for resp in kinds {
-            let mut out = BytesMut::new();
-            encode_response(&resp, &mut out);
-            let mut frame = out.freeze();
-            assert_eq!(frame.len(), RESP_LEN);
-            assert_eq!(decode_response(&mut frame).unwrap(), resp);
-            assert!(frame.is_empty());
-        }
     }
 
     #[test]

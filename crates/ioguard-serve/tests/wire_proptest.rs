@@ -1,12 +1,12 @@
-//! Property tests for the serving wire codec (ISSUE 10 satellite):
-//! encode/decode round trips for every request and response shape, plus
-//! byte-soup fuzzing proving the decoder returns **typed** errors —
-//! never panics, never consumes a partial frame.
+//! Property tests for the serving request codec: encode/decode round
+//! trips for every request shape, plus byte-soup fuzzing proving the
+//! decoder returns **typed** errors — never panics, never consumes a
+//! partial frame.
 
 use bytes::{Buf, Bytes, BytesMut};
 use ioguard_serve::wire::{
-    decode_request, decode_response, decode_stream, encode_request, encode_request_frame,
-    encode_response, RejectReason, Request, Response, WireError, MAX_PAYLOAD,
+    decode_request, decode_stream, encode_request, encode_request_frame, Request, WireError,
+    MAX_PAYLOAD,
 };
 use proptest::prelude::*;
 
@@ -31,65 +31,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
                 payload: Bytes::from(payload),
             },
         )
-}
-
-fn arb_reason() -> impl Strategy<Value = RejectReason> {
-    prop_oneof![
-        Just(RejectReason::Malformed),
-        Just(RejectReason::NotSchedulable),
-        Just(RejectReason::NoCapacity),
-        Just(RejectReason::PoolFull),
-        Just(RejectReason::Degraded),
-        Just(RejectReason::UnknownClient),
-        Just(RejectReason::AlreadyConnected),
-        Just(RejectReason::NotConnected),
-    ]
-}
-
-fn arb_response() -> impl Strategy<Value = Response> {
-    let client = any::<u32>;
-    prop_oneof![
-        (client(), any::<u32>()).prop_map(|(client, shard)| Response::Connected { client, shard }),
-        (client(), arb_reason())
-            .prop_map(|(client, reason)| Response::ConnectRejected { client, reason }),
-        client().prop_map(|client| Response::Disconnected { client }),
-        (client(), any::<u64>())
-            .prop_map(|(client, task_id)| Response::Accepted { client, task_id }),
-        (client(), any::<u64>(), any::<u64>()).prop_map(|(client, task_id, latency)| {
-            Response::Completed {
-                client,
-                task_id,
-                latency,
-            }
-        }),
-        (client(), any::<u64>(), any::<bool>()).prop_map(|(client, task_id, critical)| {
-            Response::Missed {
-                client,
-                task_id,
-                critical,
-            }
-        }),
-        (client(), any::<u64>(), arb_reason()).prop_map(|(client, task_id, reason)| {
-            Response::Rejected {
-                client,
-                task_id,
-                reason,
-            }
-        }),
-        (client(), any::<u64>(), any::<u64>()).prop_map(|(client, task_id, until)| {
-            Response::Throttled {
-                client,
-                task_id,
-                until,
-            }
-        }),
-        (client(), any::<u64>()).prop_map(|(client, task_id)| Response::Shed { client, task_id }),
-        (client(), any::<u32>(), 0u32..3).prop_map(|(client, shard, mode)| Response::ModeChange {
-            client,
-            shard,
-            mode,
-        }),
-    ]
 }
 
 proptest! {
@@ -153,17 +94,6 @@ proptest! {
             }
             other => prop_assert!(false, "cut at {cut}/{len} gave {other:?}"),
         }
-    }
-
-    /// Response frames round-trip for every kind.
-    #[test]
-    fn response_round_trips(resp in arb_response()) {
-        let mut wire = BytesMut::new();
-        encode_response(&resp, &mut wire);
-        let mut buf = wire.freeze();
-        let back = decode_response(&mut buf).expect("own frame decodes");
-        prop_assert_eq!(back, resp);
-        prop_assert_eq!(buf.remaining(), 0);
     }
 
     /// Oversized payloads are refused at encode time with a typed error

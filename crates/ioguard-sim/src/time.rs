@@ -75,12 +75,6 @@ macro_rules! time_newtype {
             pub fn min(self, other: Self) -> Self {
                 Self(self.0.min(other.0))
             }
-
-            /// True when this is the zero instant.
-            #[inline]
-            pub const fn is_zero(self) -> bool {
-                self.0 == 0
-            }
         }
 
         impl fmt::Display for $name {
@@ -201,8 +195,6 @@ mod tests {
         assert!(Cycles::ZERO < Cycles::new(1));
         assert!(Cycles::new(1) < Cycles::MAX);
         assert_eq!(Cycles::ZERO, Cycles::default());
-        assert!(Cycles::ZERO.is_zero());
-        assert!(!Cycles::new(3).is_zero());
     }
 
     #[test]

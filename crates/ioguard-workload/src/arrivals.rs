@@ -81,7 +81,6 @@ pub enum FleetEvent {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetArrivals {
-    config: FleetArrivalConfig,
     events: Vec<FleetEvent>,
 }
 
@@ -135,10 +134,7 @@ impl FleetArrivals {
                 events.push(FleetEvent::Arrive { vm, server, tasks });
             }
         }
-        Self {
-            config: *config,
-            events,
-        }
+        Self { events }
     }
 
     /// 1–3 sporadic tasks sized against the server: `T ∈ {8Π, 16Π}` (well
@@ -167,11 +163,6 @@ impl FleetArrivals {
             tasks.push(SporadicTask::new(period, wcet, deadline).expect("C ≤ D ≤ T"));
         }
         tasks
-    }
-
-    /// The config this stream was generated from.
-    pub fn config(&self) -> &FleetArrivalConfig {
-        &self.config
     }
 
     /// The event stream in order.

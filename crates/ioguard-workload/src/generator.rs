@@ -179,11 +179,6 @@ impl TrialWorkload {
         sets
     }
 
-    /// Tasks of one VM with their metadata.
-    pub fn vm_tasks(&self, vm: usize) -> impl Iterator<Item = &TrialTask> {
-        self.tasks.iter().filter(move |t| t.vm == vm)
-    }
-
     /// Splits the tasks into (pre-defined, run-time) groups for an
     /// `I/O-GUARD-x` configuration: `preload_fraction` of the tasks go to
     /// the P-channel, the rest to the R-channel.
@@ -295,8 +290,6 @@ mod tests {
         let w = TrialWorkload::generate(&TrialConfig::new(4, 0.8, 3));
         let total: usize = w.vm_task_sets().iter().map(|s| s.len()).sum();
         assert_eq!(total, w.tasks().len());
-        let via_iter: usize = (0..4).map(|vm| w.vm_tasks(vm).count()).sum();
-        assert_eq!(via_iter, w.tasks().len());
     }
 
     #[test]

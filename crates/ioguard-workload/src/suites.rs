@@ -196,15 +196,6 @@ const fn spec(
     }
 }
 
-/// Total nominal utilization of the 40-task base suite.
-pub fn base_suite_utilization() -> f64 {
-    SAFETY_TASKS
-        .iter()
-        .chain(FUNCTION_TASKS.iter())
-        .map(TaskSpec::utilization)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +228,11 @@ mod tests {
     #[test]
     fn base_suite_is_about_forty_percent() {
         // "…with overall system utilization approximately 40%."
-        let u = base_suite_utilization();
+        let u: f64 = SAFETY_TASKS
+            .iter()
+            .chain(FUNCTION_TASKS.iter())
+            .map(TaskSpec::utilization)
+            .sum();
         assert!((0.37..=0.43).contains(&u), "base utilization {u:.3}");
     }
 
