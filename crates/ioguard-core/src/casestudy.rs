@@ -33,6 +33,10 @@ use ioguard_workload::suites::SLOT_MICROS;
 /// every system under test.
 const ACTUAL_EXEC_MIN: f64 = 0.90;
 
+/// Period of the server-isolated ablation's equal-share servers, in slots:
+/// the fastest task period, so every pre-loaded period is a multiple of it.
+const ISOLATION_SERVER_PERIOD: u64 = 100;
+
 /// Which system a trial drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemUnderTest {
@@ -126,15 +130,15 @@ pub fn run_trial(
         }
         SystemUnderTest::IoGuardServerIsolated { preload_pct } => {
             let (pre, _) = workload.split_preload(preload_pct as f64 / 100.0);
-            // Equal-share servers over the expected free fraction: period
-            // 100 slots (the fastest task period), budget split evenly with
-            // a small safety margin.
+            // Equal-share servers over the expected free fraction, budget
+            // split evenly with a small safety margin.
             let free = (1.0 - pre.iter().map(|t| t.task.utilization()).sum::<f64>()).max(0.05);
-            let budget = ((free * 100.0 / vms as f64).floor() as u64).max(1);
+            let period = ISOLATION_SERVER_PERIOD;
+            let budget = ((free * period as f64 / vms as f64).floor() as u64).max(1);
             let servers = (0..vms)
                 .map(|_| {
-                    ioguard_sched::task::PeriodicServer::new(100, budget.min(100))
-                        .expect("1 ≤ budget ≤ 100")
+                    ioguard_sched::task::PeriodicServer::new(period, budget.min(period))
+                        .expect("1 ≤ budget ≤ period")
                 })
                 .collect();
             (
@@ -535,6 +539,45 @@ mod tests {
             horizon_slots: 8_000,
         }
         .run()
+    }
+
+    /// Every configuration the sweep builds fits the hypervisor's I/O
+    /// pools (constrained deadlines bound in-flight jobs to one per task),
+    /// and every pre-loaded period is a multiple of the server-isolated
+    /// ablation's server period — on the sweep's own trial workloads.
+    #[test]
+    fn fig7_configs_fit_their_pools_and_server_period() {
+        use ioguard_hypervisor::hypervisor::DEFAULT_POOL_CAPACITY;
+
+        let config = CaseStudyConfig::paper_shape(25);
+        let root = SplitMix64::new(config.seed);
+        for &vms in &config.vm_groups {
+            for &u in &config.utilizations {
+                for t in 0..config.trials {
+                    let workload =
+                        TrialWorkload::generate(&TrialConfig::new(vms, u, root.derive(t + 1)));
+                    for preload_pct in [40u8, 70] {
+                        let (pre, rest) = workload.split_preload(preload_pct as f64 / 100.0);
+                        for vm in 0..vms {
+                            let tasks = rest.iter().filter(|t| t.vm == vm).count();
+                            assert!(
+                                tasks <= DEFAULT_POOL_CAPACITY,
+                                "{vms} VMs, U {u:.2}, trial {t}, preload {preload_pct}%: \
+                                 vm {vm} has {tasks} run-time tasks"
+                            );
+                        }
+                        for task in &pre {
+                            assert!(
+                                task.task.period().is_multiple_of(ISOLATION_SERVER_PERIOD),
+                                "{vms} VMs, U {u:.2}, trial {t}: pre-loaded `{}` has period {}",
+                                task.name,
+                                task.task.period()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The `ioguard-repro` command line refuses what it cannot parse: a bad
-//! flag value exits non-zero with the usage instead of silently running
-//! the default.
+//! The `ioguard-repro` and `trace-export` command lines refuse what they
+//! cannot parse: a bad flag value or seed exits non-zero with the usage
+//! instead of silently running the default or panicking.
 
 use std::process::Command;
 
@@ -29,4 +29,33 @@ fn missing_flag_values_fail() {
     ] {
         assert!(!repro(args).status.success(), "{args:?} must fail");
     }
+}
+
+#[test]
+fn unparsable_seed_fails_with_the_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_trace-export"))
+        .arg("abc")
+        .output()
+        .expect("trace-export runs");
+    assert!(!out.status.success(), "trace-export abc must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("usage: trace-export [seed] [output-path]"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing runs on a bad seed");
+}
+
+#[test]
+fn unwritable_output_fails_without_a_panic() {
+    // A directory is never writable as a file.
+    let out = Command::new(env!("CARGO_BIN_EXE_trace-export"))
+        .args(["7", env!("CARGO_MANIFEST_DIR")])
+        .output()
+        .expect("trace-export runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }

@@ -9,31 +9,18 @@
 //! The driver is generic over [`NocFabric`], so the exact same fault
 //! stimulus can be replayed against the event-driven `Network` and the
 //! retained reference stepper (the workspace differential tests do exactly
-//! that). Its window boundaries are also the fabric's *activity horizon*:
-//! between two edges the fault state cannot change, so [`
-//! NocFaultDriver::drive`] lets the event-driven core fast-forward across
-//! the whole gap with `run_for` instead of spinning idle cycles. The
-//! horizon is refined further by [`NocFaultDriver::next_change_edge`]:
-//! windows whose absolute fault verdicts match their predecessor's are
-//! skipped entirely.
+//! that).
 
 use ioguard_noc::error::NocError;
-use ioguard_noc::network::{Delivery, NocFabric};
+use ioguard_noc::network::NocFabric;
 use ioguard_noc::packet::{Packet, PacketKind};
-use ioguard_noc::topology::{Direction, Mesh};
+use ioguard_noc::topology::Direction;
 
 use crate::plan::{tags, FaultPlan};
 
 /// Packet-id base for junk traffic injected by congestion bursts, far above
 /// any id a workload generator assigns.
 const BURST_ID_BASE: u64 = 1 << 48;
-
-/// Lookahead bound for [`NocFaultDriver::next_change_edge`]: how many
-/// windows ahead the driver inspects the plan before giving up and
-/// returning a conservative (window-aligned) edge. Bounds the cost of the
-/// edge query on near-quiet plans while still letting sparse fault
-/// schedules fast-forward across long uneventful stretches.
-const EDGE_SCAN_WINDOWS: u64 = 64;
 
 /// Link-numbering order used by [`NocFaultDriver::apply`]: link
 /// `idx * 4 + d` is node `idx`'s output in `LINK_DIRS[d]`.
@@ -89,53 +76,6 @@ impl NocFaultDriver {
         (cycle / self.window_cycles + 1).saturating_mul(self.window_cycles)
     }
 
-    /// True when [`NocFaultDriver::apply`] at `window` would do anything at
-    /// all relative to `window - 1`: some link's up/down verdict flips, or
-    /// a congestion burst fires. Pure plan arithmetic — no fabric state is
-    /// consulted.
-    fn window_state_changes(&self, window: u64, mesh: Mesh) -> bool {
-        let links = mesh.nodes() as u64 * 4;
-        for k in 0..links {
-            let rate = self.plan.link_down_rate;
-            if self.plan.chance(tags::LINK, k, window, rate)
-                != self.plan.chance(tags::LINK, k, window - 1, rate)
-            {
-                return true;
-            }
-        }
-        self.plan
-            .chance(tags::BURST, window, 0, self.plan.burst_rate)
-    }
-
-    /// First cycle after `cycle` at which applying this driver can actually
-    /// change fabric state: a link flips up/down or a burst fires. Always
-    /// `>= next_window_edge(cycle)` — windows whose absolute link verdicts
-    /// match their predecessor's and that fire no burst are skipped, so a
-    /// sparse fault schedule lets the event-driven core fast-forward far
-    /// beyond the next window boundary. Lookahead is bounded by
-    /// [`EDGE_SCAN_WINDOWS`]; past the bound a conservative window-aligned
-    /// edge is returned (sound, just not maximally far). Returns `u64::MAX`
-    /// for quiet plans.
-    pub fn next_change_edge(&self, cycle: u64, mesh: Mesh) -> u64 {
-        if self.plan.link_down_rate <= 0.0 && self.plan.burst_rate <= 0.0 {
-            // A quiet plan never changes fabric state at any window edge.
-            return u64::MAX;
-        }
-        let window = cycle / self.window_cycles;
-        let horizon = window.saturating_add(EDGE_SCAN_WINDOWS);
-        let mut w = window;
-        while w < horizon {
-            w += 1;
-            if self.window_state_changes(w, mesh) {
-                return w.saturating_mul(self.window_cycles);
-            }
-        }
-        // Windows `window ..= horizon` are all no-ops relative to their
-        // predecessors, so state is provably constant until the start of
-        // `horizon + 1` — the earliest unexamined edge.
-        horizon.saturating_add(1).saturating_mul(self.window_cycles)
-    }
-
     /// Marks a just-injected packet per the plan (drop wins over corrupt).
     ///
     /// # Errors
@@ -168,8 +108,7 @@ impl NocFaultDriver {
         self.applied_window = Some(window);
         let mesh = net.mesh();
         // Link state: link k is down in this window iff the plan says so —
-        // absolute, not incremental, so a late-joining driver agrees (and
-        // `drive` may skip arbitrarily many no-op windows in between).
+        // absolute, not incremental, so a late-joining driver agrees.
         let mut link = 0u64;
         for idx in 0..mesh.nodes() {
             let node = mesh.node_at(idx);
@@ -204,36 +143,6 @@ impl NocFaultDriver {
             }
         }
         Ok(())
-    }
-
-    /// Advances the fabric to absolute cycle `until_cycle` under this
-    /// driver's faults, appending deliveries to `out`. Fault state only
-    /// changes on *change* edges ([`NocFaultDriver::next_change_edge`]), so
-    /// between edges the fabric is handed the whole gap at once via
-    /// [`NocFabric::run_for`] — the event-driven core then skips quiescent
-    /// stretches and batches uncontended traversals, while the reference
-    /// stepper grinds through every cycle, and both land on the exact same
-    /// state. Skipping no-op windows is sound because [`NocFaultDriver::
-    /// apply`]'s link state is absolute per window, not incremental.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabric errors from fault application.
-    pub fn drive<N: NocFabric>(
-        &mut self,
-        net: &mut N,
-        until_cycle: u64,
-        out: &mut Vec<Delivery>,
-    ) -> Result<(), NocError> {
-        loop {
-            let now = net.now().raw();
-            if now >= until_cycle {
-                return Ok(());
-            }
-            self.apply(net, now)?;
-            let edge = self.next_change_edge(now, net.mesh()).min(until_cycle);
-            net.run_for(edge - now, out);
-        }
     }
 }
 
@@ -305,96 +214,6 @@ mod tests {
         assert_eq!(driver.next_window_edge(127), 128);
         assert_eq!(driver.next_window_edge(128), 256);
         assert_eq!(driver.next_window_edge(300), 384);
-    }
-
-    #[test]
-    fn change_edges_skip_quiet_windows() {
-        let mesh = Mesh::new(4, 4);
-        // A quiet plan never changes anything: the edge is the far future.
-        let quiet = NocFaultDriver::new(FaultPlan::new(1), 128);
-        assert_eq!(quiet.next_change_edge(0, mesh), u64::MAX);
-
-        // A sparse plan's change edges are window-aligned, strictly ahead,
-        // and never earlier than the plain window edge.
-        let mut plan = FaultPlan::new(17);
-        plan.link_down_rate = 0.01;
-        plan.burst_rate = 0.02;
-        let driver = NocFaultDriver::new(plan, 64);
-        let mut skipped_any = false;
-        for cycle in (0..20_000).step_by(613) {
-            let edge = driver.next_change_edge(cycle, mesh);
-            assert!(edge > cycle);
-            assert_eq!(edge % 64, 0, "change edges are window starts");
-            assert!(edge >= driver.next_window_edge(cycle));
-            skipped_any |= edge > driver.next_window_edge(cycle);
-            // Soundness: every window strictly between `cycle`'s and the
-            // edge is a no-op relative to its predecessor.
-            for w in cycle / 64 + 1..edge / 64 {
-                assert!(
-                    !driver.window_state_changes(w, mesh),
-                    "window {w} skipped but active"
-                );
-            }
-        }
-        assert!(skipped_any, "1-2% rates must leave skippable windows");
-    }
-
-    #[test]
-    fn drive_with_sparse_faults_matches_stepping() {
-        // Rates low enough that `drive` skips most windows via the change
-        // edge; the result must still equal the per-cycle apply/step loop.
-        let mut plan = FaultPlan::new(41);
-        plan.link_down_rate = 0.02;
-        plan.burst_rate = 0.05;
-        plan.burst_packets = 2;
-        let horizon = 4_000u64;
-
-        let mut jumped = quiet_net();
-        let mut jumped_out = Vec::new();
-        let mut d1 = NocFaultDriver::new(plan.clone(), 32);
-        d1.drive(&mut jumped, horizon, &mut jumped_out).unwrap();
-
-        let mut stepped = quiet_net();
-        let mut stepped_out = Vec::new();
-        let mut d2 = NocFaultDriver::new(plan, 32);
-        for cycle in 0..horizon {
-            d2.apply(&mut stepped, cycle).unwrap();
-            stepped.step_into(&mut stepped_out);
-        }
-
-        assert_eq!(jumped.now(), stepped.now());
-        assert_eq!(jumped_out, stepped_out);
-        assert_eq!(jumped.stats(), stepped.stats());
-        assert_eq!(jumped.failed_link_count(), stepped.failed_link_count());
-    }
-
-    #[test]
-    fn drive_matches_per_cycle_apply_and_step() {
-        // Driving window-by-window (with `run_for` jumps) must land on the
-        // same fabric state as the cycle-by-cycle apply/step loop.
-        let mut plan = FaultPlan::new(23);
-        plan.link_down_rate = 0.2;
-        plan.burst_rate = 0.4;
-        plan.burst_packets = 2;
-        let horizon = 1000u64;
-
-        let mut jumped = quiet_net();
-        let mut jumped_out = Vec::new();
-        let mut d1 = NocFaultDriver::new(plan.clone(), 64);
-        d1.drive(&mut jumped, horizon, &mut jumped_out).unwrap();
-
-        let mut stepped = quiet_net();
-        let mut stepped_out = Vec::new();
-        let mut d2 = NocFaultDriver::new(plan, 64);
-        for cycle in 0..horizon {
-            d2.apply(&mut stepped, cycle).unwrap();
-            stepped.step_into(&mut stepped_out);
-        }
-
-        assert_eq!(jumped.now(), stepped.now());
-        assert_eq!(jumped_out, stepped_out);
-        assert_eq!(jumped.stats(), stepped.stats());
-        assert_eq!(jumped.failed_link_count(), stepped.failed_link_count());
     }
 
     #[test]

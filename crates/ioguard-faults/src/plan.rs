@@ -8,13 +8,7 @@
 //! sequential RNG state — so outcomes are bit-identical at any thread
 //! count and any evaluation order.
 
-use std::fmt;
-
 use ioguard_sim::rng::SplitMix64;
-
-/// Upper bound accepted for [`FaultPlan::retry_budget`]: retries must stay
-/// bounded for the watchdog's worst-case recovery latency to be bounded.
-pub const MAX_RETRY_BUDGET: u32 = 16;
 
 /// A deterministic fault plan.
 ///
@@ -24,7 +18,6 @@ pub const MAX_RETRY_BUDGET: u32 = 16;
 /// use ioguard_faults::plan::FaultPlan;
 ///
 /// let plan = FaultPlan::new(42).with_drop_rate(0.1);
-/// plan.validate().expect("well-formed");
 /// // Decisions are pure: same coordinates, same verdict, in any order.
 /// assert_eq!(plan.chance(1, 7, 0, 0.1), plan.chance(1, 7, 0, 0.1));
 /// ```
@@ -106,47 +99,6 @@ impl FaultPlan {
         self
     }
 
-    /// Checks the plan's static constraints. Returns every violation, so a
-    /// fixture with several problems reports them all at once.
-    ///
-    /// # Errors
-    ///
-    /// One message per violated constraint: each rate must lie in `[0, 1]`
-    /// (and be finite), the retry budget must not exceed
-    /// [`MAX_RETRY_BUDGET`], and burst/stall lengths must be positive.
-    pub fn validate(&self) -> Result<(), Vec<String>> {
-        let mut errors = Vec::new();
-        for (name, rate) in [
-            ("link_down_rate", self.link_down_rate),
-            ("drop_rate", self.drop_rate),
-            ("corrupt_rate", self.corrupt_rate),
-            ("burst_rate", self.burst_rate),
-            ("device_stall_rate", self.device_stall_rate),
-            ("malformed_rate", self.malformed_rate),
-        ] {
-            if !(0.0..=1.0).contains(&rate) {
-                errors.push(format!("{name} = {rate} outside [0, 1]"));
-            }
-        }
-        if self.retry_budget > MAX_RETRY_BUDGET {
-            errors.push(format!(
-                "retry_budget = {} exceeds bound {MAX_RETRY_BUDGET}",
-                self.retry_budget
-            ));
-        }
-        if self.burst_packets == 0 {
-            errors.push("burst_packets must be positive".into());
-        }
-        if self.device_stall_slots == 0 {
-            errors.push("device_stall_slots must be positive".into());
-        }
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(errors)
-        }
-    }
-
     /// A well-mixed 64-bit decision word for the event at coordinates
     /// `(tag, a, b)`. Pure: depends only on the plan seed and the
     /// coordinates, so any thread can evaluate any event in any order.
@@ -167,51 +119,6 @@ impl FaultPlan {
         // 53-bit mantissa comparison: uniform in [0, 1).
         let u = (self.decision(tag, a, b) >> 11) as f64 / (1u64 << 53) as f64;
         u < rate
-    }
-
-    /// Parses the textual `.fault` fixture format: `key = value` lines,
-    /// `#` comments, unknown keys rejected.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the offending line for syntax errors, unknown keys
-    /// or unparsable values.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut plan = FaultPlan::new(0);
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("line {}: expected `key = value`", lineno + 1));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |e: &dyn fmt::Display| format!("line {}: {key}: {e}", lineno + 1);
-            match key {
-                "seed" => plan.seed = value.parse().map_err(|e| bad(&e))?,
-                "link_down_rate" => plan.link_down_rate = value.parse().map_err(|e| bad(&e))?,
-                "drop_rate" => plan.drop_rate = value.parse().map_err(|e| bad(&e))?,
-                "corrupt_rate" => plan.corrupt_rate = value.parse().map_err(|e| bad(&e))?,
-                "burst_rate" => plan.burst_rate = value.parse().map_err(|e| bad(&e))?,
-                "burst_packets" => plan.burst_packets = value.parse().map_err(|e| bad(&e))?,
-                "device_stall_rate" => {
-                    plan.device_stall_rate = value.parse().map_err(|e| bad(&e))?;
-                }
-                "device_stall_slots" => {
-                    plan.device_stall_slots = value.parse().map_err(|e| bad(&e))?;
-                }
-                "retry_budget" => plan.retry_budget = value.parse().map_err(|e| bad(&e))?,
-                "adversary" => plan.adversary = Some(value.parse().map_err(|e| bad(&e))?),
-                "adversary_flood" => {
-                    plan.adversary_flood = value.parse().map_err(|e| bad(&e))?;
-                }
-                "wcet_overrun" => plan.wcet_overrun = value.parse().map_err(|e| bad(&e))?,
-                "malformed_rate" => plan.malformed_rate = value.parse().map_err(|e| bad(&e))?,
-                other => return Err(format!("line {}: unknown key `{other}`", lineno + 1)),
-            }
-        }
-        Ok(plan)
     }
 }
 
@@ -239,9 +146,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quiet_plan_validates_and_decides_nothing() {
+    fn quiet_plan_decides_nothing() {
         let plan = FaultPlan::new(7);
-        plan.validate().unwrap();
         assert!(!plan.chance(tags::DROP, 1, 0, plan.drop_rate));
     }
 
@@ -276,45 +182,5 @@ mod tests {
             .filter(|&i| plan.chance(tags::CORRUPT, i, 0, 0.2))
             .count();
         assert!((1_600..2_400).contains(&hits), "{hits} hits for p=0.2");
-    }
-
-    #[test]
-    fn validate_rejects_bad_rates_and_budget() {
-        let mut plan = FaultPlan::new(0);
-        plan.drop_rate = 1.5;
-        plan.retry_budget = 99;
-        plan.burst_packets = 0;
-        let errors = plan.validate().unwrap_err();
-        assert_eq!(errors.len(), 3, "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("drop_rate")));
-        assert!(errors.iter().any(|e| e.contains("retry_budget")));
-        plan.drop_rate = f64::NAN;
-        assert!(plan.validate().is_err(), "NaN rate rejected");
-    }
-
-    #[test]
-    fn parse_round_trips_the_fixture_format() {
-        let text = "\
-# chaos plan
-seed = 42
-drop_rate = 0.05   # five percent
-corrupt_rate = 0.01
-adversary = 2
-adversary_flood = 8
-retry_budget = 3
-";
-        let plan = FaultPlan::parse(text).unwrap();
-        assert_eq!(plan.seed, 42);
-        assert_eq!(plan.drop_rate, 0.05);
-        assert_eq!(plan.adversary, Some(2));
-        assert_eq!(plan.adversary_flood, 8);
-        plan.validate().unwrap();
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(FaultPlan::parse("nonsense").is_err());
-        assert!(FaultPlan::parse("unknown_key = 1").is_err());
-        assert!(FaultPlan::parse("seed = banana").is_err());
     }
 }

@@ -87,16 +87,6 @@ impl DriverKind {
         DriverKind::Ethernet,
         DriverKind::FlexRay,
     ];
-
-    /// Display label.
-    pub const fn label(self) -> &'static str {
-        match self {
-            DriverKind::Spi => "SPI",
-            DriverKind::I2c => "I2C",
-            DriverKind::Ethernet => "Ethernet",
-            DriverKind::FlexRay => "FlexRay",
-        }
-    }
 }
 
 /// Footprint inventory of one system.
@@ -305,6 +295,5 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(SystemKind::IoGuard.label(), "I/O-GUARD");
-        assert_eq!(DriverKind::Ethernet.label(), "Ethernet");
     }
 }

@@ -128,11 +128,6 @@ pub mod prim {
         ResourceCost::logic(width / 4, 2)
     }
 
-    /// A `width`-bit register stage.
-    pub const fn register(width: u64) -> ResourceCost {
-        ResourceCost::logic(0, width)
-    }
-
     /// An `n`-to-1 multiplexer over `width`-bit values.
     pub const fn mux(n: u64, width: u64) -> ResourceCost {
         ResourceCost::logic(n * width / 8, 0)
@@ -203,8 +198,6 @@ mod tests {
     #[test]
     fn primitive_costs_scale_with_width() {
         assert!(prim::comparator(64).luts > prim::comparator(16).luts);
-        assert_eq!(prim::register(32).registers, 32);
-        assert_eq!(prim::register(32).luts, 0);
         assert!(prim::mux(8, 32).luts > prim::mux(2, 32).luts);
         assert!(prim::fsm(8).luts > prim::fsm(2).luts);
         let bank = prim::bank(128);

@@ -51,16 +51,6 @@ impl IoProtocol {
             IoProtocol::FlexRay => 254,
         }
     }
-
-    /// Display label.
-    pub const fn label(self) -> &'static str {
-        match self {
-            IoProtocol::Spi => "SPI",
-            IoProtocol::I2c => "I2C",
-            IoProtocol::Ethernet => "Ethernet",
-            IoProtocol::FlexRay => "FlexRay",
-        }
-    }
 }
 
 /// The translator pair: bounded worst-case translation latency per I/O
@@ -358,14 +348,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_slot_length_panics() {
         let _ = IoController::new(IoProtocol::Spi).service_slots(1, 0);
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(IoProtocol::Ethernet.label(), "Ethernet");
-        assert_eq!(IoProtocol::FlexRay.label(), "FlexRay");
-        assert_eq!(IoProtocol::Spi.label(), "SPI");
-        assert_eq!(IoProtocol::I2c.label(), "I2C");
     }
 
     #[test]

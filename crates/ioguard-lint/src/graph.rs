@@ -1,4 +1,4 @@
-//! Layer 1.5 — the interprocedural concurrency model.
+//! The interprocedural concurrency pass.
 //!
 //! One place in the workspace shares memory across threads: the
 //! work-stealing engine (`ioguard-core::engine`: mutex-guarded per-worker

@@ -1,18 +1,17 @@
 //! The `ioguard-lint` CLI.
 //!
 //! ```text
-//! cargo run -p ioguard-lint -- check                 # workspace + Fig. 7 models
+//! cargo run -p ioguard-lint -- check                 # every crate under crates/
 //! cargo run -p ioguard-lint -- check --root <dir>    # explicit workspace root
 //! cargo run -p ioguard-lint -- check --json          # one JSON object per line
-//! cargo run -p ioguard-lint -- check --threads 8     # engine-parallel scan
-//! cargo run -p ioguard-lint -- check a.rs b.model    # fixture mode: all rules
+//! cargo run -p ioguard-lint -- check a.rs b.rs       # fixture mode: all rules
 //! ```
 //!
-//! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
-//! `--json` prints violations to stdout with a stable field order
-//! (`path`, `line`, `rule`, `message`), one per line, and suppresses the
-//! human-readable progress text — byte-identical across runs at any
-//! `--threads` value.
+//! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error
+//! (including a path that is not a `.rs` file). `--json` prints violations
+//! to stdout with a stable field order (`path`, `line`, `rule`, `message`),
+//! one per line, and suppresses the human-readable progress text —
+//! byte-identical across runs.
 
 #![forbid(unsafe_code)]
 
@@ -54,27 +53,17 @@ fn run(args: &[String]) -> Result<Vec<Violation>, String> {
     match it.next().map(String::as_str) {
         Some("check") => {}
         Some(other) => return Err(format!("unknown command `{other}` (try `check`)")),
-        None => {
-            return Err(
-                "usage: ioguard-lint check [--root DIR] [--json] [--threads N] [paths…]".into(),
-            )
-        }
+        None => return Err("usage: ioguard-lint check [--root DIR] [--json] [paths…]".into()),
     }
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut json = false;
-    let mut threads = 1usize;
     while let Some(arg) = it.next() {
         if arg == "--root" {
             let dir = it.next().ok_or("--root requires a directory")?;
             root = Some(PathBuf::from(dir));
         } else if arg == "--json" {
             json = true;
-        } else if arg == "--threads" {
-            let n = it.next().ok_or("--threads requires a count")?;
-            threads = n
-                .parse()
-                .map_err(|_| format!("--threads: invalid count `{n}`"))?;
         } else {
             paths.push(PathBuf::from(arg));
         }
@@ -85,18 +74,14 @@ fn run(args: &[String]) -> Result<Vec<Violation>, String> {
         return ioguard_lint::check_paths(&refs);
     }
 
-    // Workspace mode: source lints over crates/, then the Fig. 7 models.
+    // Workspace mode: source lints over every crate under crates/.
     let root = root.unwrap_or_else(default_root);
-    let (mut violations, scanned) = ioguard_lint::check_workspace_threaded(&root, threads)?;
+    let (violations, scanned) = ioguard_lint::check_workspace(&root)?;
     if !json {
         println!(
             "ioguard-lint: scanned {scanned} source files under {}",
             root.join("crates").display()
         );
-    }
-    violations.extend(ioguard_lint::check_fig7()?);
-    if !json {
-        println!("ioguard-lint: verified Fig. 7 experiment configurations");
     }
     Ok(violations)
 }

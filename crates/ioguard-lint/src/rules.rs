@@ -1,4 +1,4 @@
-//! Layer 1: the source-level lint rules and their engine.
+//! The source-level lint rules and their engine.
 //!
 //! Every rule is a deterministic token/line-level check over the stripped
 //! code produced by [`crate::scan`]. Rules are scoped per crate (see
@@ -59,11 +59,11 @@ pub mod rule {
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule identifier (one of [`rule`]'s constants or a model rule).
+    /// Rule identifier (one of [`rule`]'s constants).
     pub rule: &'static str,
-    /// File (or model) the violation was found in.
+    /// File the violation was found in.
     pub path: PathBuf,
-    /// 1-based line, zero for whole-file/model findings.
+    /// 1-based line, zero for whole-file findings.
     pub line: usize,
     /// Human-readable description.
     pub message: String,

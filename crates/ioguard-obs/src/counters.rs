@@ -87,14 +87,6 @@ impl CounterRegistry {
         &self.per_vm
     }
 
-    /// Element-wise absorb of another registry (shorter registries absorb
-    /// only overlapping VMs).
-    pub fn absorb(&mut self, other: &CounterRegistry) {
-        for (mine, theirs) in self.per_vm.iter_mut().zip(other.per_vm.iter()) {
-            mine.absorb(theirs);
-        }
-    }
-
     /// Totals across all VMs.
     pub fn totals(&self) -> VmCounters {
         let mut total = VmCounters::default();
@@ -196,17 +188,5 @@ mod tests {
         assert_eq!(vm2.dropped_best_effort, 3);
         assert_eq!(reg.totals().completed, 1);
         assert_eq!(reg.totals().missed, 2);
-    }
-
-    #[test]
-    fn absorb_is_elementwise() {
-        let mut a = CounterRegistry::new(2);
-        a.fold_event(&ev(ObsKind::Complete, 0, 0));
-        let mut b = CounterRegistry::new(2);
-        b.fold_event(&ev(ObsKind::Complete, 0, 0));
-        b.fold_event(&ev(ObsKind::Retry, 1, 0));
-        a.absorb(&b);
-        assert_eq!(a.vm(0).map(|v| v.completed), Some(2));
-        assert_eq!(a.vm(1).map(|v| v.retries), Some(1));
     }
 }

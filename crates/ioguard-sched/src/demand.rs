@@ -114,11 +114,9 @@ pub fn dbf_tasks(tasks: &TaskSet, t: u64) -> u64 {
 /// `(0, bound]`. A server `(Π, Θ)` steps by `Θ` at every multiple of `Π`;
 /// a task `(T, C, D)` steps by `C` at `D + m·T`.
 ///
-/// Event lists are *mergeable*: [`DemandSweep::merge`] folds any number of
-/// them into the summed sweep the theorem checkers walk, and the
-/// incremental [`crate::ledger::DemandLedger`] applies a single source's
-/// list as a delta against its cached slack envelope — the O(Δ) admission
-/// path.
+/// The incremental [`crate::ledger::DemandLedger`] applies a single
+/// source's list as a delta against its cached slack envelope — the O(Δ)
+/// admission path.
 ///
 /// # Example
 ///
@@ -163,13 +161,6 @@ impl StepEvents {
     /// The event list of `dbf(τ, ·)` (Eq. 9) over `(0, bound]`.
     pub fn task(task: &SporadicTask, bound: u64) -> Self {
         Self::new(task.deadline(), task.period(), task.wcet(), bound)
-    }
-
-    /// `(next, stride, step)` of the unconsumed remainder, or `None` when
-    /// exhausted — the descriptor [`DemandSweep::merge`] seeds its heap
-    /// with.
-    pub fn descriptor(&self) -> Option<(u64, u64, u64)> {
-        self.upcoming.map(|at| (at, self.stride, self.step))
     }
 }
 
@@ -237,27 +228,6 @@ impl DemandSweep {
             tasks.iter().map(|t| (t.deadline(), t.period(), t.wcet())),
             bound,
         )
-    }
-
-    /// Merges per-source [`StepEvents`] lists into one summed sweep over
-    /// `(0, bound]`. Lists whose own bound is tighter than `bound` stay
-    /// clipped at `bound` here; each contributes from its *unconsumed*
-    /// remainder, so partially-iterated lists merge correctly.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ioguard_sched::demand::{DemandSweep, StepEvents};
-    /// use ioguard_sched::task::PeriodicServer;
-    ///
-    /// let servers = [PeriodicServer::new(4, 1)?, PeriodicServer::new(6, 2)?];
-    /// let merged = DemandSweep::merge(servers.iter().map(|s| StepEvents::server(s, 24)), 24);
-    /// let direct = DemandSweep::servers(&servers, 24);
-    /// assert!(merged.eq(direct));
-    /// # Ok::<(), ioguard_sched::SchedError>(())
-    /// ```
-    pub fn merge(events: impl IntoIterator<Item = StepEvents>, bound: u64) -> Self {
-        Self::from_sources(events.into_iter().filter_map(|e| e.descriptor()), bound)
     }
 
     fn from_sources(sources_iter: impl IntoIterator<Item = (u64, u64, u64)>, bound: u64) -> Self {
@@ -549,34 +519,6 @@ mod tests {
         // Out of bound from the start: empty.
         assert_eq!(StepEvents::server(&server(50, 1), 49).count(), 0);
         assert_eq!(StepEvents::new(0, 5, 1, 100).count(), 0);
-    }
-
-    #[test]
-    fn merge_of_event_lists_equals_direct_sweep() {
-        let servers = [server(4, 1), server(6, 2), server(6, 3)];
-        let bound = 48;
-        let merged: Vec<(u64, u64)> =
-            DemandSweep::merge(servers.iter().map(|s| StepEvents::server(s, bound)), bound)
-                .collect();
-        let direct: Vec<(u64, u64)> = DemandSweep::servers(&servers, bound).collect();
-        assert_eq!(merged, direct);
-        let ts: TaskSet = vec![task(10, 2, 6), task(7, 1, 7)].into();
-        let merged: Vec<(u64, u64)> =
-            DemandSweep::merge(ts.iter().map(|t| StepEvents::task(t, 100)), 100).collect();
-        let direct: Vec<(u64, u64)> = DemandSweep::tasks(&ts, 100).collect();
-        assert_eq!(merged, direct);
-    }
-
-    #[test]
-    fn partially_consumed_event_lists_merge_from_their_remainder() {
-        let mut a = StepEvents::server(&server(4, 1), 24);
-        a.next(); // consume (4, 1)
-        let b = StepEvents::server(&server(6, 2), 24);
-        let merged: Vec<(u64, u64)> = DemandSweep::merge([a, b], 24).collect();
-        // First merged point is now 6 (a's remainder starts at 8).
-        assert_eq!(merged.first(), Some(&(6, 2)));
-        let exhausted = StepEvents::server(&server(30, 5), 24);
-        assert_eq!(exhausted.descriptor(), None);
     }
 
     #[test]

@@ -207,14 +207,6 @@ impl TaskSet {
             .max()
             .unwrap_or(0)
     }
-
-    /// Least common multiple of all task periods, or `None` on overflow.
-    pub fn hyper_period(&self) -> Option<u64> {
-        self.tasks
-            .iter()
-            .map(SporadicTask::period)
-            .try_fold(1u64, checked_lcm)
-    }
 }
 
 impl From<Vec<SporadicTask>> for TaskSet {
@@ -357,36 +349,13 @@ mod tests {
     }
 
     #[test]
-    fn hyper_period_lcm() {
-        let ts: TaskSet = vec![
-            SporadicTask::new(4, 1, 4).unwrap(),
-            SporadicTask::new(6, 1, 6).unwrap(),
-            SporadicTask::new(10, 1, 10).unwrap(),
-        ]
-        .into();
-        assert_eq!(ts.hyper_period(), Some(60));
-        assert_eq!(TaskSet::new().hyper_period(), Some(1));
-    }
-
-    #[test]
-    fn hyper_period_overflow_detected() {
-        // Two coprime near-2^63 periods overflow the LCM.
-        let big1 = (1u64 << 62) - 1;
-        let big2 = (1u64 << 62) - 3;
-        let ts: TaskSet = vec![
-            SporadicTask::new(big1, 1, big1).unwrap(),
-            SporadicTask::new(big2, 1, big2).unwrap(),
-        ]
-        .into();
-        assert_eq!(ts.hyper_period(), None);
-    }
-
-    #[test]
     fn gcd_lcm_basics() {
         assert_eq!(gcd(12, 18), 6);
         assert_eq!(gcd(7, 13), 1);
         assert_eq!(gcd(0, 5), 5);
         assert_eq!(checked_lcm(4, 6), Some(12));
         assert_eq!(checked_lcm(0, 6), Some(0));
+        // Two coprime near-2^62 periods overflow the LCM.
+        assert_eq!(checked_lcm((1 << 62) - 1, (1 << 62) - 3), None);
     }
 }

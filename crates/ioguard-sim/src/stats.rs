@@ -199,24 +199,6 @@ impl Histogram {
         Some(self.hi)
     }
 
-    /// Merges another histogram with identical binning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms do not share `lo`, `hi` and bin count.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.bins.len() == other.bins.len(),
-            "cannot merge histograms with different binning"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-    }
-
     /// Per-bin counts (excluding under/overflow).
     pub fn bins(&self) -> &[u64] {
         &self.bins
@@ -313,28 +295,6 @@ mod tests {
         let p99 = h.quantile(0.99).unwrap();
         assert!((97.0..=99.0).contains(&p99), "p99 = {p99}");
         assert_eq!(Histogram::new(0.0, 1.0, 4).quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let mut b = Histogram::new(0.0, 10.0, 5);
-        a.record(1.0);
-        b.record(9.0);
-        b.record(-3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.bins()[0], 1);
-        assert_eq!(a.bins()[4], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different binning")]
-    fn histogram_merge_rejects_mismatched() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let b = Histogram::new(0.0, 20.0, 5);
-        a.merge(&b);
     }
 
     #[test]

@@ -34,36 +34,6 @@ macro_rules! time_newtype {
                 self.0
             }
 
-            /// Saturating subtraction: returns zero instead of wrapping.
-            #[inline]
-            pub const fn saturating_sub(self, rhs: Self) -> Self {
-                Self(self.0.saturating_sub(rhs.0))
-            }
-
-            /// Checked subtraction.
-            #[inline]
-            pub const fn checked_sub(self, rhs: Self) -> Option<Self> {
-                match self.0.checked_sub(rhs.0) {
-                    Some(v) => Some(Self(v)),
-                    None => None,
-                }
-            }
-
-            /// Checked addition.
-            #[inline]
-            pub const fn checked_add(self, rhs: Self) -> Option<Self> {
-                match self.0.checked_add(rhs.0) {
-                    Some(v) => Some(Self(v)),
-                    None => None,
-                }
-            }
-
-            /// Saturating addition (clamps at [`Self::MAX`]).
-            #[inline]
-            pub const fn saturating_add(self, rhs: Self) -> Self {
-                Self(self.0.saturating_add(rhs.0))
-            }
-
             /// Returns the larger of `self` and `other`.
             #[inline]
             pub fn max(self, other: Self) -> Self {
@@ -195,18 +165,6 @@ mod tests {
         assert!(Cycles::ZERO < Cycles::new(1));
         assert!(Cycles::new(1) < Cycles::MAX);
         assert_eq!(Cycles::ZERO, Cycles::default());
-    }
-
-    #[test]
-    fn saturating_and_checked_ops() {
-        assert_eq!(Cycles::new(1).saturating_sub(Cycles::new(5)), Cycles::ZERO);
-        assert_eq!(
-            Cycles::new(5).checked_sub(Cycles::new(1)),
-            Some(Cycles::new(4))
-        );
-        assert_eq!(Cycles::new(1).checked_sub(Cycles::new(5)), None);
-        assert_eq!(Cycles::MAX.saturating_add(Cycles::new(1)), Cycles::MAX);
-        assert_eq!(Cycles::MAX.checked_add(Cycles::new(1)), None);
     }
 
     #[test]

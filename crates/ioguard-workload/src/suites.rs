@@ -23,17 +23,6 @@ pub enum TaskCategory {
     Synthetic,
 }
 
-impl TaskCategory {
-    /// Display label.
-    pub const fn label(self) -> &'static str {
-        match self {
-            TaskCategory::Safety => "safety",
-            TaskCategory::Function => "function",
-            TaskCategory::Synthetic => "synthetic",
-        }
-    }
-}
-
 /// One catalogue entry: a named task with nominal timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSpec {
@@ -261,12 +250,5 @@ mod tests {
             .unwrap();
         assert_eq!(min * SLOT_MICROS, 5_000, "fastest period 5 ms");
         assert!(max * SLOT_MICROS >= 80_000, "slowest period ≥ 80 ms");
-    }
-
-    #[test]
-    fn category_labels() {
-        assert_eq!(TaskCategory::Safety.label(), "safety");
-        assert_eq!(TaskCategory::Function.label(), "function");
-        assert_eq!(TaskCategory::Synthetic.label(), "synthetic");
     }
 }
