@@ -175,7 +175,10 @@ pub fn run_trial(
     // `(release slot, task index)` rather than re-testing every task every
     // slot: a slot with no release costs one heap peek, and within a slot
     // releases pop in ascending task index — the same order the full scan
-    // produced, so job ids (and hence jitter draws) are unchanged.
+    // produced, so job ids (and hence jitter draws) are unchanged. A due
+    // release is replaced in place by the task's next one; keys are unique,
+    // so the heap's order is total and the stream does not depend on how it
+    // sifts.
     let mut calendar: BinaryHeap<Reverse<(u64, usize)>> = workload
         .tasks()
         .iter()
@@ -185,12 +188,13 @@ pub fn run_trial(
         .collect();
     let mut next_job_id = 1u64;
     for slot in 0..horizon_slots {
-        while let Some(&Reverse((release, idx))) = calendar.peek() {
+        while let Some(mut due) = calendar.peek_mut() {
+            let Reverse((release, idx)) = *due;
             if release > slot {
                 break;
             }
-            calendar.pop();
             let task = &workload.tasks()[idx];
+            *due = Reverse((release + task.task.period(), idx));
             // Per-job actual execution time (deterministic in the ids).
             let frac = ACTUAL_EXEC_MIN
                 + (1.0 - ACTUAL_EXEC_MIN)
@@ -212,7 +216,6 @@ pub fn run_trial(
                 task.is_critical(),
             ));
             next_job_id += 1;
-            calendar.push(Reverse((release + task.task.period(), idx)));
         }
         platform.step();
     }

@@ -265,6 +265,8 @@ pub struct Hypervisor {
     device_fault_active: bool,
     /// Consecutive healthy slots (drives mode recovery).
     healthy_slots: u64,
+    /// Slots whose deadline sweep walked the pools.
+    deadline_sweeps: u64,
     /// Events emitted since the caller last took them
     /// ([`Hypervisor::step_into`], [`Hypervisor::drain_events`]).
     outbox: Vec<HvEvent>,
@@ -349,6 +351,7 @@ impl Hypervisor {
             device_stall_until: 0,
             device_fault_active: false,
             healthy_slots: 0,
+            deadline_sweeps: 0,
             outbox: Vec::new(),
             obs: None,
         })
@@ -418,6 +421,14 @@ impl Hypervisor {
     /// Current operating mode of the degradation machine.
     pub fn mode(&self) -> HvMode {
         self.mode
+    }
+
+    /// Slots whose deadline sweep walked the pools since construction. The
+    /// comparator-tree root opens the sweep only when a buffered job's
+    /// deadline has passed, and every such sweep reports that job's miss, so
+    /// this never exceeds the misses the sweeps report.
+    pub fn deadline_sweeps(&self) -> u64 {
+        self.deadline_sweeps
     }
 
     /// Injects a transient device fault: I/O transactions stall for the
@@ -610,11 +621,20 @@ impl Hypervisor {
     #[inline(always)]
     fn advance(&mut self) {
         let now = self.now;
-        // 1. Deadline sweep. The pools pop expired work off their shadow
-        //    registers; the comparator tree is refreshed only for pools
-        //    that actually lost entries.
-        for vm in 0..self.pools.len() {
-            self.expire(vm);
+        // 1. Deadline sweep. The comparator-tree root holds the earliest
+        //    buffered deadline, so the pools are walked only in a slot where
+        //    it has passed. They pop expired work off their shadow registers
+        //    in VM order; the tree is refreshed only for pools that actually
+        //    lost entries.
+        let expired = self
+            .shadow_index
+            .min()
+            .is_some_and(|(deadline, ..)| deadline <= now);
+        if expired {
+            self.deadline_sweeps = self.deadline_sweeps.saturating_add(1);
+            for vm in 0..self.pools.len() {
+                self.expire(vm);
+            }
         }
         // 2. Server replenishment.
         self.gsched.tick(now);

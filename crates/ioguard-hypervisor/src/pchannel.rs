@@ -95,6 +95,8 @@ impl PChannel {
             }
         }
         jobs.sort_unstable();
+        // Slots placed for the current job; one buffer serves every job.
+        let mut chosen: Vec<u64> = Vec::new();
         for (deadline, release, task_index) in jobs {
             let wcet = tasks[task_index].task.wcet();
             let window = deadline - release;
@@ -105,7 +107,7 @@ impl PChannel {
             // sbf(σ, t) stays proportional to t instead of collapsing to
             // zero over long packed stretches (a greedy ASAP layout can
             // leave multi-hundred-slot windows with no free slot at all).
-            let mut chosen: Vec<u64> = Vec::with_capacity(wcet as usize);
+            chosen.clear();
             for k in 0..wcet {
                 let target = release + (k * window) / wcet;
                 let mut slot = target.max(release);

@@ -16,7 +16,7 @@
 //! queue (completion or expiry). Because the shadow key is ordered by
 //! deadline first, [`IoPool::expire`] pops expired entries straight off the
 //! shadow register and is O(1) per call when nothing has expired — the
-//! common case on the hot per-slot sweep.
+//! common case when a submission frees its pool's expired slots first.
 
 // lint: allow(indexing, file) — every index into `entries` is `shadow_idx`,
 // which the incremental-update invariant keeps inside `0..entries.len()`

@@ -27,6 +27,19 @@ fn arb_predefined_set() -> impl Strategy<Value = Vec<PredefinedTask>> {
     )
 }
 
+/// Checks that every `Missed` event among `fresh`, taken from the
+/// hypervisor at slot `now`, reports its job in the job's deadline slot.
+/// Submissions always carry a deadline after their release, so a miss
+/// taken later than that slot was swept late.
+fn misses_on_deadline(fresh: &[HvEvent], now: u64) -> Result<(), TestCaseError> {
+    for event in fresh {
+        if let HvEvent::Missed { job, .. } = event {
+            prop_assert_eq!(job.deadline, now, "task {} missed late", job.task_id);
+        }
+    }
+    Ok(())
+}
+
 /// Long-run cross-check of the incremental shadow register against a naive
 /// linear-scan model: 10 000 randomized insert/execute/expire operations,
 /// verifying `shadow()`/`shadow_key()` equal the scan minimum (ties by task
@@ -265,8 +278,9 @@ proptest! {
     /// clears — never panic, never overfill a pool, and never lose a job
     /// from the accounting (admitted = completed + missed + in flight).
     /// The event stream is the accounting: its fold equals the live
-    /// metrics, every slot emits exactly one disposition, and every
-    /// admitted task gets exactly one final answer.
+    /// metrics, every slot emits exactly one disposition, every admitted
+    /// task gets exactly one final answer, and every miss is reported in
+    /// its deadline slot, never later.
     #[test]
     fn fault_interleavings_never_panic_or_overfill(
         ops in prop::collection::vec((0u8..8, 0u64..5, 1u64..40), 1..120),
@@ -317,11 +331,15 @@ proptest! {
                         Err(SubmitError::Refused(RefuseReason::Throttled { .. }))
                         | Err(SubmitError::UnknownVm { .. }) => {}
                     }
+                    let (now, from) = (hv.now(), events.len());
                     hv.drain_events(&mut events);
+                    misses_on_deadline(&events[from..], now)?;
                 }
                 4..=5 => {
                     for _ in 0..span % 6 {
+                        let (now, from) = (hv.now(), events.len());
                         hv.step_into(&mut events);
+                        misses_on_deadline(&events[from..], now)?;
                         slots += 1;
                     }
                 }
@@ -336,7 +354,9 @@ proptest! {
         // accounted as completed or missed, never vanish.
         hv.clear_device_faults();
         for _ in 0..600 {
+            let (now, from) = (hv.now(), events.len());
             hv.step_into(&mut events);
+            misses_on_deadline(&events[from..], now)?;
             slots += 1;
         }
         let m = hv.metrics();

@@ -10,6 +10,11 @@
 //!   full Theorem 1 sweep over the residents walks.
 //! * **Observation.** An `ObservedFabric` makes exactly the heap
 //!   allocations the plain `Network` under it makes, and no others.
+//! * **Deadline sweep.** The hypervisor walks its pools for expired work
+//!   only in a slot where the comparator-tree root's deadline has passed:
+//!   never more sweeps than misses.
+//! * **σ\* construction.** Building a 1 001-job time slot table makes a
+//!   fixed handful of allocations, not one per job.
 //!
 //! Allocations are counted per thread by the allocator below, so tests
 //! running in parallel never see each other's allocations.
@@ -17,6 +22,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use ioguard_hypervisor::hypervisor::{Hypervisor, HypervisorParams, RtJob};
+use ioguard_hypervisor::pchannel::{PChannel, PredefinedTask};
+use ioguard_hypervisor::HvEvent;
 use ioguard_noc::network::{Delivery, Network, NetworkConfig, NetworkStats, NocFabric};
 use ioguard_noc::obs::ObservedFabric;
 use ioguard_noc::packet::Packet;
@@ -24,7 +32,7 @@ use ioguard_noc::reference::ReferenceNetwork;
 use ioguard_noc::topology::NodeId;
 use ioguard_sched::ledger::{theorem1_frame, DemandLedger};
 use ioguard_sched::table::TimeSlotTable;
-use ioguard_sched::task::PeriodicServer;
+use ioguard_sched::task::{PeriodicServer, SporadicTask};
 use ioguard_sim::rng::Xoshiro256StarStar;
 
 /// Counts every allocation and reallocation of the calling thread.
@@ -232,4 +240,63 @@ fn observer_adds_no_heap_allocation() {
         observed_allocs, plain_allocs,
         "an attached observer allocated on the data path"
     );
+}
+
+/// Eight VMs, each sent a C 4, D 64 job every 64 slots (half the device),
+/// plus one infeasible job (C 10, D 3) every 1 000 slots, for 16 000
+/// slots. Only the infeasible jobs miss, and only their deadline slots
+/// open the sweep.
+#[test]
+fn deadline_sweep_runs_only_in_slots_where_a_job_expires() {
+    const VMS: usize = 8;
+    let mut hv = Hypervisor::new(HypervisorParams::new(VMS)).expect("valid hypervisor");
+    let mut events = Vec::new();
+    let mut misses = 0u64;
+    let mut next_id = 0u64;
+    for slot in 0..16_000u64 {
+        if slot % 64 == 0 {
+            for vm in 0..VMS {
+                next_id += 1;
+                hv.submit(RtJob::new(vm, next_id, slot, 4, slot + 64))
+                    .expect("pool has room");
+            }
+        }
+        if slot % 1_000 == 0 {
+            next_id += 1;
+            let vm = (slot / 1_000) as usize % VMS;
+            hv.submit(RtJob::new(vm, next_id, slot, 10, slot + 3))
+                .expect("pool has room");
+        }
+        hv.step_into(&mut events);
+        misses += events
+            .drain(..)
+            .filter(|e| matches!(e, HvEvent::Missed { .. }))
+            .count() as u64;
+    }
+    assert_eq!(misses, 16, "every infeasible job misses, no other job does");
+    let sweeps = hv.deadline_sweeps();
+    assert!(
+        (1..=misses).contains(&sweeps),
+        "{sweeps} sweeps for {misses} misses"
+    );
+}
+
+/// Tasks (T 8, C 1) and (T 8 000, C 3): hyper-period 8 000, 1 001 jobs to
+/// place. The slot buffer is reused across jobs, so the allocation count
+/// does not grow with the job count.
+#[test]
+fn sigma_star_build_allocates_independently_of_its_job_count() {
+    let task = |task_id, period, wcet| PredefinedTask {
+        task_id,
+        vm: 0,
+        task: SporadicTask::implicit(period, wcet).expect("valid task"),
+        response_bytes: 64,
+        start_offset: 0,
+    };
+    let tasks = vec![task(1, 8, 1), task(2, 8_000, 3)];
+    let jobs: u64 = tasks.iter().map(|t| 8_000 / t.task.period()).sum();
+    assert_eq!(jobs, 1_001);
+    let (pchannel, allocs) = counted(|| PChannel::build(tasks, 1 << 22).expect("σ* fits"));
+    assert_eq!(pchannel.hyper_period(), 8_000);
+    assert!(allocs < 32, "{allocs} allocations for {jobs} jobs");
 }
