@@ -8,9 +8,7 @@
 //! of the BlueVisor remains the FIFO structure at I/O hardware level, which
 //! hence cannot guarantee the I/O predictability").
 
-use crate::platform::{
-    job_jitter, FifoDevice, IoPlatform, PlatformJob, PlatformMetrics, DEFAULT_FIFO_CAPACITY,
-};
+use crate::platform::{job_jitter, FifoBackend, IoPlatform, PlatformJob, PlatformMetrics};
 
 /// Per-VM on-chip interference: percent chance per VM of one extra service
 /// slot (the NoC between the cores and the coprocessor is still shared).
@@ -19,23 +17,26 @@ const INTERFERENCE_PCT_PER_VM: u64 = 2;
 /// The BlueVisor-like hardware-assisted platform.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlueVisorPlatform {
-    device: FifoDevice,
+    backend: FifoBackend,
     vms: usize,
     seed: u64,
-    now: u64,
-    metrics: PlatformMetrics,
 }
 
 impl BlueVisorPlatform {
     /// Creates the platform for `vms` virtual machines.
     pub fn new(vms: usize, seed: u64) -> Self {
         Self {
-            device: FifoDevice::new(DEFAULT_FIFO_CAPACITY),
+            backend: FifoBackend::new(),
             vms,
             seed,
-            now: 0,
-            metrics: PlatformMetrics::default(),
         }
+    }
+
+    /// Slots in which the device stepped since construction (see
+    /// [`IoPlatform::advance_to`], which skips the slots where nothing
+    /// happens).
+    pub fn device_steps(&self) -> u64 {
+        self.backend.device_steps()
     }
 }
 
@@ -45,27 +46,31 @@ impl IoPlatform for BlueVisorPlatform {
     }
 
     fn submit(&mut self, job: PlatformJob) {
-        // Hardware fast path: straight into the device FIFO. On-chip
-        // interference occasionally stretches a transfer by one slot.
+        // Hardware fast path: the job joins the device FIFO in the slot it
+        // is sent. On-chip interference occasionally stretches a transfer
+        // by one slot.
         let mut job = job;
         job.wcet += u64::from(
             job_jitter(self.seed ^ 0xB1E, job.task_id, job.release, 100)
                 < INTERFERENCE_PCT_PER_VM * self.vms as u64,
         );
-        self.device.enqueue(job, &mut self.metrics);
+        self.backend.send(job, 0);
     }
 
     fn step(&mut self) {
-        self.device.step(self.now, &mut self.metrics);
-        self.now += 1;
+        self.backend.step();
+    }
+
+    fn advance_to(&mut self, slot: u64) {
+        self.backend.advance_to(slot);
     }
 
     fn now(&self) -> u64 {
-        self.now
+        self.backend.now()
     }
 
-    fn metrics(&self) -> &PlatformMetrics {
-        &self.metrics
+    fn metrics(&self) -> PlatformMetrics {
+        self.backend.metrics()
     }
 }
 

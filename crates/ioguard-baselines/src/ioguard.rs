@@ -26,8 +26,6 @@ const R_CHANNEL_OVERHEAD_PCT: u64 = 25;
 #[derive(Debug, Clone, PartialEq)]
 pub struct IoGuardPlatform {
     hypervisor: Hypervisor,
-    /// Cached mirror of the hypervisor metrics in platform shape.
-    metrics: PlatformMetrics,
 }
 
 impl IoGuardPlatform {
@@ -48,7 +46,6 @@ impl IoGuardPlatform {
             .with_policy(policy);
         Ok(Self {
             hypervisor: Hypervisor::new(params)?,
-            metrics: PlatformMetrics::default(),
         })
     }
 
@@ -69,22 +66,7 @@ impl IoGuardPlatform {
             .with_reclaim(reclaim);
         Ok(Self {
             hypervisor: Hypervisor::new(params)?,
-            metrics: PlatformMetrics::default(),
         })
-    }
-
-    fn refresh_metrics(&mut self) {
-        let hv = self.hypervisor.metrics();
-        self.metrics.completed_on_time = hv.completed + hv.predefined_completed;
-        self.metrics.completed_late = 0; // pools expire late jobs instead
-        self.metrics.dropped = hv.rejected;
-        self.metrics.missed = hv.missed;
-        self.metrics.critical_missed = hv.critical_missed;
-        // The hypervisor expires late jobs before they transfer, so every
-        // completed byte is on-time by construction.
-        self.metrics.response_bytes = hv.response_bytes;
-        self.metrics.on_time_bytes = hv.response_bytes;
-        self.metrics.latency = hv.latency;
     }
 }
 
@@ -111,20 +93,30 @@ impl IoPlatform for IoGuardPlatform {
         // Overflow is recorded inside the hypervisor as a miss; the
         // platform interface never refuses.
         let _ = self.hypervisor.submit_with_payload(rt, job.response_bytes);
-        self.refresh_metrics();
     }
 
     fn step(&mut self) {
         self.hypervisor.step();
-        self.refresh_metrics();
     }
 
     fn now(&self) -> u64 {
         self.hypervisor.now()
     }
 
-    fn metrics(&self) -> &PlatformMetrics {
-        &self.metrics
+    fn metrics(&self) -> PlatformMetrics {
+        let hv = self.hypervisor.metrics();
+        PlatformMetrics {
+            completed_on_time: hv.completed + hv.predefined_completed,
+            completed_late: 0, // pools expire late jobs instead
+            dropped: hv.rejected,
+            missed: hv.missed,
+            critical_missed: hv.critical_missed,
+            // The hypervisor expires late jobs before they transfer, so
+            // every completed byte is on-time by construction.
+            response_bytes: hv.response_bytes,
+            on_time_bytes: hv.response_bytes,
+            latency: hv.latency,
+        }
     }
 }
 

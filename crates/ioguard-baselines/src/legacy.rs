@@ -6,11 +6,7 @@
 //! grows with the number of active cores (the Fig. 1 path). The device
 //! itself is the conventional deadline-unaware FIFO.
 
-use std::collections::BinaryHeap;
-
-use crate::platform::{
-    job_jitter, FifoDevice, IoPlatform, PlatformJob, PlatformMetrics, DEFAULT_FIFO_CAPACITY,
-};
+use crate::platform::{job_jitter, FifoBackend, IoPlatform, PlatformJob, PlatformMetrics};
 
 /// Router traversal: fixed hop latency plus a contention jitter whose span
 /// scales with the VM count (more cores → more arbitration conflicts).
@@ -23,28 +19,28 @@ const INTERFERENCE_PCT_PER_VM: u64 = 3;
 /// The legacy (non-virtualized) platform.
 #[derive(Debug, Clone)]
 pub struct LegacyPlatform {
-    device: FifoDevice,
-    /// Jobs in flight across the NoC: (arrival slot, insertion seq, job).
-    in_transit: BinaryHeap<std::cmp::Reverse<(u64, u64, PlatformJob)>>,
-    seq: u64,
+    /// The device FIFO behind the NoC; its delay line holds the jobs in
+    /// flight across the routers.
+    backend: FifoBackend,
     vms: usize,
     seed: u64,
-    now: u64,
-    metrics: PlatformMetrics,
 }
 
 impl LegacyPlatform {
     /// Creates the platform for `vms` cores.
     pub fn new(vms: usize, seed: u64) -> Self {
         Self {
-            device: FifoDevice::new(DEFAULT_FIFO_CAPACITY),
-            in_transit: BinaryHeap::new(),
-            seq: 0,
+            backend: FifoBackend::new(),
             vms,
             seed,
-            now: 0,
-            metrics: PlatformMetrics::default(),
         }
+    }
+
+    /// Slots in which the device stepped since construction (see
+    /// [`IoPlatform::advance_to`], which skips the slots where nothing
+    /// happens).
+    pub fn device_steps(&self) -> u64 {
+        self.backend.device_steps()
     }
 
     /// The router delay this platform imposes on a specific job.
@@ -60,37 +56,29 @@ impl IoPlatform for LegacyPlatform {
     }
 
     fn submit(&mut self, job: PlatformJob) {
-        let arrival = self.now + self.noc_delay(&job);
+        let delay = self.noc_delay(&job);
         let mut job = job;
         job.wcet += u64::from(
             job_jitter(self.seed ^ 0x1E6, job.task_id, job.release, 100)
                 < INTERFERENCE_PCT_PER_VM * self.vms as u64,
         );
-        self.seq += 1;
-        self.in_transit
-            .push(std::cmp::Reverse((arrival, self.seq, job)));
+        self.backend.send(job, delay);
     }
 
     fn step(&mut self) {
-        // Deliver every packet whose router traversal ends this slot.
-        while let Some(std::cmp::Reverse((arrival, _, _))) = self.in_transit.peek() {
-            if *arrival > self.now {
-                break;
-            }
-            let std::cmp::Reverse((_, _, job)) =
-                self.in_transit.pop().expect("peeked entry exists");
-            self.device.enqueue(job, &mut self.metrics);
-        }
-        self.device.step(self.now, &mut self.metrics);
-        self.now += 1;
+        self.backend.step();
+    }
+
+    fn advance_to(&mut self, slot: u64) {
+        self.backend.advance_to(slot);
     }
 
     fn now(&self) -> u64 {
-        self.now
+        self.backend.now()
     }
 
-    fn metrics(&self) -> &PlatformMetrics {
-        &self.metrics
+    fn metrics(&self) -> PlatformMetrics {
+        self.backend.metrics()
     }
 }
 

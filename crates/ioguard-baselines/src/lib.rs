@@ -21,7 +21,17 @@
 //!   P-channel preloading plus the preemptive two-layer R-channel from the
 //!   `ioguard-hypervisor` crate.
 //!
-//! The FIFO device shared by all three baselines lives in [`platform`].
+//! The three baselines share one backend in [`platform`]: a delay line in
+//! front of the deadline-unaware [`platform::FifoDevice`]. Each baseline
+//! sends a job with the delay its path adds (the router traversal for
+//! Legacy, the VMM latency for RT-XEN, none for BV), and the job joins the
+//! device queue in the slot it arrives.
+//!
+//! The case study drives every platform from one release to the next with
+//! [`IoPlatform::advance_to`]. Its default calls [`IoPlatform::step`] on
+//! every slot. The FIFO backend steps only the slots in which a job
+//! arrives, starts or completes and jumps over the rest in O(1); each
+//! baseline's `device_steps()` counts the slots it stepped.
 //!
 //! # Example
 //!
@@ -31,10 +41,9 @@
 //!
 //! let mut bv = BlueVisorPlatform::new(4, 7);
 //! bv.submit(PlatformJob::new(0, 1, 0, 2, 100, 64, true));
-//! for _ in 0..10 {
-//!     bv.step();
-//! }
+//! bv.advance_to(10);
 //! assert_eq!(bv.metrics().completed_on_time, 1);
+//! assert!(bv.device_steps() < 10);
 //! ```
 
 #![forbid(unsafe_code)]

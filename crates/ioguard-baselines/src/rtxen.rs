@@ -8,11 +8,7 @@
 //! software path overhead and coarse scheduling quanta — are what the
 //! paper's Obs. 1/3/4 attribute RT-Xen's losses to.
 
-use std::collections::BinaryHeap;
-
-use crate::platform::{
-    job_jitter, FifoDevice, IoPlatform, PlatformJob, PlatformMetrics, DEFAULT_FIFO_CAPACITY,
-};
+use crate::platform::{job_jitter, FifoBackend, IoPlatform, PlatformJob, PlatformMetrics};
 
 /// Probability (percent) that the software path (trap + copy + dispatch)
 /// costs one extra slot for a job — the quantized rendering of a ~10 µs
@@ -31,27 +27,28 @@ const VMM_QUANTUM_PER_VM_SLOTS: u64 = 1;
 /// The RT-Xen-like software-virtualized platform.
 #[derive(Debug, Clone)]
 pub struct RtXenPlatform {
-    device: FifoDevice,
-    in_vmm: BinaryHeap<std::cmp::Reverse<(u64, u64, PlatformJob)>>,
-    seq: u64,
+    /// The backend device FIFO; its delay line holds the jobs waiting in
+    /// the VMM.
+    backend: FifoBackend,
     vms: usize,
     seed: u64,
-    now: u64,
-    metrics: PlatformMetrics,
 }
 
 impl RtXenPlatform {
     /// Creates the platform for `vms` virtual machines.
     pub fn new(vms: usize, seed: u64) -> Self {
         Self {
-            device: FifoDevice::new(DEFAULT_FIFO_CAPACITY),
-            in_vmm: BinaryHeap::new(),
-            seq: 0,
+            backend: FifoBackend::new(),
             vms,
             seed,
-            now: 0,
-            metrics: PlatformMetrics::default(),
         }
+    }
+
+    /// Slots in which the device stepped since construction (see
+    /// [`IoPlatform::advance_to`], which skips the slots where nothing
+    /// happens).
+    pub fn device_steps(&self) -> u64 {
+        self.backend.device_steps()
     }
 
     /// VMM scheduling latency for a specific job.
@@ -79,38 +76,33 @@ impl IoPlatform for RtXenPlatform {
     }
 
     fn submit(&mut self, job: PlatformJob) {
-        let arrival = self.now + self.vmm_latency(&job);
+        let delay = self.vmm_latency(&job);
         let mut backend_job = job;
         backend_job.wcet = self.inflated_wcet(&job);
-        self.seq += 1;
-        self.in_vmm
-            .push(std::cmp::Reverse((arrival, self.seq, backend_job)));
+        self.backend.send(backend_job, delay);
     }
 
     fn step(&mut self) {
-        while let Some(std::cmp::Reverse((arrival, _, _))) = self.in_vmm.peek() {
-            if *arrival > self.now {
-                break;
-            }
-            let std::cmp::Reverse((_, _, job)) = self.in_vmm.pop().expect("peeked entry");
-            self.device.enqueue(job, &mut self.metrics);
-        }
-        self.device.step(self.now, &mut self.metrics);
-        self.now += 1;
+        self.backend.step();
+    }
+
+    fn advance_to(&mut self, slot: u64) {
+        self.backend.advance_to(slot);
     }
 
     fn now(&self) -> u64 {
-        self.now
+        self.backend.now()
     }
 
-    fn metrics(&self) -> &PlatformMetrics {
-        &self.metrics
+    fn metrics(&self) -> PlatformMetrics {
+        self.backend.metrics()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::FifoDevice;
 
     fn job(task_id: u64, release: u64, wcet: u64, deadline: u64) -> PlatformJob {
         PlatformJob::new(0, task_id, release, wcet, deadline, 64, true)

@@ -48,19 +48,99 @@ fn drive(platform: &mut dyn IoPlatform, jobs: &[(u64, u64, u64, bool)]) -> u64 {
 }
 
 /// Conservation over every platform: offered = completed + dropped +
-/// still-buffered, and the metric counters are internally consistent.
-fn check_conservation(m: &PlatformMetrics, offered: u64) {
+/// still-buffered, and every miss is accounted for. A FIFO baseline misses
+/// only by finishing late or by dropping on overflow. I/O-GUARD never
+/// finishes late: a pool expiry is a miss that is neither late nor
+/// dropped.
+fn check_conservation(m: &PlatformMetrics, offered: u64, fifo: bool) {
     let accounted = m.completed_on_time + m.completed_late + m.dropped;
     assert!(
         accounted <= offered,
         "accounted {accounted} > offered {offered}: {m:?}"
     );
-    assert_eq!(
-        m.missed,
-        m.completed_late + m.dropped + (m.missed - m.completed_late - m.dropped)
-    );
+    if fifo {
+        assert_eq!(m.missed, m.completed_late + m.dropped, "{m:?}");
+    } else {
+        assert_eq!(m.completed_late, 0, "{m:?}");
+        assert!(m.missed >= m.dropped, "{m:?}");
+    }
     assert!(m.critical_missed <= m.missed);
     assert!(m.on_time_bytes <= m.response_bytes);
+}
+
+/// The four platforms on 4 VMs.
+fn four_platforms(seed: u64) -> Vec<Box<dyn IoPlatform>> {
+    vec![
+        Box::new(LegacyPlatform::new(4, seed)),
+        Box::new(RtXenPlatform::new(4, seed)),
+        Box::new(BlueVisorPlatform::new(4, seed)),
+        Box::new(IoGuardPlatform::new(4, vec![], GschedPolicy::GlobalEdf).expect("constructible")),
+    ]
+}
+
+/// An `arb_jobs` stream with `bursts` of (slot, jobs) added, as jobs
+/// sorted by release slot; jobs of one slot keep their order.
+fn release_stream(jobs: &[(u64, u64, u64, bool)], bursts: &[(u64, u64)]) -> Vec<PlatformJob> {
+    let mut stream = Vec::new();
+    let mut release = 0u64;
+    for &(gap, wcet, headroom, critical) in jobs {
+        release += gap;
+        stream.push((release, wcet, headroom, critical));
+    }
+    for &(slot, count) in bursts {
+        for k in 0..count {
+            stream.push((slot, 1 + k % 4, 40 + k, k % 3 != 0));
+        }
+    }
+    stream.sort_by_key(|&(release, ..)| release);
+    stream
+        .iter()
+        .enumerate()
+        .map(|(i, &(release, wcet, headroom, critical))| {
+            let id = i as u64 + 1;
+            let deadline = release + wcet + headroom;
+            PlatformJob::new((id % 2) as usize, id, release, wcet, deadline, 64, critical)
+        })
+        .collect()
+}
+
+/// Drives `platform` over `stream` to slot `end` and returns its metrics
+/// at each release slot, taken after that slot's submissions, then at
+/// `end`. With `jump` it advances once per release slot through
+/// `advance_to`; otherwise it calls `step` on every slot.
+fn metrics_at_releases(
+    platform: &mut dyn IoPlatform,
+    stream: &[PlatformJob],
+    end: u64,
+    jump: bool,
+) -> Vec<PlatformMetrics> {
+    let mut seen = Vec::new();
+    let mut next = 0;
+    while next < stream.len() {
+        let slot = stream[next].release;
+        if jump {
+            platform.advance_to(slot);
+        } else {
+            while platform.now() < slot {
+                platform.step();
+            }
+        }
+        while stream.get(next).is_some_and(|j| j.release == slot) {
+            platform.submit(stream[next]);
+            next += 1;
+        }
+        seen.push(platform.metrics());
+    }
+    if jump {
+        platform.advance_to(end);
+    } else {
+        while platform.now() < end {
+            platform.step();
+        }
+    }
+    assert_eq!(platform.now(), end);
+    seen.push(platform.metrics());
+    seen
 }
 
 proptest! {
@@ -105,18 +185,32 @@ proptest! {
     /// streams.
     #[test]
     fn metrics_conserve_jobs(jobs in arb_jobs(), seed in any::<u64>()) {
-        let platforms: Vec<Box<dyn IoPlatform>> = vec![
-            Box::new(LegacyPlatform::new(4, seed)),
-            Box::new(RtXenPlatform::new(4, seed)),
-            Box::new(BlueVisorPlatform::new(4, seed)),
-            Box::new(
-                IoGuardPlatform::new(4, vec![], GschedPolicy::GlobalEdf)
-                    .expect("constructible"),
-            ),
-        ];
-        for mut p in platforms {
+        for mut p in four_platforms(seed) {
             let offered = drive(p.as_mut(), &jobs);
-            check_conservation(p.metrics(), offered);
+            let fifo = p.name() != "I/O-GUARD";
+            check_conservation(&p.metrics(), offered, fifo);
+        }
+    }
+
+    /// Release-to-release driving is slot-by-slot driving: one
+    /// `advance_to` per release slot leaves every platform with the
+    /// metrics that calling `step` on every slot gives, at each release
+    /// and at the end. Bursts of 65 or more jobs in one slot overflow the
+    /// 64-deep FIFO, so the drops must match too.
+    #[test]
+    fn advancing_release_to_release_equals_stepping_every_slot(
+        jobs in arb_jobs(),
+        bursts in prop::collection::vec((0u64..200, 65u64..100), 0..3),
+        seed in any::<u64>(),
+    ) {
+        let stream = release_stream(&jobs, &bursts);
+        let end = stream.last().map_or(0, |j| j.release) + 1_500;
+        for (mut jump, mut step) in four_platforms(seed).into_iter().zip(four_platforms(seed)) {
+            let jumped = metrics_at_releases(jump.as_mut(), &stream, end, true);
+            let stepped = metrics_at_releases(step.as_mut(), &stream, end, false);
+            for (k, (a, b)) in jumped.iter().zip(&stepped).enumerate() {
+                prop_assert_eq!(a, b, "{} at checkpoint {}", jump.name(), k);
+            }
         }
     }
 

@@ -11,14 +11,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::engine::{self, EngineStats};
 
 use ioguard_baselines::bluevisor::BlueVisorPlatform;
 use ioguard_baselines::ioguard::IoGuardPlatform;
 use ioguard_baselines::legacy::LegacyPlatform;
-use ioguard_baselines::platform::{IoPlatform, PlatformJob};
+use ioguard_baselines::platform::{job_jitter, IoPlatform, PlatformJob, PlatformMetrics};
 use ioguard_baselines::rtxen::RtXenPlatform;
 use ioguard_hypervisor::gsched::GschedPolicy;
 use ioguard_hypervisor::pchannel::PredefinedTask;
@@ -101,32 +100,150 @@ pub struct TrialOutcome {
 
 /// Runs one trial of `system` on `workload` for `horizon_slots`.
 ///
-/// Release phases are deterministic in `phase_seed`, and the same job
-/// stream (ids, phases, payloads) is offered to every system — the paper's
-/// "identical data input" guarantee.
+/// Every system is offered the same releases: task phases are
+/// deterministic in `phase_seed`, and the three baselines get one identical
+/// job sequence (ids, actual execution times, payloads) — the paper's
+/// "identical data input" guarantee. I/O-GUARD-x gets the same
+/// `(release, task)` pairs minus the tasks its P-channel pre-loads. It
+/// numbers only the jobs it is offered, so for the same release its job id,
+/// and the actual-execution draw that depends on it, differ from the
+/// baselines'.
 pub fn run_trial(
     system: SystemUnderTest,
     workload: &TrialWorkload,
     phase_seed: u64,
     horizon_slots: u64,
 ) -> TrialOutcome {
-    let vms = workload.config().vms;
-    // Deterministic per-task initial phases in [0, T).
-    let mut phase_rng = Xoshiro256StarStar::new(SplitMix64::new(phase_seed).derive(0xFA5E));
-    let phases: Vec<u64> = workload
-        .tasks()
-        .iter()
-        .map(|t| phase_rng.range_u64(0, t.task.period()))
-        .collect();
+    let releases = ReleaseOrder::new(workload, phase_seed, horizon_slots);
+    run_released(system, workload, &releases, phase_seed, horizon_slots)
+}
 
+/// The outcome of a trial whose pre-load the P-channel refuses.
+const REFUSED: TrialOutcome = TrialOutcome {
+    success: false,
+    throughput_mbps: 0.0,
+    critical_misses: u64::MAX,
+    misses: u64::MAX,
+};
+
+/// [`run_trial`] on a release order built for the same workload, phase
+/// seed and horizon.
+fn run_released(
+    system: SystemUnderTest,
+    workload: &TrialWorkload,
+    releases: &ReleaseOrder,
+    phase_seed: u64,
+    horizon_slots: u64,
+) -> TrialOutcome {
+    let Some((mut platform, preloaded)) = build_platform(system, workload, phase_seed) else {
+        // The P-channel cannot host this pre-load (overloaded sampled
+        // WCETs): the trial fails outright.
+        return REFUSED;
+    };
+    drive(
+        platform.as_mut(),
+        workload,
+        releases,
+        &preloaded,
+        phase_seed,
+        horizon_slots,
+    );
+    outcome(&platform.metrics(), horizon_slots)
+}
+
+fn outcome(m: &PlatformMetrics, horizon_slots: u64) -> TrialOutcome {
+    let sim_seconds = horizon_slots as f64 * SLOT_MICROS as f64 / 1e6;
+    TrialOutcome {
+        success: m.trial_success(),
+        throughput_mbps: m.on_time_bytes as f64 * 8.0 / sim_seconds / 1e6,
+        critical_misses: m.critical_missed,
+        misses: m.missed,
+    }
+}
+
+/// One trial's releases before its horizon, in the order every system is
+/// offered them: by release slot, then by task index. It stores one `u16`
+/// task index per release, which keeps a column of trials small, and
+/// recomputes the slots from the task phases as it is walked.
+#[derive(Debug)]
+struct ReleaseOrder {
+    /// Each task's first release slot, in `[0, T)`.
+    phases: Vec<u64>,
+    /// The task index of each release.
+    order: Vec<u16>,
+}
+
+impl ReleaseOrder {
+    fn new(workload: &TrialWorkload, phase_seed: u64, horizon_slots: u64) -> Self {
+        let tasks = workload.tasks();
+        // Deterministic per-task initial phases in [0, T).
+        let mut phase_rng = Xoshiro256StarStar::new(SplitMix64::new(phase_seed).derive(0xFA5E));
+        let phases: Vec<u64> = tasks
+            .iter()
+            .map(|t| phase_rng.range_u64(0, t.task.period()))
+            .collect();
+        let releases: u64 = tasks
+            .iter()
+            .zip(&phases)
+            .map(|(t, &phase)| {
+                horizon_slots
+                    .saturating_sub(phase)
+                    .div_ceil(t.task.period())
+            })
+            .sum();
+        // A calendar heap keyed `(release slot, task index)`: a due release
+        // is replaced in place by the task's next one. Keys are unique, so
+        // the order is total and does not depend on how the heap sifts.
+        let mut calendar: BinaryHeap<Reverse<(u64, u16)>> = phases
+            .iter()
+            .enumerate()
+            .map(|(idx, &phase)| {
+                let idx = u16::try_from(idx).expect("a trial workload has under 65 536 tasks");
+                Reverse((phase, idx))
+            })
+            .collect();
+        let mut order =
+            Vec::with_capacity(usize::try_from(releases).expect("the release count fits memory"));
+        while let Some(mut due) = calendar.peek_mut() {
+            let Reverse((release, idx)) = *due;
+            if release >= horizon_slots {
+                break;
+            }
+            order.push(idx);
+            *due = Reverse((release + tasks[usize::from(idx)].task.period(), idx));
+        }
+        Self { phases, order }
+    }
+
+    /// `(release slot, task index)` of every release, in order.
+    fn releases<'a>(
+        &'a self,
+        workload: &'a TrialWorkload,
+    ) -> impl Iterator<Item = (u64, usize)> + 'a {
+        let mut next = self.phases.clone();
+        self.order.iter().map(move |&idx| {
+            let idx = usize::from(idx);
+            let slot = next[idx];
+            next[idx] += workload.tasks()[idx].task.period();
+            (slot, idx)
+        })
+    }
+}
+
+/// The platform a trial of `system` drives and, per task, whether its
+/// P-channel pre-loads that task; `None` when I/O-GUARD refuses the
+/// pre-load at construction.
+fn build_platform(
+    system: SystemUnderTest,
+    workload: &TrialWorkload,
+    phase_seed: u64,
+) -> Option<(Box<dyn IoPlatform>, Vec<bool>)> {
+    let vms = workload.config().vms;
     // Which tasks run from the P-channel (I/O-GUARD only)?
-    let (preload_names, policy) = match system {
+    let (preload, policy) = match system {
         SystemUnderTest::IoGuard { preload_pct } => {
             let (pre, _) = workload.split_preload(preload_pct as f64 / 100.0);
-            (
-                pre.iter().map(|t| t.name.clone()).collect::<Vec<_>>(),
-                GschedPolicy::GlobalEdf,
-            )
+            (pre, GschedPolicy::GlobalEdf)
         }
         SystemUnderTest::IoGuardServerIsolated { preload_pct } => {
             let (pre, _) = workload.split_preload(preload_pct as f64 / 100.0);
@@ -141,102 +258,73 @@ pub fn run_trial(
                         .expect("1 ≤ budget ≤ period")
                 })
                 .collect();
-            (
-                pre.iter().map(|t| t.name.clone()).collect::<Vec<_>>(),
-                GschedPolicy::ServerBased(servers),
-            )
+            (pre, GschedPolicy::ServerBased(servers))
         }
         _ => (Vec::new(), GschedPolicy::GlobalEdf),
     };
+    let preloaded: Vec<bool> = workload
+        .tasks()
+        .iter()
+        .map(|t| preload.iter().any(|p| p.name == t.name))
+        .collect();
 
-    let mut platform: Box<dyn IoPlatform> = match system {
+    let platform: Box<dyn IoPlatform> = match system {
         SystemUnderTest::Legacy => Box::new(LegacyPlatform::new(vms, phase_seed)),
         SystemUnderTest::RtXen => Box::new(RtXenPlatform::new(vms, phase_seed)),
         SystemUnderTest::BlueVisor => Box::new(BlueVisorPlatform::new(vms, phase_seed)),
         SystemUnderTest::IoGuard { .. } | SystemUnderTest::IoGuardServerIsolated { .. } => {
-            match build_ioguard(workload, &preload_names, policy, phase_seed) {
-                Ok(p) => Box::new(p),
-                Err(_) => {
-                    // The P-channel cannot host this pre-load (overloaded
-                    // sampled WCETs): the trial fails outright.
-                    return TrialOutcome {
-                        success: false,
-                        throughput_mbps: 0.0,
-                        critical_misses: u64::MAX,
-                        misses: u64::MAX,
-                    };
-                }
-            }
+            Box::new(build_ioguard(workload, &preloaded, policy, phase_seed).ok()?)
         }
     };
-
-    // Drive the periodic job stream. Pre-loaded tasks execute autonomously
-    // inside the P-channel. Releases are drawn from a calendar heap keyed
-    // `(release slot, task index)` rather than re-testing every task every
-    // slot: a slot with no release costs one heap peek, and within a slot
-    // releases pop in ascending task index — the same order the full scan
-    // produced, so job ids (and hence jitter draws) are unchanged. A due
-    // release is replaced in place by the task's next one; keys are unique,
-    // so the heap's order is total and the stream does not depend on how it
-    // sifts.
-    let mut calendar: BinaryHeap<Reverse<(u64, usize)>> = workload
-        .tasks()
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !preload_names.contains(&t.name))
-        .map(|(idx, _)| Reverse((phases[idx], idx)))
-        .collect();
-    let mut next_job_id = 1u64;
-    for slot in 0..horizon_slots {
-        while let Some(mut due) = calendar.peek_mut() {
-            let Reverse((release, idx)) = *due;
-            if release > slot {
-                break;
-            }
-            let task = &workload.tasks()[idx];
-            *due = Reverse((release + task.task.period(), idx));
-            // Per-job actual execution time (deterministic in the ids).
-            let frac = ACTUAL_EXEC_MIN
-                + (1.0 - ACTUAL_EXEC_MIN)
-                    * (ioguard_baselines::platform::job_jitter(
-                        phase_seed ^ 0xEC,
-                        next_job_id,
-                        slot,
-                        1024,
-                    ) as f64
-                        / 1024.0);
-            let actual = ((task.task.wcet() as f64 * frac).round() as u64).max(1);
-            platform.submit(PlatformJob::new(
-                task.vm,
-                next_job_id,
-                slot,
-                actual,
-                slot + task.task.deadline(),
-                task.response_bytes,
-                task.is_critical(),
-            ));
-            next_job_id += 1;
-        }
-        platform.step();
-    }
-
-    let m = platform.metrics();
-    let sim_seconds = horizon_slots as f64 * SLOT_MICROS as f64 / 1e6;
-    TrialOutcome {
-        success: m.trial_success(),
-        throughput_mbps: m.on_time_bytes as f64 * 8.0 / sim_seconds / 1e6,
-        critical_misses: m.critical_missed,
-        misses: m.missed,
-    }
+    Some((platform, preloaded))
 }
 
-/// Builds the I/O-GUARD platform for a workload, pre-loading the named
-/// tasks. An infeasible pre-load (the sampled WCETs overflow the table) is
-/// a construction error — the caller records the trial as failed, exactly
-/// as the real system would refuse the configuration at initialization.
+/// Offers `platform` the periodic job stream of `workload`'s releases
+/// without the `preloaded` tasks, which execute autonomously inside the
+/// P-channel, and advances it from one release to the next and then to
+/// `horizon_slots`. Job ids number the offered jobs from 1.
+fn drive(
+    platform: &mut dyn IoPlatform,
+    workload: &TrialWorkload,
+    releases: &ReleaseOrder,
+    preloaded: &[bool],
+    phase_seed: u64,
+    horizon_slots: u64,
+) {
+    let mut next_job_id = 1u64;
+    for (slot, idx) in releases.releases(workload) {
+        if preloaded[idx] {
+            continue;
+        }
+        let task = &workload.tasks()[idx];
+        platform.advance_to(slot);
+        // Per-job actual execution time (deterministic in the ids).
+        let frac = ACTUAL_EXEC_MIN
+            + (1.0 - ACTUAL_EXEC_MIN)
+                * (job_jitter(phase_seed ^ 0xEC, next_job_id, slot, 1024) as f64 / 1024.0);
+        let actual = ((task.task.wcet() as f64 * frac).round() as u64).max(1);
+        platform.submit(PlatformJob::new(
+            task.vm,
+            next_job_id,
+            slot,
+            actual,
+            slot + task.task.deadline(),
+            task.response_bytes,
+            task.is_critical(),
+        ));
+        next_job_id += 1;
+    }
+    platform.advance_to(horizon_slots);
+}
+
+/// Builds the I/O-GUARD platform for a workload, pre-loading the tasks
+/// marked in `preloaded`. An infeasible pre-load (the sampled WCETs overflow
+/// the table) is a construction error — the caller records the trial as
+/// failed, exactly as the real system would refuse the configuration at
+/// initialization.
 fn build_ioguard(
     workload: &TrialWorkload,
-    preload_names: &[String],
+    preloaded: &[bool],
     policy: GschedPolicy,
     phase_seed: u64,
 ) -> Result<IoGuardPlatform, ioguard_hypervisor::HvError> {
@@ -245,7 +333,7 @@ fn build_ioguard(
         .tasks()
         .iter()
         .enumerate()
-        .filter(|(_, t)| preload_names.contains(&t.name))
+        .filter(|&(idx, _)| preloaded[idx])
         .map(|(idx, t)| PredefinedTask {
             task_id: idx as u64 + 1,
             vm: t.vm,
@@ -348,7 +436,7 @@ pub struct CaseStudyConfig {
 
 impl CaseStudyConfig {
     /// The paper's sweep with a reduced trial count (the full 1000-trial
-    /// sweep is run by the bench harness).
+    /// sweep is `ioguard-repro fig7 --trials 1000`).
     pub fn paper_shape(trials: u64) -> Self {
         Self {
             vm_groups: vec![4, 8],
@@ -398,12 +486,13 @@ impl Fig7Report {
     ///
     /// Work is scheduled at *(system, trial)* granularity on the
     /// work-stealing engine, one `(vms, utilization)` group at a time. Each
-    /// group generates its trial workloads once and shares them (via `Arc`)
-    /// across all systems — the sequential path regenerates the identical
-    /// workload per system from the same `(vms, utilization, trial_seed)`
-    /// triple, so sharing changes nothing but the work done. Outcomes are
-    /// scattered back into `(system, trial)` order and aggregated in trial
-    /// order, making the report bit-identical for every thread count.
+    /// group generates each trial's workload and release order once and
+    /// shares them across all systems — the sequential path regenerates the
+    /// identical workload and order per system from the same
+    /// `(vms, utilization, trial_seed)` triple, so sharing changes nothing
+    /// but the work done. Outcomes are scattered back into `(system, trial)`
+    /// order and aggregated in trial order, making the report bit-identical
+    /// for every thread count.
     pub fn run_instrumented(config: &CaseStudyConfig, threads: usize) -> (Self, EngineStats) {
         let root = SplitMix64::new(config.seed);
         let trial_seeds: Vec<u64> = (0..config.trials).map(|t| root.derive(t + 1)).collect();
@@ -418,20 +507,24 @@ impl Fig7Report {
 
         for (gi, &vms) in config.vm_groups.iter().enumerate() {
             for (ui, &u) in config.utilizations.iter().enumerate() {
-                // One workload per trial, shared by every system.
-                let (workloads, gen_stats) =
-                    engine::run_indexed(threads, &trial_seeds, |_, &seed| {
-                        Arc::new(TrialWorkload::generate(&TrialConfig::new(vms, u, seed)))
-                    });
+                // One workload and one release order per trial, shared by
+                // every system.
+                let (inputs, gen_stats) = engine::run_indexed(threads, &trial_seeds, |_, &seed| {
+                    let workload = TrialWorkload::generate(&TrialConfig::new(vms, u, seed));
+                    let releases = ReleaseOrder::new(&workload, seed, config.horizon_slots);
+                    (workload, releases)
+                });
                 stats.absorb(&gen_stats);
 
                 let units: Vec<(usize, usize)> = (0..n_systems)
                     .flat_map(|si| (0..trials).map(move |ti| (si, ti)))
                     .collect();
                 let (outcomes, run_stats) = engine::run_indexed(threads, &units, |_, &(si, ti)| {
-                    run_trial(
+                    let (workload, releases) = &inputs[ti];
+                    run_released(
                         config.systems[si],
-                        &workloads[ti],
+                        workload,
+                        releases,
                         trial_seeds[ti],
                         config.horizon_slots,
                     )
@@ -629,15 +722,169 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Records the jobs a trial offers; its slots pass without work.
+    #[derive(Default)]
+    struct Recorder {
+        now: u64,
+        offered: Vec<PlatformJob>,
+    }
+
+    impl IoPlatform for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn submit(&mut self, job: PlatformJob) {
+            assert_eq!(
+                job.release, self.now,
+                "a job is offered in its release slot"
+            );
+            self.offered.push(job);
+        }
+
+        fn step(&mut self) {
+            self.now += 1;
+        }
+
+        fn now(&self) -> u64 {
+            self.now
+        }
+
+        fn metrics(&self) -> PlatformMetrics {
+            PlatformMetrics::default()
+        }
+    }
+
     #[test]
     fn identical_input_offered_to_all_systems() {
-        // The same workload + phase seed yields the same job stream; verify
-        // via equal *offered* load accounting: run two FIFO-family systems
-        // and compare total jobs seen (completed + missed + queued tail).
-        let workload = TrialWorkload::generate(&TrialConfig::new(4, 0.5, 99));
-        let a = run_trial(SystemUnderTest::BlueVisor, &workload, 99, 4000);
-        let b = run_trial(SystemUnderTest::BlueVisor, &workload, 99, 4000);
-        assert_eq!(a, b);
+        let (seed, horizon) = (99, 4_000);
+        let workload = TrialWorkload::generate(&TrialConfig::new(4, 0.5, seed));
+        let releases = ReleaseOrder::new(&workload, seed, horizon);
+        let tasks = workload.tasks();
+        // Every release by a full scan of the tasks in each slot.
+        let scanned: Vec<(u64, usize)> = (0..horizon)
+            .flat_map(|slot| (0..tasks.len()).map(move |idx| (slot, idx)))
+            .filter(|&(slot, idx)| {
+                let phase = releases.phases[idx];
+                slot >= phase && (slot - phase).is_multiple_of(tasks[idx].task.period())
+            })
+            .collect();
+        let offered = |system| {
+            let (_, preloaded) = build_platform(system, &workload, seed).expect("constructible");
+            let mut recorder = Recorder::default();
+            drive(
+                &mut recorder,
+                &workload,
+                &releases,
+                &preloaded,
+                seed,
+                horizon,
+            );
+            assert_eq!(recorder.now, horizon);
+            (recorder.offered, preloaded)
+        };
+        // Job k (from 1) is a release of `idx` in `slot`.
+        let check = |jobs: &[PlatformJob], expected: &[(u64, usize)]| {
+            assert_eq!(jobs.len(), expected.len());
+            for (k, (job, &(slot, idx))) in jobs.iter().zip(expected).enumerate() {
+                let task = &tasks[idx];
+                assert_eq!(job.task_id, k as u64 + 1);
+                assert_eq!(
+                    (job.vm, job.release, job.deadline),
+                    (task.vm, slot, slot + task.task.deadline())
+                );
+                assert_eq!(
+                    (job.response_bytes, job.critical),
+                    (task.response_bytes, task.is_critical())
+                );
+                assert!((1..=task.task.wcet()).contains(&job.wcet), "{job:?}");
+            }
+        };
+
+        let (legacy, preloaded) = offered(SystemUnderTest::Legacy);
+        assert!(!preloaded.contains(&true));
+        check(&legacy, &scanned);
+        assert_eq!(offered(SystemUnderTest::RtXen).0, legacy);
+        assert_eq!(offered(SystemUnderTest::BlueVisor).0, legacy);
+        for preload_pct in [40, 70] {
+            let (jobs, preloaded) = offered(SystemUnderTest::IoGuard { preload_pct });
+            assert!(preloaded.contains(&true));
+            let run_time: Vec<(u64, usize)> = scanned
+                .iter()
+                .copied()
+                .filter(|&(_, idx)| !preloaded[idx])
+                .collect();
+            check(&jobs, &run_time);
+        }
+    }
+
+    /// The trial loop before release-to-release driving: a calendar heap
+    /// of the run-time tasks, every due release submitted, then `step()`
+    /// on every slot.
+    fn slot_by_slot_trial(
+        system: SystemUnderTest,
+        workload: &TrialWorkload,
+        phase_seed: u64,
+        horizon_slots: u64,
+    ) -> TrialOutcome {
+        let Some((mut platform, preloaded)) = build_platform(system, workload, phase_seed) else {
+            return REFUSED;
+        };
+        let mut phase_rng = Xoshiro256StarStar::new(SplitMix64::new(phase_seed).derive(0xFA5E));
+        let phases: Vec<u64> = workload
+            .tasks()
+            .iter()
+            .map(|t| phase_rng.range_u64(0, t.task.period()))
+            .collect();
+        let mut calendar: BinaryHeap<Reverse<(u64, usize)>> = (0..phases.len())
+            .filter(|&idx| !preloaded[idx])
+            .map(|idx| Reverse((phases[idx], idx)))
+            .collect();
+        let mut next_job_id = 1u64;
+        for slot in 0..horizon_slots {
+            while let Some(mut due) = calendar.peek_mut() {
+                let Reverse((release, idx)) = *due;
+                if release > slot {
+                    break;
+                }
+                let task = &workload.tasks()[idx];
+                *due = Reverse((release + task.task.period(), idx));
+                let frac = ACTUAL_EXEC_MIN
+                    + (1.0 - ACTUAL_EXEC_MIN)
+                        * (job_jitter(phase_seed ^ 0xEC, next_job_id, slot, 1024) as f64 / 1024.0);
+                let actual = ((task.task.wcet() as f64 * frac).round() as u64).max(1);
+                platform.submit(PlatformJob::new(
+                    task.vm,
+                    next_job_id,
+                    slot,
+                    actual,
+                    slot + task.task.deadline(),
+                    task.response_bytes,
+                    task.is_critical(),
+                ));
+                next_job_id += 1;
+            }
+            platform.step();
+        }
+        outcome(&platform.metrics(), horizon_slots)
+    }
+
+    #[test]
+    fn run_trial_equals_the_slot_by_slot_loop() {
+        let seed = SplitMix64::new(2021).derive(1);
+        for vms in [4, 8] {
+            for u in [0.40, 1.00] {
+                let workload = TrialWorkload::generate(&TrialConfig::new(vms, u, seed));
+                for system in SystemUnderTest::figure7_lineup() {
+                    assert_eq!(
+                        run_trial(system, &workload, seed, 16_000),
+                        slot_by_slot_trial(system, &workload, seed, 16_000),
+                        "{} at {vms} VMs, U {u:.2}",
+                        system.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -700,14 +947,15 @@ mod tests {
 
     #[test]
     fn shared_workload_matches_regenerated_workload() {
-        // The sweep generates one workload per (vms, utilization, seed) and
-        // shares it across systems; a trial on the shared instance must
-        // equal a trial on a fresh generation.
-        let shared = Arc::new(TrialWorkload::generate(&TrialConfig::new(4, 0.7, 123)));
+        // The sweep generates one workload and release order per
+        // (vms, utilization, seed) and shares them across systems; a trial
+        // on the shared pair must equal a trial on a fresh generation.
+        let shared = TrialWorkload::generate(&TrialConfig::new(4, 0.7, 123));
+        let releases = ReleaseOrder::new(&shared, 123, 2000);
         let fresh = TrialWorkload::generate(&TrialConfig::new(4, 0.7, 123));
         for system in SystemUnderTest::figure7_lineup() {
             assert_eq!(
-                run_trial(system, &shared, 123, 2000),
+                run_released(system, &shared, &releases, 123, 2000),
                 run_trial(system, &fresh, 123, 2000),
                 "{}",
                 system.label()

@@ -15,6 +15,9 @@
 //!   never more sweeps than misses.
 //! * **σ\* construction.** Building a 1 001-job time slot table makes a
 //!   fixed handful of allocations, not one per job.
+//! * **FIFO skipping.** A FIFO baseline driven from one release to the
+//!   next steps its device only in slots where a job arrives, starts or
+//!   completes: at most three per offered job on a Fig. 7 trial.
 //!
 //! Allocations are counted per thread by the allocator below, so tests
 //! running in parallel never see each other's allocations.
@@ -22,6 +25,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use ioguard_baselines::bluevisor::BlueVisorPlatform;
+use ioguard_baselines::legacy::LegacyPlatform;
+use ioguard_baselines::platform::{IoPlatform, PlatformJob};
+use ioguard_baselines::rtxen::RtXenPlatform;
 use ioguard_hypervisor::hypervisor::{Hypervisor, HypervisorParams, RtJob};
 use ioguard_hypervisor::pchannel::{PChannel, PredefinedTask};
 use ioguard_hypervisor::HvEvent;
@@ -34,6 +41,7 @@ use ioguard_sched::ledger::{theorem1_frame, DemandLedger};
 use ioguard_sched::table::TimeSlotTable;
 use ioguard_sched::task::{PeriodicServer, SporadicTask};
 use ioguard_sim::rng::Xoshiro256StarStar;
+use ioguard_workload::generator::{TrialConfig, TrialWorkload};
 
 /// Counts every allocation and reallocation of the calling thread.
 struct Counting;
@@ -299,4 +307,73 @@ fn sigma_star_build_allocates_independently_of_its_job_count() {
     let (pchannel, allocs) = counted(|| PChannel::build(tasks, 1 << 22).expect("σ* fits"));
     assert_eq!(pchannel.hyper_period(), 8_000);
     assert!(allocs < 32, "{allocs} allocations for {jobs} jobs");
+}
+
+/// A Fig. 7 trial's load: the 8-VM workload at 100 % utilization, every
+/// task released periodically from a random phase for 16 000 slots, driven
+/// into each FIFO baseline with one `advance_to` per release. Each device
+/// step is a slot in which a job arrives, starts or completes, so each
+/// offered job accounts for three at most; stepping every slot would take
+/// 16 000.
+#[test]
+fn fifo_baselines_step_their_device_only_where_a_job_arrives_starts_or_completes() {
+    const HORIZON: u64 = 16_000;
+    let workload = TrialWorkload::generate(&TrialConfig::new(8, 1.0, 2021));
+    let tasks = workload.tasks();
+    let mut rng = Xoshiro256StarStar::new(7);
+    let mut releases: Vec<(u64, usize)> = Vec::new();
+    for (idx, t) in tasks.iter().enumerate() {
+        let period = t.task.period();
+        let phase = rng.range_u64(0, period);
+        releases.extend(
+            (phase..HORIZON)
+                .step_by(period as usize)
+                .map(|slot| (slot, idx)),
+        );
+    }
+    releases.sort_unstable();
+    let jobs: Vec<PlatformJob> = releases
+        .iter()
+        .enumerate()
+        .map(|(k, &(slot, idx))| {
+            let t = &tasks[idx];
+            let deadline = slot + t.task.deadline();
+            let id = k as u64 + 1;
+            PlatformJob::new(
+                t.vm,
+                id,
+                slot,
+                t.task.wcet(),
+                deadline,
+                t.response_bytes,
+                t.is_critical(),
+            )
+        })
+        .collect();
+    let drive = |platform: &mut dyn IoPlatform| {
+        for &job in &jobs {
+            platform.advance_to(job.release);
+            platform.submit(job);
+        }
+        platform.advance_to(HORIZON);
+    };
+    let (mut legacy, mut rtxen, mut bv) = (
+        LegacyPlatform::new(8, 1),
+        RtXenPlatform::new(8, 1),
+        BlueVisorPlatform::new(8, 1),
+    );
+    drive(&mut legacy);
+    drive(&mut rtxen);
+    drive(&mut bv);
+    let offered = jobs.len() as u64;
+    for (name, steps) in [
+        ("BS|Legacy", legacy.device_steps()),
+        ("BS|RT-XEN", rtxen.device_steps()),
+        ("BS|BV", bv.device_steps()),
+    ] {
+        assert!(
+            steps <= 3 * offered,
+            "{name}: {steps} device steps for {offered} offered jobs"
+        );
+    }
 }
