@@ -1,4 +1,4 @@
-//! The serving core: shards, bindings, backpressure, typed verdicts.
+//! The serving core: shards, the client table, backpressure, typed verdicts.
 //!
 //! A [`ServeCluster`] owns a row of shards, each pairing a
 //! [`ioguard_fleet::shard::Shard`] (the Theorem 1 demand ledger that
@@ -11,10 +11,18 @@
 //! buffered in a **bounded** per-client backlog, and submitted to the
 //! shard's hypervisor at the next slot boundary.
 //!
+//! One client table holds each connection's shard, pool and backlog. A
+//! ready list names the clients whose backlog went from empty to
+//! non-empty since the last slot, so a slot drains only the backlogs that
+//! hold work, in ascending client id: its cost follows the queued
+//! requests and the shards, not the connected clients.
+//!
 //! Every fate a request can meet comes back as exactly one typed
 //! [`Response`]: `Accepted` (admitted to the pool), `Completed` (with
 //! end-to-end latency), `Missed`, `Throttled` (flood control), `Shed`
-//! (backlog overflow or degradation), or `Rejected` (typed reason).
+//! (backlog overflow or degradation), or `Rejected` (typed reason). A
+//! request still queued when its client disconnects is answered
+//! `Rejected(NotConnected)` by the next slot.
 //! Everything past the backlog is answered from the shard hypervisor's
 //! typed event stream ([`HvEvent`]), event by event as it is handed over,
 //! so no answer depends on a trace ring's capacity. Degradation mode
@@ -131,10 +139,11 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-#[derive(Debug, Clone, Copy)]
-struct Binding {
+/// One connection: where the client is bound and what it has queued.
+struct Client {
     shard: usize,
     pool: usize,
+    backlog: VecDeque<Request>,
 }
 
 struct ServeShard {
@@ -170,8 +179,16 @@ impl ServeShard {
 pub struct ServeCluster {
     config: ServeConfig,
     shards: Vec<ServeShard>,
-    bindings: BTreeMap<u32, Binding>,
-    backlogs: BTreeMap<u32, VecDeque<Request>>,
+    clients: BTreeMap<u32, Client>,
+    /// Clients whose backlog went from empty to non-empty since the last
+    /// step; may repeat a client or name one that has since disconnected.
+    /// Emptied by every step, capacity kept.
+    ready: Vec<u32>,
+    /// Answers to requests a disconnect took out of their backlog,
+    /// returned by the next step.
+    owed: Vec<Response>,
+    /// Backlogs step's submission phase has visited.
+    backlog_visits: u64,
     counters: CounterRegistry,
     sink: TraceSink,
     now_slot: u64,
@@ -225,8 +242,10 @@ impl ServeCluster {
         }
         Ok(Self {
             shards,
-            bindings: BTreeMap::new(),
-            backlogs: BTreeMap::new(),
+            clients: BTreeMap::new(),
+            ready: Vec::new(),
+            owed: Vec::new(),
+            backlog_visits: 0,
             counters: CounterRegistry::new(config.max_clients as usize),
             sink: TraceSink::new(config.trace_capacity),
             now_slot: 0,
@@ -274,12 +293,19 @@ impl ServeCluster {
 
     /// True when `client` currently holds a connection.
     pub fn connected(&self, client: u32) -> bool {
-        self.bindings.contains_key(&client)
+        self.clients.contains_key(&client)
     }
 
     /// Number of connected clients.
     pub fn connected_count(&self) -> usize {
-        self.bindings.len()
+        self.clients.len()
+    }
+
+    /// Backlogs that [`ServeCluster::step`]'s submission phase has visited
+    /// since construction: one per client with queued work per slot, not
+    /// one per connected client.
+    pub fn backlog_visits(&self) -> u64 {
+        self.backlog_visits
     }
 
     /// The degradation mode of `shard`.
@@ -326,7 +352,7 @@ impl ServeCluster {
                 reason: RejectReason::UnknownClient,
             };
         }
-        if self.bindings.contains_key(&client) {
+        if self.clients.contains_key(&client) {
             return Response::ConnectRejected {
                 client,
                 reason: RejectReason::AlreadyConnected,
@@ -377,9 +403,14 @@ impl ServeCluster {
         if let Some(slot) = shard.pool_client.get_mut(pool) {
             *slot = Some(client);
         }
-        self.bindings.insert(client, Binding { shard: idx, pool });
-        // lint: allow(unbounded-spillover) — membership is bounded by the max_clients gate at connect entry; the queue starts empty and every later grow is capacity-guarded
-        self.backlogs.insert(client, VecDeque::new());
+        self.clients.insert(
+            client,
+            Client {
+                shard: idx,
+                pool,
+                backlog: VecDeque::new(),
+            },
+        );
         self.note(
             ObsKind::Marker,
             client,
@@ -394,37 +425,45 @@ impl ServeCluster {
 
     /// Tears down `client`'s connection. In-flight pool work keeps its
     /// attribution and the pool returns to the free set once drained.
+    /// Each request still in its backlog is answered
+    /// `Rejected(NotConnected)`, the answer a frame from a client that is
+    /// not connected gets, by the next [`ServeCluster::step`].
     pub fn disconnect(&mut self, client: u32) -> Response {
-        let Some(binding) = self.bindings.remove(&client) else {
+        let Some(gone) = self.clients.remove(&client) else {
             return Response::Rejected {
                 client,
                 task_id: 0,
                 reason: RejectReason::NotConnected,
             };
         };
-        self.backlogs.remove(&client);
-        if let Some(shard) = self.shards.get_mut(binding.shard) {
+        self.owed
+            .extend(gone.backlog.iter().map(|request| Response::Rejected {
+                client,
+                task_id: request.task_id,
+                reason: RejectReason::NotConnected,
+            }));
+        if let Some(shard) = self.shards.get_mut(gone.shard) {
             let _ = shard.ledger.evict(u64::from(client));
             let empty = shard
                 .hv
                 .pools()
-                .get(binding.pool)
+                .get(gone.pool)
                 .map(|p| p.is_empty())
                 .unwrap_or(true);
             if empty {
-                if let Some(slot) = shard.pool_client.get_mut(binding.pool) {
+                if let Some(slot) = shard.pool_client.get_mut(gone.pool) {
                     *slot = None;
                 }
-                shard.free_pools.insert(binding.pool);
+                shard.free_pools.insert(gone.pool);
             } else {
-                shard.draining.insert(binding.pool);
+                shard.draining.insert(gone.pool);
             }
         }
         self.note(
             ObsKind::Marker,
             client,
             markers::DISCONNECT,
-            trace_idx(binding.shard) as u64,
+            trace_idx(gone.shard) as u64,
         );
         Response::Disconnected { client }
     }
@@ -470,15 +509,8 @@ impl ServeCluster {
                 reason: RejectReason::Malformed,
             });
         }
-        if !self.bindings.contains_key(&origin) {
-            return Some(Response::Rejected {
-                client: origin,
-                task_id,
-                reason: RejectReason::NotConnected,
-            });
-        }
         let cap = self.config.backlog_capacity;
-        let Some(backlog) = self.backlogs.get_mut(&origin) else {
+        let Some(Client { backlog, .. }) = self.clients.get_mut(&origin) else {
             return Some(Response::Rejected {
                 client: origin,
                 task_id,
@@ -489,6 +521,9 @@ impl ServeCluster {
         // contract — beyond the bound we shed, never grow.
         if backlog.len() < cap {
             backlog.push_back(request);
+            if backlog.len() == 1 {
+                self.ready.push(origin);
+            }
             None
         } else {
             self.note(ObsKind::Shed, origin, task_id, 1);
@@ -502,11 +537,12 @@ impl ServeCluster {
     fn submit_one(
         &mut self,
         client: u32,
-        binding: Binding,
+        idx: usize,
+        pool: usize,
         request: Request,
         responses: &mut Vec<Response>,
     ) {
-        let Some(shard) = self.shards.get_mut(binding.shard) else {
+        let Some(shard) = self.shards.get_mut(idx) else {
             responses.push(Response::Rejected {
                 client,
                 task_id: request.task_id,
@@ -516,7 +552,7 @@ impl ServeCluster {
         };
         let release = shard.hv.now();
         let mut job = RtJob::new(
-            binding.pool,
+            pool,
             request.task_id,
             release,
             request.wcet,
@@ -530,7 +566,7 @@ impl ServeCluster {
         shard.hv.drain_events(&mut self.events);
         // Admissions and refusals are answered from the stream, after any
         // misses the submit-time deadline sweep found.
-        self.answer(binding.shard, responses);
+        self.answer(idx, responses);
         match verdict {
             Ok(()) | Err(SubmitError::Refused(_)) => {}
             // A binding to a pool the shard lacks: no event to answer from.
@@ -542,26 +578,32 @@ impl ServeCluster {
         }
     }
 
-    /// One serve slot: drain backlogs into the hypervisors (ascending
-    /// client id), then step every shard, answering each shard's events
-    /// before its drained pools return to the free set. Returns all
-    /// responses produced this slot.
+    /// One serve slot: answer the requests disconnects took out of their
+    /// backlogs, drain the backlogs on the ready list into the hypervisors
+    /// (ascending client id; the backlogs left out are empty), then step
+    /// every shard, answering each shard's events before its drained pools
+    /// return to the free set. Returns all responses produced this slot.
     pub fn step(&mut self) -> Vec<Response> {
-        let mut responses = Vec::new();
+        let mut responses = std::mem::take(&mut self.owed);
         // Phase 1: submissions.
-        let clients: Vec<u32> = self.backlogs.keys().copied().collect();
-        for client in clients {
-            let Some(&binding) = self.bindings.get(&client) else {
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.sort_unstable();
+        ready.dedup();
+        for client in ready.drain(..) {
+            // A client that disconnected since it queued has nothing left.
+            let Some(&Client { shard, pool, .. }) = self.clients.get(&client) else {
                 continue;
             };
+            self.backlog_visits = self.backlog_visits.saturating_add(1);
             while let Some(request) = self
-                .backlogs
+                .clients
                 .get_mut(&client)
-                .and_then(|queue| queue.pop_front())
+                .and_then(|entry| entry.backlog.pop_front())
             {
-                self.submit_one(client, binding, request, &mut responses);
+                self.submit_one(client, shard, pool, request, &mut responses);
             }
         }
+        self.ready = ready;
         // Phase 2: dispatch.
         for idx in 0..self.shards.len() {
             if let Some(shard) = self.shards.get_mut(idx) {
@@ -693,8 +735,8 @@ impl ServeCluster {
                     u64::from(shard),
                     u64::from(mode),
                 );
-                for (&client, binding) in &self.bindings {
-                    if binding.shard == idx {
+                for (&client, entry) in &self.clients {
+                    if entry.shard == idx {
                         responses.push(Response::ModeChange {
                             client,
                             shard,

@@ -18,6 +18,9 @@
 //! * **FIFO skipping.** A FIFO baseline driven from one release to the
 //!   next steps its device only in slots where a job arrives, starts or
 //!   completes: at most three per offered job on a Fig. 7 trial.
+//! * **Serve ready list.** A serve slot visits only the backlogs that
+//!   hold work: never more backlog visits than accepted requests, however
+//!   many clients are connected.
 //!
 //! Allocations are counted per thread by the allocator below, so tests
 //! running in parallel never see each other's allocations.
@@ -25,6 +28,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use bytes::Bytes;
 use ioguard_baselines::bluevisor::BlueVisorPlatform;
 use ioguard_baselines::legacy::LegacyPlatform;
 use ioguard_baselines::platform::{IoPlatform, PlatformJob};
@@ -39,7 +43,9 @@ use ioguard_noc::reference::ReferenceNetwork;
 use ioguard_noc::topology::NodeId;
 use ioguard_sched::ledger::{theorem1_frame, DemandLedger};
 use ioguard_sched::table::TimeSlotTable;
-use ioguard_sched::task::{PeriodicServer, SporadicTask};
+use ioguard_sched::task::{PeriodicServer, SporadicTask, TaskSet};
+use ioguard_serve::server::{ServeCluster, ServeConfig};
+use ioguard_serve::wire::{self, Request, Response};
 use ioguard_sim::rng::Xoshiro256StarStar;
 use ioguard_workload::generator::{TrialConfig, TrialWorkload};
 
@@ -376,4 +382,52 @@ fn fifo_baselines_step_their_device_only_where_a_job_arrives_starts_or_completes
             "{name}: {steps} device steps for {offered} offered jobs"
         );
     }
+}
+
+/// 64 clients connected across four shards, of which client 63 alone
+/// sends one request every 16 slots for 8 000 slots. Each slot visits the
+/// backlogs that hold work, so each request costs one visit; walking every
+/// connected client's backlog would take 64 × 8 000 = 512 000.
+#[test]
+fn serve_step_visits_only_the_backlogs_that_hold_work() {
+    const CLIENTS: u32 = 64;
+    const SENDER: u32 = CLIENTS - 1;
+    let mut cluster = ServeCluster::new(ServeConfig::new(4, 16)).expect("valid config");
+    let server = PeriodicServer::new(64, 1).expect("valid server");
+    for client in 0..CLIENTS {
+        let resp = cluster.connect(client, server, &TaskSet::new());
+        assert!(
+            matches!(resp, Response::Connected { .. }),
+            "client {client}: {resp}"
+        );
+    }
+    let mut accepted = 0u64;
+    let mut frames: Vec<(u32, Bytes)> = Vec::new();
+    for slot in 0..8_000u64 {
+        frames.clear();
+        if slot % 16 == 0 {
+            let request = Request {
+                client: SENDER,
+                task_id: slot + 1,
+                wcet: 1,
+                deadline_rel: 16,
+                critical: false,
+                payload: Bytes::new(),
+            };
+            let frame = wire::encode_request_frame(&request).expect("valid request encodes");
+            frames.push((SENDER, frame));
+        }
+        let mut responses = cluster.ingest(&frames, 1);
+        responses.extend(cluster.step());
+        accepted += responses
+            .iter()
+            .filter(|r| matches!(r, Response::Accepted { .. }))
+            .count() as u64;
+    }
+    assert_eq!(accepted, 500, "every request is accepted");
+    let visits = cluster.backlog_visits();
+    assert!(
+        visits <= accepted,
+        "{visits} backlog visits for {accepted} requests from one of {CLIENTS} connected clients"
+    );
 }

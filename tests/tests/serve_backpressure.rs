@@ -5,9 +5,15 @@
 //! clients on the same shard keep a **zero** deadline-miss count; and
 //! staged mode changes (`Normal → Degraded → PchannelOnly`) surface as
 //! typed `ModeChange` responses exactly once per connected client per
-//! transition. The `ReplayDriver` tests at the end pin that a replay
-//! answers every accepted request, when it ends, when it snapshots and
-//! that its per-class p99 latency stays within the deadline bound.
+//! transition. A request queued when its client disconnects is answered,
+//! and a proptest over random connect/disconnect/ingest/step sequences
+//! pins that every request gets exactly one admission verdict by the next
+//! slot, in ascending client order. The `ReplayDriver` tests at the end
+//! pin that a replay answers every accepted request, when it ends, when it
+//! snapshots and that its per-class p99 latency stays within the deadline
+//! bound.
+
+use std::collections::BTreeMap;
 
 use bytes::{Bytes, BytesMut};
 use ioguard_faults::FaultPlan;
@@ -16,7 +22,8 @@ use ioguard_hypervisor::hypervisor::{AdmissionGuard, DegradationPolicy, HvMode};
 use ioguard_sched::{PeriodicServer, SporadicTask, TaskSet};
 use ioguard_serve::replay::{ReplayConfig, ReplayDriver};
 use ioguard_serve::server::{ServeCluster, ServeConfig};
-use ioguard_serve::wire::{self, Request, Response};
+use ioguard_serve::wire::{self, RejectReason, Request, Response};
+use proptest::prelude::*;
 
 const WELL_BEHAVED: [u32; 2] = [0, 1];
 const BABBLER: u32 = 2;
@@ -325,6 +332,162 @@ fn degradation_sheds_each_best_effort_request_by_id() {
 #[test]
 fn trace_ring_size_never_changes_client_responses() {
     assert_eq!(sweep_scenario(1), sweep_scenario(1 << 16));
+}
+
+#[test]
+fn a_request_queued_at_disconnect_is_answered_not_connected() {
+    let mut cluster = ServeCluster::new(serve_config()).expect("cluster builds");
+    let connect = |cluster: &mut ServeCluster| {
+        let resp = cluster.connect(0, server(), &tasks());
+        assert!(matches!(resp, Response::Connected { .. }), "{resp}");
+    };
+    connect(&mut cluster);
+    assert_eq!(cluster.ingest(&[(0, frame(0, 7, 1, 64, true))], 1), []);
+    assert_eq!(cluster.disconnect(0), Response::Disconnected { client: 0 });
+    connect(&mut cluster);
+    assert_eq!(cluster.ingest(&[(0, frame(0, 8, 1, 64, true))], 1), []);
+    let responses = cluster.step();
+    // The owed answer comes ahead of the slot's submissions.
+    assert_eq!(
+        responses.first(),
+        Some(&Response::Rejected {
+            client: 0,
+            task_id: 7,
+            reason: RejectReason::NotConnected,
+        }),
+        "{responses:?}"
+    );
+    let accepted = Response::Accepted {
+        client: 0,
+        task_id: 8,
+    };
+    assert_eq!(
+        responses.iter().filter(|r| **r == accepted).count(),
+        1,
+        "the reconnected client's request is submitted once: {responses:?}"
+    );
+}
+
+/// One call on a `ServeCluster::new(2, 2)` cluster in the ready-list
+/// proptest.
+#[derive(Debug, Clone)]
+enum Op {
+    Connect(u32),
+    Disconnect(u32),
+    /// One frame from `origin` carrying `requests` requests.
+    Ingest {
+        origin: u32,
+        requests: u64,
+    },
+    Step,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0..4u32).prop_map(Op::Connect),
+        (0..4u32).prop_map(Op::Disconnect),
+        (0..4u32, 1..=3u64).prop_map(|(origin, requests)| Op::Ingest { origin, requests }),
+        Just(Op::Step),
+    ]
+}
+
+/// The admission verdict a response gives `(client, task_id)`, if any.
+fn verdict(resp: &Response) -> Option<(u32, u64)> {
+    match *resp {
+        Response::Accepted { client, task_id }
+        | Response::Throttled {
+            client, task_id, ..
+        }
+        | Response::Shed { client, task_id }
+        | Response::Rejected {
+            client, task_id, ..
+        } => Some((client, task_id)),
+        _ => None,
+    }
+}
+
+/// Adds each verdict in `responses` to its request's count.
+fn tally(verdicts: &mut BTreeMap<(u32, u64), u32>, responses: &[Response]) {
+    for key in responses.iter().filter_map(verdict) {
+        *verdicts.entry(key).or_default() += 1;
+    }
+}
+
+proptest! {
+    /// Every request of every decodable frame gets exactly one verdict
+    /// (`Accepted`, `Throttled`, `Shed` or `Rejected`) from its own ingest
+    /// call or the next step, whatever connects and disconnects in
+    /// between; and each step accepts in non-decreasing client id.
+    #[test]
+    fn every_request_is_answered_once_by_the_next_step(
+        mut ops in proptest::collection::vec(arb_op(), 0..64),
+    ) {
+        ops.push(Op::Step);
+        let mut cluster = ServeCluster::new(ServeConfig::new(2, 2)).expect("cluster builds");
+        // Verdicts per request, and the requests sent since the last step.
+        let mut verdicts: BTreeMap<(u32, u64), u32> = BTreeMap::new();
+        let mut unstepped: Vec<(u32, u64)> = Vec::new();
+        let mut next_task = 1u64;
+        for op in ops {
+            match op {
+                Op::Connect(client) => {
+                    let _ = cluster.connect(client, server(), &tasks());
+                }
+                Op::Disconnect(client) => {
+                    let _ = cluster.disconnect(client);
+                }
+                Op::Ingest { origin, requests } => {
+                    let mut buf = BytesMut::new();
+                    for _ in 0..requests {
+                        let request = Request {
+                            client: origin,
+                            task_id: next_task,
+                            wcet: 1,
+                            deadline_rel: 64,
+                            critical: next_task.is_multiple_of(2),
+                            payload: Bytes::new(),
+                        };
+                        wire::encode_request(&request, &mut buf).expect("valid request encodes");
+                        unstepped.push((origin, next_task));
+                        next_task += 1;
+                    }
+                    tally(&mut verdicts, &cluster.ingest(&[(origin, buf.freeze())], 1));
+                }
+                Op::Step => {
+                    let responses = cluster.step();
+                    tally(&mut verdicts, &responses);
+                    for key in unstepped.drain(..) {
+                        prop_assert_eq!(
+                            verdicts.get(&key).copied(),
+                            Some(1),
+                            "request {:?} by the next step: {:?}",
+                            key,
+                            responses
+                        );
+                    }
+                    let accepted: Vec<u32> = responses
+                        .iter()
+                        .filter_map(|r| match *r {
+                            Response::Accepted { client, .. } => Some(client),
+                            _ => None,
+                        })
+                        .collect();
+                    prop_assert!(
+                        accepted.windows(2).all(|w| w[0] <= w[1]),
+                        "accepted out of client order: {:?}",
+                        accepted
+                    );
+                }
+            }
+        }
+        prop_assert!(unstepped.is_empty());
+        prop_assert_eq!(verdicts.len() as u64, next_task - 1, "a verdict for an unknown request");
+        prop_assert!(
+            verdicts.values().all(|&n| n == 1),
+            "a request answered twice: {:?}",
+            verdicts
+        );
+    }
 }
 
 #[test]
