@@ -2,8 +2,8 @@
 //!
 //! The [`Fleet`] consumes a [`FleetArrivals`] churn stream and routes
 //! each arrival to a shard (or to the bounded spillover queue) with a
-//! per-decision cost of one Theorem 3 gate plus one `O(frame/Π)` ledger
-//! probe per shard — no full demand sweeps anywhere on the hot path.
+//! per-decision cost of one Theorem 3 gate plus one pruned ledger descent
+//! per shard — no full demand sweeps anywhere on the hot path.
 //!
 //! **Determinism.** Placement is a pure function of `(config, stream)`:
 //! shard probes fan out over [`ioguard_core::engine::run_indexed`], which
@@ -176,9 +176,9 @@ pub struct FleetStats {
     pub migrations: u64,
     /// Read-only shard probes issued.
     pub probes: u64,
-    /// Ledger delta events applied across all shards (admissions,
-    /// evictions, and their rollbacks) — the incremental work actually
-    /// done, comparable against `shards × frame` for a full-sweep world.
+    /// Ledger delta events decided over across all shards (`frame/Π` per
+    /// admit, accepted or rejected, and per eviction) — the incremental
+    /// work, comparable against `shards × frame` for a full-sweep world.
     pub delta_events: u64,
 }
 
@@ -328,21 +328,23 @@ impl Fleet {
     }
 
     /// After a departure, retries parked VMs in FIFO order until the
-    /// front entry no longer fits anywhere.
+    /// front entry no longer fits anywhere. The queue is taken out of the
+    /// fleet for the loop (`try_place` never reads it), so the front is
+    /// retried by reference and only a placed entry leaves it.
     fn drain_spillover(&mut self, decisions: &mut Vec<Decision>) {
-        while let Some(front) = self.spillover.front().cloned() {
-            match self.try_place(front.vm, front.server, &front.tasks) {
-                Some(shard) => {
-                    self.spillover.pop_front();
-                    self.stats.spill_placed = self.stats.spill_placed.saturating_add(1);
-                    decisions.push(Decision::SpillPlaced {
-                        vm: front.vm,
-                        shard,
-                    });
-                }
-                None => break,
-            }
+        let mut parked = std::mem::take(&mut self.spillover);
+        while let Some(front) = parked.front() {
+            let Some(shard) = self.try_place(front.vm, front.server, &front.tasks) else {
+                break;
+            };
+            self.stats.spill_placed = self.stats.spill_placed.saturating_add(1);
+            decisions.push(Decision::SpillPlaced {
+                vm: front.vm,
+                shard,
+            });
+            parked.pop_front();
         }
+        self.spillover = parked;
     }
 
     /// Applies one lifecycle event, returning the decisions it caused (an

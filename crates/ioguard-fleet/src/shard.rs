@@ -3,12 +3,13 @@
 //!
 //! A shard owns exactly the state one I/O-GUARD board would: a time-slot
 //! table σ\* and the set of VMs currently bound to it. Global (Theorem 1)
-//! admission goes through the shard's [`DemandLedger`], so an
-//! admit/evict costs `O(frame/Π)` delta events instead of a full sweep;
-//! the local gate (a server period harmonic with the frame, and Theorem 3
-//! feasibility of the VM's task set against its own server) is
-//! shard-independent and exposed as [`locally_schedulable`] so callers
-//! check it once per arrival, not once per probe.
+//! admission goes through the shard's [`DemandLedger`], so an admit costs
+//! one pruned search plus one staircase add, and an evict one staircase
+//! add, instead of a full sweep; the local gate (a server period harmonic
+//! with the frame, and Theorem 3 feasibility of the VM's task set against
+//! its own server) is shard-independent and exposed as
+//! [`locally_schedulable`] so callers check it once per arrival, not once
+//! per probe.
 
 use std::collections::BTreeMap;
 
@@ -109,7 +110,7 @@ impl Shard {
     /// Admits `vm` with `server`, recording `tasks` on success.
     ///
     /// On a `Schedulable` outcome the VM is resident; on `Unschedulable`
-    /// the ledger has rolled itself back and the shard is unchanged.
+    /// the ledger was never changed and neither was the shard.
     ///
     /// # Errors
     ///

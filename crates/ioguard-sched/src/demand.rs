@@ -114,9 +114,9 @@ pub fn dbf_tasks(tasks: &TaskSet, t: u64) -> u64 {
 /// `(0, bound]`. A server `(Π, Θ)` steps by `Θ` at every multiple of `Π`;
 /// a task `(T, C, D)` steps by `C` at `D + m·T`.
 ///
-/// The incremental [`crate::ledger::DemandLedger`] applies a single
-/// source's list as a delta against its cached slack envelope — the O(Δ)
-/// admission path.
+/// For a server these events form the staircase `Θ·⌊t/Π⌋` that the
+/// incremental [`crate::ledger::DemandLedger`] searches against, and adds
+/// to, its cached slack envelope — the O(Δ) admission path.
 ///
 /// # Example
 ///

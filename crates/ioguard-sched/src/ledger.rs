@@ -7,15 +7,32 @@
 //! sweep is the admission bottleneck, so this module keeps the analysis
 //! *materialized* instead: a dense **slack envelope** `slack(t) = sbf(σ, t)
 //! − Σ dbf(Γ_i, t)` over a fixed analysis frame, stored in a lazy segment
-//! tree with range-add, range-min and leftmost-negative search.
+//! tree.
 //!
-//! Admitting a server `Γ = (Π, Θ)` only touches the checkpoints its delta
-//! events can violate: `dbf(Γ, ·)` steps by `Θ` at each of the `frame/Π`
-//! multiples of `Π`, so `admit` is `frame/Π` suffix range-subtractions at
-//! O(log frame) each — **O(Δ log frame)**, independent of the resident
-//! population. `evict` applies the exact integer inverses. The resident
-//! set is schedulable iff the envelope is non-negative everywhere, and the
-//! leftmost negative slot is exactly the violation the full sweep reports.
+//! A server `Γ = (Π, Θ)` adds the demand staircase `Θ·⌊t/Π⌋`, so the
+//! ledger needs two primitives over it, both independent of the resident
+//! population:
+//!
+//! - **Search.** `probe`, and `admit` before it changes anything, run one
+//!   left-first descent for the earliest slot where `slack(t) < Θ·⌊t/Π⌋`.
+//!   A node whose minimum covers the need at its last slot is skipped; in
+//!   one step the need is flat, so a node that fails that test holds a
+//!   violation. That is O(frame/Π + log frame) nodes at worst and about
+//!   log frame in practice. Slot `frame` is checked last, so a rejection
+//!   names the leftmost violating slot.
+//! - **Staircase add.** `admit` (on acceptance) and `evict` add `∓Θ·⌊t/Π⌋`
+//!   in one pass that stops at every node over which `⌊t/Π⌋` is constant.
+//!   Slot `t` lives at leaf `t mod frame`, so with a power-of-two Π every
+//!   step boundary starts a subtree and the pass visits `1 + 2·(frame/Π −
+//!   1 + log₂ Π)` nodes: 155 at Π = 2¹⁴, frame 2²⁰. A period that is not
+//!   a power of two is exact too, only slower, since its steps cut nodes.
+//!
+//! A rejected admit changes nothing. The resident set is schedulable iff
+//! the envelope is non-negative everywhere, and the leftmost slot below
+//! the candidate's staircase is exactly the violation the full sweep
+//! reports. The `cost_counters` test
+//! `one_admit_or_evict_visits_o_steps_plus_log_frame_nodes` gates
+//! [`DemandLedger::nodes_visited`] at `2·(frame/Π) + 4·log₂ frame`.
 //!
 //! # Exactness
 //!
@@ -43,7 +60,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::demand::StepEvents;
 use crate::error::SchedError;
 use crate::gsched::GschedVerdict;
 use crate::table::TimeSlotTable;
@@ -53,11 +69,11 @@ use crate::task::PeriodicServer;
 /// a memory commitment (two `i64` per slot plus tree overhead).
 pub const MAX_FRAME: u64 = 1 << 22;
 
-/// What one `admit`/`evict`/`probe` actually did: the work a decision
-/// costs, counted rather than timed.
+/// What one `admit`/`evict`/`probe` decides over: the candidate's own
+/// demand steps, counted rather than timed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmitStats {
-    /// Delta events applied (or probed): `frame / Π` for the changed
+    /// Delta events the decision covers: `frame / Π` steps of the changed
     /// server — the only checkpoints the delta can violate.
     pub delta_events: u64,
     /// Envelope checkpoints (slots) covered by those delta events; equals
@@ -70,9 +86,9 @@ pub struct AdmitStats {
 pub struct AdmitOutcome {
     /// The G-Sched verdict for the resident set *plus* the candidate. On
     /// `Schedulable` the candidate is now resident; on `Unschedulable`
-    /// the envelope was rolled back and the resident set is unchanged.
+    /// the ledger was never changed.
     pub verdict: GschedVerdict,
-    /// Work actually done.
+    /// The candidate's delta, applied on `Schedulable` only.
     pub stats: AdmitStats,
 }
 
@@ -84,7 +100,9 @@ impl AdmitOutcome {
 }
 
 /// The persistent incremental admission state for one σ\*: the dense slack
-/// envelope plus the resident server set (see the module docs).
+/// envelope plus the resident server set (see the module docs). Admission
+/// searches the envelope once and changes it only on acceptance, with one
+/// staircase add; eviction is the inverse add.
 ///
 /// # Example
 ///
@@ -100,7 +118,7 @@ impl AdmitOutcome {
 /// assert_eq!(ledger.resident_count(), 1);
 /// let hog = PeriodicServer::new(8, 5)?; // 3 + 5 > 7 free per 8 slots
 /// assert!(!ledger.admit(9, hog)?.admitted());
-/// assert_eq!(ledger.resident_count(), 1); // rolled back
+/// assert_eq!(ledger.resident_count(), 1); // unchanged
 /// ledger.evict(7)?;
 /// assert!(ledger.admit(9, hog)?.admitted());
 /// # Ok::<(), ioguard_sched::SchedError>(())
@@ -111,8 +129,11 @@ pub struct DemandLedger {
     frame: u64,
     envelope: SlackEnvelope,
     residents: BTreeMap<u64, PeriodicServer>,
-    /// Lifetime count of delta events applied (admits, evicts, rollbacks).
+    /// Lifetime count of delta events applied (admitted servers and
+    /// evictions).
     events_applied: u64,
+    /// Lifetime count of envelope nodes `admit` and `evict` visited.
+    nodes_visited: u64,
 }
 
 impl DemandLedger {
@@ -140,6 +161,7 @@ impl DemandLedger {
             envelope,
             residents: BTreeMap::new(),
             events_applied: 0,
+            nodes_visited: 0,
         })
     }
 
@@ -168,9 +190,17 @@ impl DemandLedger {
         self.residents.iter().map(|(id, s)| (*id, s))
     }
 
-    /// Lifetime count of delta events applied by this ledger.
+    /// Lifetime count of delta events applied by this ledger: `frame/Π`
+    /// for each admitted server and each eviction, none for a rejection.
     pub fn events_applied(&self) -> u64 {
         self.events_applied
+    }
+
+    /// Lifetime count of envelope nodes visited by `admit` (search plus
+    /// staircase add) and `evict` (staircase add). `probe` is read-only and
+    /// not counted.
+    pub fn nodes_visited(&self) -> u64 {
+        self.nodes_visited
     }
 
     /// Minimum slack anywhere in the frame (≥ 0 by the resident
@@ -183,20 +213,20 @@ impl DemandLedger {
     /// resident set (`sbf(frame) − Σ dbf(frame)`), used by worst-fit
     /// placement.
     pub fn headroom(&self) -> i64 {
-        self.envelope
-            .value_at(self.frame.saturating_sub(1) as usize)
+        self.envelope.value_at(self.envelope.n)
     }
 
     /// The G-Sched verdict for the current resident set: always
-    /// `Schedulable` with `checked_up_to = frame` — rejected admissions
-    /// are rolled back before returning.
+    /// `Schedulable` with `checked_up_to = frame` — a rejected admission
+    /// never changes the ledger.
     pub fn verdict(&self) -> GschedVerdict {
         GschedVerdict::Schedulable {
             checked_up_to: self.frame,
         }
     }
 
-    /// Work an admit/probe of `server` performs, without doing it.
+    /// The delta events an admit/probe of `server` decides over, without
+    /// doing it.
     pub fn delta_stats(&self, server: &PeriodicServer) -> AdmitStats {
         let events = self.frame / server.period();
         AdmitStats {
@@ -219,25 +249,8 @@ impl DemandLedger {
         Ok(())
     }
 
-    /// Applies the delta events of `server` to the envelope with the given
-    /// sign (−Θ for admit, +Θ for evict). Exact integer inverse pairs.
-    fn apply_delta(&mut self, server: &PeriodicServer, sign: i64) {
-        let step = i64::try_from(server.budget()).unwrap_or(i64::MAX);
-        for (t, _) in StepEvents::server(server, self.frame) {
-            // Event at `t` shifts every slot from `t` on: suffix range-add
-            // over leaf indices [t-1, frame-1] (leaf i holds slot i+1).
-            let lo = t.saturating_sub(1) as usize;
-            self.envelope.range_add(
-                lo,
-                self.frame.saturating_sub(1) as usize,
-                sign.saturating_mul(step),
-            );
-            self.events_applied = self.events_applied.saturating_add(1);
-        }
-    }
-
     /// Read-only feasibility probe: would admitting `server` keep the
-    /// envelope non-negative? O(Δ log frame), no mutation.
+    /// envelope non-negative? One pruned descent, no mutation.
     ///
     /// # Errors
     ///
@@ -245,29 +258,17 @@ impl DemandLedger {
     /// the frame.
     pub fn probe(&self, server: &PeriodicServer) -> Result<bool, SchedError> {
         self.require_harmonic(server)?;
-        let step = i64::try_from(server.budget()).unwrap_or(i64::MAX);
-        let pi = server.period();
-        let mut m = 1u64;
-        let mut at = pi;
-        while at <= self.frame {
-            // Slots in [at, at + Π) carry m full extra budgets of demand.
-            let hi_slot = at.saturating_add(pi).saturating_sub(1).min(self.frame);
-            let lo = at.saturating_sub(1) as usize;
-            let hi = hi_slot.saturating_sub(1) as usize;
-            let need = i64::try_from(m).unwrap_or(i64::MAX).saturating_mul(step);
-            if self.envelope.range_min(lo, hi) < need {
-                return Ok(false);
-            }
-            m = m.saturating_add(1);
-            at = at.saturating_add(pi);
-        }
-        Ok(true)
+        let mut visited = 0;
+        Ok(self
+            .envelope
+            .first_below(Staircase::of(server), &mut visited)
+            .is_none())
     }
 
-    /// Admits `server` as `id`, touching only the `frame/Π` checkpoints
-    /// its delta can violate. On a violation the envelope is rolled back
-    /// exactly (integer inverses) and the verdict reports the leftmost
-    /// violating slot, byte-equal to what [`theorem1_frame`] finds.
+    /// Admits `server` as `id`: one search for the leftmost slot its
+    /// staircase would push below zero, then, only if there is none, one
+    /// staircase add. A rejection leaves the ledger unchanged and reports
+    /// that slot, byte-equal to what [`theorem1_frame`] finds.
     ///
     /// # Errors
     ///
@@ -279,26 +280,28 @@ impl DemandLedger {
         }
         self.require_harmonic(&server)?;
         let stats = self.delta_stats(&server);
-        self.apply_delta(&server, -1);
-        let verdict = match self.envelope.leftmost_negative() {
+        let need = Staircase::of(&server);
+        let mut visited = 0;
+        let verdict = match self.envelope.first_below(need, &mut visited) {
             None => {
+                visited = visited.saturating_add(self.envelope.add_staircase(need.negated()));
+                self.events_applied = self.events_applied.saturating_add(stats.delta_events);
                 self.residents.insert(id, server);
                 GschedVerdict::Schedulable {
                     checked_up_to: self.frame,
                 }
             }
-            Some(idx) => {
-                let t = (idx as u64).saturating_add(1);
-                let slack = self.envelope.value_at(idx);
+            Some((t, slack)) => {
                 let supply = self.sigma.sbf(t);
-                // demand = sbf − slack, exact in i64 (slack < 0 here).
+                // demand = sbf − slack left by the candidate, exact in i64
+                // (that slack is negative here).
+                let left = slack.saturating_sub(need.at(t as usize));
                 let demand = u64::try_from(
                     i64::try_from(supply)
                         .unwrap_or(i64::MAX)
-                        .saturating_sub(slack),
+                        .saturating_sub(left),
                 )
                 .unwrap_or(0);
-                self.apply_delta(&server, 1);
                 GschedVerdict::Unschedulable {
                     violation_at: t,
                     demand,
@@ -306,10 +309,11 @@ impl DemandLedger {
                 }
             }
         };
+        self.nodes_visited = self.nodes_visited.saturating_add(visited);
         Ok(AdmitOutcome { verdict, stats })
     }
 
-    /// Evicts resident `id`, applying the exact inverse delta events.
+    /// Evicts resident `id` with the exact inverse staircase add.
     ///
     /// # Errors
     ///
@@ -318,7 +322,10 @@ impl DemandLedger {
         let Some(server) = self.residents.remove(&id) else {
             return Err(SchedError::UnknownVm { id });
         };
-        self.apply_delta(&server, 1);
+        let visited = self.envelope.add_staircase(Staircase::of(&server));
+        self.nodes_visited = self.nodes_visited.saturating_add(visited);
+        let events = self.delta_stats(&server).delta_events;
+        self.events_applied = self.events_applied.saturating_add(events);
         Ok(server)
     }
 
@@ -358,18 +365,20 @@ pub fn theorem1_frame(
 }
 
 /// The dense slack envelope: a lazy segment tree over slots `1..=frame`
-/// (leaf `i` holds `slack(i+1)`) supporting suffix range-add, range-min
-/// and leftmost-negative search, all O(log frame).
+/// with one leaf per slot. Slot `t` sits at leaf `t mod frame`: leaves
+/// `1..frame` hold slots `1..frame`, and leaf 0 holds slot `frame`. With a
+/// power-of-two step width every step boundary `m·Π` then starts a
+/// subtree, so a staircase over the leaves is constant on whole nodes.
 ///
 /// Lazy adds are stored *applied at the node* (`vals[node]` already
 /// includes `pend[node]`), so updates never push down; queries accumulate
 /// the pending adds of strict ancestors on the way down.
 #[derive(Debug, Clone, PartialEq)]
 struct SlackEnvelope {
-    /// Leaves in use.
+    /// Leaves in use: the frame.
     n: usize,
     /// Leaf capacity (next power of two ≥ n); leaves live at
-    /// `[size, size + n)`, padding holds `i64::MAX`.
+    /// `[size, size + n)`, padding holds `i64::MAX` and is never added to.
     size: usize,
     /// Subtree minima, each including the node's own pending add.
     vals: Vec<i64>,
@@ -382,12 +391,21 @@ impl SlackEnvelope {
     /// t)` for `t ∈ 1..=frame`.
     fn from_supply(sigma: &TimeSlotTable, frame: u64) -> Self {
         let n = frame as usize;
-        let size = n.next_power_of_two().max(1);
+        let size = n.next_power_of_two();
         let mut vals = vec![i64::MAX; size.saturating_mul(2)];
-        for i in 0..n {
-            let t = (i as u64).saturating_add(1);
-            vals[size + i] = i64::try_from(sigma.sbf(t)).unwrap_or(i64::MAX);
+        // Eq. 2, sbf(t) = enum(t mod H) + ⌊t/H⌋·F, one table period of
+        // leaves at a time (H divides the frame).
+        let table = sigma.enum_table();
+        let per_table = i64::try_from(sigma.free_slots()).unwrap_or(i64::MAX);
+        let mut base = 0i64;
+        for leaves in vals[size..size + n].chunks_exact_mut(table.len()) {
+            for (leaf, &sbf) in leaves.iter_mut().zip(table) {
+                *leaf = base.saturating_add(i64::try_from(sbf).unwrap_or(i64::MAX));
+            }
+            base = base.saturating_add(per_table);
         }
+        // Leaf 0 holds slot `frame`: sbf(frame) = (frame/H)·F.
+        vals[size] = base;
         for node in (1..size).rev() {
             vals[node] = vals[2 * node].min(vals[2 * node + 1]);
         }
@@ -399,120 +417,133 @@ impl SlackEnvelope {
         }
     }
 
-    /// Adds `delta` to every leaf in `[lo, hi]` (inclusive, 0-based).
-    fn range_add(&mut self, lo: usize, hi: usize, delta: i64) {
-        if lo > hi || lo >= self.n {
-            return;
-        }
-        self.add_rec(1, 0, self.size - 1, lo, hi.min(self.n - 1), delta);
+    /// Minimum over every slot.
+    fn min_all(&self) -> i64 {
+        self.vals[1]
     }
 
-    fn add_rec(
-        &mut self,
-        node: usize,
-        node_lo: usize,
-        node_hi: usize,
-        lo: usize,
-        hi: usize,
-        delta: i64,
-    ) {
-        if hi < node_lo || node_hi < lo {
-            return;
+    /// The slot leaf `leaf < n` holds.
+    fn slot(&self, leaf: usize) -> usize {
+        if leaf == 0 {
+            self.n
+        } else {
+            leaf
         }
-        if lo <= node_lo && node_hi <= hi {
-            self.vals[node] = self.vals[node].saturating_add(delta);
-            self.pend[node] = self.pend[node].saturating_add(delta);
-            return;
+    }
+
+    /// The slack at slot `t ∈ 1..=frame`.
+    fn value_at(&self, t: usize) -> i64 {
+        let mut node = self.size + t % self.n;
+        let mut value = self.vals[node];
+        while node > 1 {
+            node /= 2;
+            value = value.saturating_add(self.pend[node]);
         }
-        let mid = node_lo + (node_hi - node_lo) / 2;
-        self.add_rec(2 * node, node_lo, mid, lo, hi, delta);
-        self.add_rec(2 * node + 1, mid + 1, node_hi, lo, hi, delta);
+        value
+    }
+
+    /// Adds `stair` to the envelope in one pass that stops at each node
+    /// over which `⌊t/Π⌋` is constant. Returns the nodes visited.
+    fn add_staircase(&mut self, stair: Staircase) -> u64 {
+        self.add_rec(1, 0, self.size, stair)
+    }
+
+    fn add_rec(&mut self, node: usize, lo: usize, width: usize, stair: Staircase) -> u64 {
+        if lo >= self.n {
+            return 1;
+        }
+        let (first, last) = (self.slot(lo), lo + width - 1);
+        if last < self.n && first / stair.pi == self.slot(last) / stair.pi {
+            let add = stair.at(first);
+            self.vals[node] = self.vals[node].saturating_add(add);
+            self.pend[node] = self.pend[node].saturating_add(add);
+            return 1;
+        }
+        let half = width / 2;
+        let visited = self
+            .add_rec(2 * node, lo, half, stair)
+            .saturating_add(self.add_rec(2 * node + 1, lo + half, half, stair));
         self.vals[node] = self.vals[2 * node]
             .min(self.vals[2 * node + 1])
             .saturating_add(self.pend[node]);
+        visited.saturating_add(1)
     }
 
-    /// Minimum over all leaves in use.
-    fn min_all(&self) -> i64 {
-        if self.n == 0 {
-            return i64::MAX;
+    /// The leftmost slot `t` where `slack(t) < need(t)`, with `slack(t)`:
+    /// one descent over slots `1..frame`, then slot `frame` at leaf 0. Adds
+    /// the nodes visited to `visited`.
+    fn first_below(&self, need: Staircase, visited: &mut u64) -> Option<(u64, i64)> {
+        if let Some((t, slack)) = self.search(1, 0, self.size, 0, need, visited) {
+            return Some((t as u64, slack));
         }
-        self.range_min(0, self.n - 1)
+        *visited = visited.saturating_add(u64::from(self.size.ilog2()) + 1);
+        let slack = self.value_at(self.n);
+        (slack < need.at(self.n)).then_some((self.n as u64, slack))
     }
 
-    /// Minimum over leaves `[lo, hi]` (inclusive, 0-based).
-    fn range_min(&self, lo: usize, hi: usize) -> i64 {
-        if lo > hi || lo >= self.n {
-            return i64::MAX;
-        }
-        self.min_rec(1, 0, self.size - 1, lo, hi.min(self.n - 1), 0)
-    }
-
-    fn min_rec(
+    /// Left-first descent below `node` (leaves `[lo, lo + width)`, strict
+    /// ancestors' pending adds summing to `above`) for the leftmost leaf
+    /// `t ≥ 1` below `need(t)`. A node is skipped when its minimum covers
+    /// the need at its last leaf, the largest need in it because the
+    /// staircase never decreases (leaf 0, slot `frame`, is left to the
+    /// caller, and its value only lowers the minimum).
+    fn search(
         &self,
         node: usize,
-        node_lo: usize,
-        node_hi: usize,
         lo: usize,
-        hi: usize,
-        acc: i64,
-    ) -> i64 {
-        if hi < node_lo || node_hi < lo {
-            return i64::MAX;
-        }
-        if lo <= node_lo && node_hi <= hi {
-            return self.vals[node].saturating_add(acc);
-        }
-        let mid = node_lo + (node_hi - node_lo) / 2;
-        let down = acc.saturating_add(self.pend[node]);
-        self.min_rec(2 * node, node_lo, mid, lo, hi, down)
-            .min(self.min_rec(2 * node + 1, mid + 1, node_hi, lo, hi, down))
-    }
-
-    /// The value at leaf `i` (0-based).
-    fn value_at(&self, i: usize) -> i64 {
-        if i >= self.n {
-            return i64::MAX;
-        }
-        let mut acc = 0i64;
-        let mut node = 1usize;
-        while node < self.size {
-            acc = acc.saturating_add(self.pend[node]);
-            let bit_span = self.size >> (node.ilog2() + 1);
-            let left_hi = leaf_base(node, self.size) + bit_span - 1;
-            node = if i <= left_hi { 2 * node } else { 2 * node + 1 };
-        }
-        self.vals[node].saturating_add(acc)
-    }
-
-    /// The leftmost leaf (0-based) with a negative value, if any.
-    fn leftmost_negative(&self) -> Option<usize> {
-        if self.n == 0 || self.vals[1] >= 0 {
+        width: usize,
+        above: i64,
+        need: Staircase,
+        visited: &mut u64,
+    ) -> Option<(usize, i64)> {
+        *visited = visited.saturating_add(1);
+        if lo >= self.n {
             return None;
         }
-        let mut acc = 0i64;
-        let mut node = 1usize;
-        while node < self.size {
-            acc = acc.saturating_add(self.pend[node]);
-            let left = 2 * node;
-            if self.vals[left].saturating_add(acc) < 0 {
-                node = left;
-            } else {
-                node = left + 1;
-            }
+        let min = self.vals[node].saturating_add(above);
+        if min >= need.at((lo + width - 1).min(self.n - 1)) {
+            return None;
         }
-        let idx = node - self.size;
-        // Padding leaves hold i64::MAX and can never be negative.
-        (idx < self.n).then_some(idx)
+        if width == 1 {
+            return (lo > 0).then_some((lo, min));
+        }
+        let below = above.saturating_add(self.pend[node]);
+        let half = width / 2;
+        self.search(2 * node, lo, half, below, need, visited)
+            .or_else(|| self.search(2 * node + 1, lo + half, half, below, need, visited))
     }
 }
 
-/// First leaf index covered by `node` in a perfect tree with `size`
-/// leaves.
-fn leaf_base(node: usize, size: usize) -> usize {
-    let depth = node.ilog2();
-    let span = size >> depth;
-    (node - (1usize << depth)) * span
+/// The demand staircase `rise·⌊t/Π⌋` of one server: `rise = Θ` is the
+/// candidate's need at slot `t`, `rise = ±Θ` its admit or evict delta.
+#[derive(Debug, Clone, Copy)]
+struct Staircase {
+    pi: usize,
+    rise: i64,
+}
+
+impl Staircase {
+    /// The need of `server`: `Θ·⌊t/Π⌋`.
+    fn of(server: &PeriodicServer) -> Self {
+        Self {
+            pi: usize::try_from(server.period()).unwrap_or(usize::MAX),
+            rise: i64::try_from(server.budget()).unwrap_or(i64::MAX),
+        }
+    }
+
+    /// The same staircase with `rise` negated.
+    fn negated(self) -> Self {
+        Self {
+            rise: self.rise.saturating_neg(),
+            ..self
+        }
+    }
+
+    /// The staircase's value at slot `t`.
+    fn at(self, t: usize) -> i64 {
+        self.rise
+            .saturating_mul(i64::try_from(t / self.pi).unwrap_or(i64::MAX))
+    }
 }
 
 #[cfg(test)]
@@ -584,11 +615,11 @@ mod tests {
         // 2/5 + 3/5 = 1.0 > 0.8 free fraction: rejected.
         let out = ledger.admit(1, server(5, 3)).unwrap();
         assert!(!out.admitted());
-        // The envelope and resident set roll back byte-exactly (only the
-        // lifetime events_applied counter keeps counting).
+        // A rejection never touches the envelope or the resident set (only
+        // the lifetime nodes_visited counter counts its search).
         assert_eq!(
             ledger.envelope, before.envelope,
-            "rollback must be byte-exact"
+            "a rejection must leave the envelope byte-equal"
         );
         assert_eq!(ledger.residents, before.residents);
         assert_eq!(ledger.verify_full(), ledger.verdict());
@@ -678,13 +709,16 @@ mod tests {
     }
 
     proptest! {
-        /// Random join/leave churn with harmonic periods: after every
+        /// Random join/leave churn over tables of any length H, frames
+        /// `H·k` and periods that divide the frame, so some frames leave
+        /// padding leaves and some steps cut through nodes. After every
         /// operation the incremental envelope byte-equals the full
-        /// re-sweep, and every admit verdict byte-equals the sweep on
-        /// residents + candidate.
+        /// re-sweep, every admit verdict byte-equals the sweep on
+        /// residents + candidate, `probe` agrees with `admit`, and a
+        /// rejected admit leaves the ledger unchanged.
         #[test]
         fn ledger_matches_full_sweep_under_churn(
-            seed in 0u64..500,
+            seed in any::<u64>(),
             ops in 4usize..40,
         ) {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -694,10 +728,11 @@ mod tests {
                 state ^= state << 17;
                 state % m.max(1)
             };
-            let h = [4u64, 8, 16][rand(3) as usize];
+            let h = [3u64, 4, 5, 6, 8, 10, 12, 16][rand(8) as usize];
             let occupied: Vec<u64> = (0..rand(h / 2 + 1)).map(|_| rand(h)).collect();
             let table = sigma(h, &occupied);
-            let frame = h * [4u64, 8, 16][rand(3) as usize];
+            let frame = h * (1 + rand(12));
+            let periods: Vec<u64> = (1..=frame).filter(|d| frame.is_multiple_of(*d)).collect();
             let mut ledger = DemandLedger::new(table.clone(), frame).unwrap();
             let mut next_id = 0u64;
             for _ in 0..ops {
@@ -707,19 +742,23 @@ mod tests {
                     let id = ids[rand(ids.len() as u64) as usize];
                     ledger.evict(id).unwrap();
                 } else {
-                    // Harmonic period: a divisor-multiple of h that divides frame.
-                    let mut pi = h;
-                    while rand(2) == 1 && pi * 2 <= frame && frame.is_multiple_of(pi * 2) {
-                        pi *= 2;
-                    }
+                    let pi = periods[rand(periods.len() as u64) as usize];
                     let theta = 1 + rand(pi);
                     let s = server(pi, theta);
                     let mut candidate: Vec<PeriodicServer> =
                         ledger.residents().map(|(_, r)| *r).collect();
                     candidate.push(s);
                     let reference = theorem1_frame(&table, &candidate, frame);
+                    let before = ledger.clone();
+                    let probed = ledger.probe(&s).unwrap();
                     let out = ledger.admit(next_id, s).unwrap();
                     prop_assert_eq!(out.verdict, reference, "admit verdict differs");
+                    prop_assert_eq!(probed, out.admitted(), "probe differs from admit");
+                    if !out.admitted() {
+                        prop_assert_eq!(&ledger.envelope, &before.envelope);
+                        prop_assert_eq!(&ledger.residents, &before.residents);
+                        prop_assert_eq!(ledger.events_applied(), before.events_applied());
+                    }
                     next_id += 1;
                 }
                 // The persistent state always equals a from-scratch sweep.
@@ -735,23 +774,41 @@ mod tests {
     }
 
     #[test]
-    fn envelope_leftmost_negative_and_point_queries() {
-        let table = sigma(4, &[]);
-        let mut env = SlackEnvelope::from_supply(&table, 10);
-        // slack(t) = t on a fully-free table.
-        for i in 0..10 {
-            assert_eq!(env.value_at(i), i as i64 + 1);
-        }
-        assert_eq!(env.leftmost_negative(), None);
-        env.range_add(3, 9, -6);
-        // Slots 4..=7 now negative (4-6, 5-6, 6-6=0 not negative...):
-        // values: 1,2,3,-2,-1,0,1,2,3,4.
-        assert_eq!(env.leftmost_negative(), Some(3));
-        assert_eq!(env.value_at(3), -2);
-        assert_eq!(env.range_min(0, 2), 1);
-        assert_eq!(env.range_min(4, 9), -1);
-        env.range_add(3, 9, 6);
-        assert_eq!(env.leftmost_negative(), None);
+    fn envelope_staircase_add_and_first_below() {
+        // Frame 12 over a fully free table: slack(t) = t. The tree has 16
+        // leaves: leaves 1..=11 hold slots 1..=11, leaf 0 holds slot 12,
+        // and leaves 12..=15 are padding.
+        let mut env = SlackEnvelope::from_supply(&sigma(4, &[]), 12);
+        let fresh = env.clone();
+        let stair = |pi, rise| Staircase { pi, rise };
+        let slacks = |env: &SlackEnvelope| (1..=12).map(|t| env.value_at(t)).collect::<Vec<_>>();
+        let first = |env: &SlackEnvelope, need| env.first_below(need, &mut 0);
+        assert_eq!(slacks(&env), (1..=12).collect::<Vec<i64>>());
         assert_eq!(env.min_all(), 1);
+
+        // Nothing is below ⌊t/4⌋; 5·⌊t/4⌋ first exceeds t at t = 4; and
+        // 13·⌊t/12⌋ exceeds t only at t = 12, the slot held by leaf 0.
+        assert_eq!(first(&env, stair(4, 1)), None);
+        assert_eq!(first(&env, stair(4, 5)), Some((4, 4)));
+        assert_eq!(first(&env, stair(12, 13)), Some((12, 12)));
+
+        // Π = 4 steps on node boundaries: t − 3·⌊t/4⌋.
+        env.add_staircase(stair(4, -3));
+        assert_eq!(slacks(&env), [1, 2, 3, 1, 2, 3, 4, 2, 3, 4, 5, 3]);
+        // Π = 3 cuts through nodes: t − 3·⌊t/4⌋ − ⌊t/3⌋.
+        env.add_staircase(stair(3, -1));
+        assert_eq!(slacks(&env), [1, 2, 2, 0, 1, 1, 2, 0, 0, 1, 2, -1]);
+        assert_eq!(env.min_all(), -1);
+
+        // Only slot 12 is negative; when other slots fall below the need
+        // too, the leftmost of them is reported, never leaf 0 first.
+        assert_eq!(first(&env, stair(12, 0)), Some((12, -1)));
+        assert_eq!(first(&env, stair(4, 1)), Some((4, 0)));
+        assert_eq!(first(&env, stair(1, 2)), Some((1, 1)));
+
+        // The exact inverses restore a byte-equal envelope.
+        env.add_staircase(stair(3, 1));
+        env.add_staircase(stair(4, 3));
+        assert_eq!(env, fresh);
     }
 }

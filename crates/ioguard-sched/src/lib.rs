@@ -17,8 +17,9 @@
 //!   (pseudo-polynomial bound).
 //! * [`ledger`] — the O(Δ)-incremental admission path: a persistent
 //!   [`DemandLedger`] materializes the slack envelope `sbf − Σ dbf` over a
-//!   harmonic frame so `admit`/`evict` touch only the changed VM's delta
-//!   events instead of re-sweeping the hyper-period.
+//!   harmonic frame so `admit`/`evict` touch only the tree nodes the
+//!   changed VM's demand staircase crosses instead of re-sweeping the
+//!   hyper-period.
 //! * [`edfsim`] — a slot-level preemptive-EDF reference simulator used to
 //!   cross-validate the analysis (analysis says *schedulable* ⇒ the
 //!   simulator observes zero deadline misses).

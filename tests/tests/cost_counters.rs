@@ -8,6 +8,9 @@
 //! * **Incremental admission.** One `DemandLedger` decision applies only
 //!   the candidate's own `frame/Π` delta events, at most a tenth of what a
 //!   full Theorem 1 sweep over the residents walks.
+//! * **Staircase admission.** Admitting or evicting that candidate visits
+//!   at most `2·(frame/Π) + 4·log₂ frame` envelope nodes: one pruned
+//!   search plus one staircase add over leaves that line up with its steps.
 //! * **Observation.** An `ObservedFabric` makes exactly the heap
 //!   allocations the plain `Network` under it makes, and no others.
 //! * **Deadline sweep.** The hypervisor walks its pools for expired work
@@ -202,6 +205,38 @@ fn one_admission_decision_touches_a_tenth_of_a_full_sweep_at_most() {
         assert_eq!(outcome.stats.delta_events, 64);
         assert!(outcome.stats.delta_events * 10 <= full_sweep);
     }
+}
+
+#[test]
+fn one_admit_or_evict_visits_o_steps_plus_log_frame_nodes() {
+    const FRAME: u64 = 1 << 20;
+    let sigma = TimeSlotTable::from_occupied(64, &[0]).expect("valid σ*");
+    let mut ledger = DemandLedger::new(sigma, FRAME).expect("harmonic frame");
+    // The 10⁴-resident ledger of the gate above.
+    let menu = [1u64 << 14, 1 << 15, 1 << 16, 1 << 17];
+    for (id, &pi) in (0..10_000u64).zip(menu.iter().cycle()) {
+        let server = PeriodicServer::new(pi, 1).expect("valid server");
+        assert!(ledger
+            .admit(id, server)
+            .expect("harmonic period")
+            .admitted());
+    }
+    let candidate = PeriodicServer::new(1 << 14, 1).expect("valid server");
+    // 2·(frame/Π) + 4·log₂(frame) = 128 + 80.
+    let bound = 2 * FRAME / candidate.period() + 4 * u64::from(FRAME.ilog2());
+    assert_eq!(bound, 208);
+    let before = ledger.nodes_visited();
+    assert!(ledger
+        .admit(1_000_000, candidate)
+        .expect("harmonic period")
+        .admitted());
+    let admit = ledger.nodes_visited() - before;
+    let before = ledger.nodes_visited();
+    ledger.evict(1_000_000).expect("candidate is resident");
+    let evict = ledger.nodes_visited() - before;
+    println!("Π = 2^14 at frame 2^20: admit visits {admit} nodes, evict {evict}");
+    assert!(admit <= bound, "admit visited {admit} nodes, bound {bound}");
+    assert!(evict <= bound, "evict visited {evict} nodes, bound {bound}");
 }
 
 /// Seeded uniform-random traffic on an 8×8 mesh at 30% injection per node
