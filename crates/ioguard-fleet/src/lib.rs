@@ -18,11 +18,11 @@
 //!   and a renderable decision trace. Shard probes fan out over the
 //!   work-stealing engine; because probes are read-only and results come
 //!   back in input order, the trace is bit-identical at any thread count.
-//! - [`migrate`] — exactly-once VM migration between shards, reusing the
-//!   staged-reconfiguration verify gate: stage on the destination, reserve
-//!   in the destination ledger, then evict from the source. A fault before
-//!   the point of no return rolls back; a fault after it rolls forward.
-//!   Either way the VM exists on exactly one shard.
+//! - [`migrate`] — exactly-once VM migration between shards, gated by the
+//!   destination ledger alone: reserve in the destination ledger, then
+//!   evict from the source. A fault before the point of no return rolls
+//!   back; a fault after it rolls forward. Either way the VM exists on
+//!   exactly one shard.
 //!
 //! # Example
 //!

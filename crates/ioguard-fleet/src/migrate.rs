@@ -1,19 +1,20 @@
 //! Exactly-once VM migration between shards.
 //!
 //! Rebalancing moves a VM from a loaded shard to one with more slack
-//! without ever dropping it or double-placing it. The protocol reuses
-//! the staged-reconfiguration pipeline as its admission gate and the
-//! destination ledger as its commit point:
+//! without ever dropping it or double-placing it. The destination
+//! ledger's [`crate::Shard::admit`] is both the admission gate and the
+//! commit point; the migrant's Theorem 3 verdict does not depend on the
+//! shard, so the arrival gate ([`crate::shard::locally_schedulable`])
+//! already settled it:
 //!
-//! 1. **Stage** — build a [`StagedConfig`] for the destination's
-//!    would-be population (residents + migrant) and run the full offline
-//!    verify. A rejection aborts with the fleet untouched.
-//! 2. **Reserve** — admit the migrant into the destination ledger. The
-//!    VM now exists on both ledgers, but `locations` still names the
-//!    source: observers see exactly one authoritative placement.
-//!    A fault here ([`MigrationFault::AfterReserve`]) rolls *back*: the
-//!    reservation is evicted and the VM stays on the source.
-//! 3. **Commit** — evict from the source and repoint `locations`. This
+//! 1. **Reserve** — admit the migrant into the destination ledger
+//!    (Theorem 1 against the destination's σ\* and residents). A
+//!    rejection aborts with the fleet untouched. On success the VM
+//!    exists on both ledgers, but `locations` still names the source:
+//!    observers see exactly one authoritative placement. A fault here
+//!    ([`MigrationFault::AfterReserve`]) rolls *back*: the reservation
+//!    is evicted and the VM stays on the source.
+//! 2. **Commit** — evict from the source and repoint `locations`. This
 //!    is the point of no return: a fault after the source eviction
 //!    ([`MigrationFault::AfterEvict`]) rolls *forward* — the reservation
 //!    is already supply-backed, so completion is always safe.
@@ -22,9 +23,6 @@
 //! `locations` agreeing with shard contents — holds after every return,
 //! faulted or not, and is proptested below and chaos-tested in the
 //! integration suite.
-
-use ioguard_reconfig::StagedConfig;
-use ioguard_sched::TaskSet;
 
 use crate::placement::Fleet;
 
@@ -60,8 +58,8 @@ pub enum MigrationError {
         /// The shard named twice.
         shard: usize,
     },
-    /// The staged verify or the destination ledger rejected the migrant;
-    /// the VM stays on its source shard.
+    /// The destination ledger rejected the migrant; the VM stays on its
+    /// source shard.
     DestRejected {
         /// The migrating VM.
         vm: u64,
@@ -145,13 +143,7 @@ impl Fleet {
             .ok_or(MigrationError::UnknownVm { vm })?;
         let tasks = source.tasks_of(vm).cloned().unwrap_or_default();
 
-        // 1. Stage: full offline verify of the destination's would-be
-        //    population through the reconfiguration pipeline.
-        if !self.stage_dest(vm, to, &tasks) {
-            return Err(MigrationError::DestRejected { vm, to });
-        }
-
-        // 2. Reserve in the destination ledger (Theorem 1, incremental).
+        // 1. Reserve in the destination ledger (Theorem 1, incremental).
         let admitted = match self.shard_mut(to) {
             Some(dest) => dest
                 .admit(vm, server, &tasks)
@@ -170,7 +162,7 @@ impl Fleet {
             return Err(MigrationError::FaultedRolledBack { vm, from, to });
         }
 
-        // 3. Commit: evict from the source. From here the only safe
+        // 2. Commit: evict from the source. From here the only safe
         //    direction is forward — the destination already holds the
         //    supply-backed reservation.
         if let Some(old) = self.shard_mut(from) {
@@ -185,30 +177,6 @@ impl Fleet {
             to,
             rolled_forward,
         })
-    }
-
-    /// Runs the staged-reconfiguration offline verify over the
-    /// destination's residents plus the migrant.
-    fn stage_dest(&self, vm: u64, to: usize, migrant_tasks: &TaskSet) -> bool {
-        let Some(dest) = self.shard(to) else {
-            return false;
-        };
-        let Some(server) = self
-            .location_of(vm)
-            .and_then(|from| self.shard(from))
-            .and_then(|s| s.server_of(vm))
-        else {
-            return false;
-        };
-        let mut servers = Vec::with_capacity(dest.resident_count().saturating_add(1));
-        let mut task_sets = Vec::with_capacity(dest.resident_count().saturating_add(1));
-        for (id, resident) in dest.residents() {
-            servers.push(*resident);
-            task_sets.push(dest.tasks_of(id).cloned().unwrap_or_default());
-        }
-        servers.push(server);
-        task_sets.push(migrant_tasks.clone());
-        StagedConfig::new(servers, task_sets).verify().is_ok()
     }
 
     /// One deterministic rebalance step: moves the lowest-id VM from the
@@ -237,11 +205,16 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::placement::{Fleet, FleetConfig, PlacementPolicy};
+    use ioguard_sched::{PeriodicServer, TaskSet};
     use ioguard_workload::{FleetArrivalConfig, FleetArrivals};
     use proptest::prelude::*;
 
     fn loaded_fleet(seed: u64) -> Fleet {
-        let config = FleetConfig::new(3, PlacementPolicy::FirstFit, seed);
+        loaded_fleet_with(PlacementPolicy::FirstFit, seed)
+    }
+
+    fn loaded_fleet_with(policy: PlacementPolicy, seed: u64) -> Fleet {
+        let config = FleetConfig::new(3, policy, seed);
         let stream = FleetArrivals::generate(&FleetArrivalConfig::new(600, 60, seed));
         let mut fleet = Fleet::new(config).expect("valid config");
         fleet.run(&stream);
@@ -322,6 +295,89 @@ mod tests {
             Err(MigrationError::SameShard { shard: from })
         );
         assert_conserved(&fleet);
+    }
+
+    /// What callers can observe of a fleet. The ledgers' lifetime
+    /// `nodes_visited` counters are left out: a rejected admit's search
+    /// advances them without changing anything else.
+    #[derive(Debug, PartialEq)]
+    struct View {
+        locations: Vec<(u64, usize)>,
+        spilled: Vec<u64>,
+        stats: crate::FleetStats,
+        /// Per shard: each resident's id, server and declared tasks.
+        residents: Vec<Vec<(u64, PeriodicServer, TaskSet)>>,
+        /// Per shard: `(headroom, min_slack)`.
+        slack: Vec<(i64, i64)>,
+    }
+
+    impl View {
+        fn of(fleet: &Fleet) -> Self {
+            let shards = fleet.shards();
+            Self {
+                locations: fleet.locations().collect(),
+                spilled: fleet.spilled_vms().collect(),
+                stats: fleet.stats(),
+                residents: shards
+                    .iter()
+                    .map(|s| {
+                        s.residents()
+                            .map(|(vm, server)| (vm, *server, s.tasks_of(vm).unwrap().clone()))
+                            .collect()
+                    })
+                    .collect(),
+                slack: shards
+                    .iter()
+                    .map(|s| (s.headroom(), s.min_slack()))
+                    .collect(),
+            }
+        }
+    }
+
+    /// Every (resident, other shard) pair of loaded fleets: the
+    /// destination's read-only probe predicts the migration exactly.
+    #[test]
+    fn the_destination_ledger_alone_decides_a_migration() {
+        let (mut rejected, mut moved) = (0, 0);
+        for policy in [PlacementPolicy::FirstFit, PlacementPolicy::WorstFitBySlack] {
+            for seed in 0..20 {
+                let mut fleet = loaded_fleet_with(policy, seed);
+                let before = fleet.clone();
+                let mut moved_here = 0;
+                for (vm, from) in before.locations() {
+                    let server = before.shard(from).and_then(|s| s.server_of(vm)).unwrap();
+                    for to in (0..before.shards().len()).filter(|&to| to != from) {
+                        if !before.shard(to).unwrap().probe(&server) {
+                            assert_eq!(
+                                fleet.migrate(vm, to, MigrationFault::None),
+                                Err(MigrationError::DestRejected { vm, to }),
+                                "{policy:?} seed {seed}: vm {vm} to {to}"
+                            );
+                            rejected += 1;
+                        } else if moved_here < 3 {
+                            // An accepted move changes the fleet: try it on a copy.
+                            let outcome = before.clone().migrate(vm, to, MigrationFault::None);
+                            assert_eq!(
+                                outcome.map(|o| (o.from, o.to)),
+                                Ok((from, to)),
+                                "{policy:?} seed {seed}: vm {vm}"
+                            );
+                            moved_here += 1;
+                        }
+                    }
+                }
+                moved += moved_here;
+                assert_eq!(
+                    View::of(&fleet),
+                    View::of(&before),
+                    "{policy:?} seed {seed}: a rejection changed the fleet"
+                );
+            }
+        }
+        assert!(
+            rejected > 0 && moved > 0,
+            "rejected {rejected}, moved {moved}"
+        );
     }
 
     #[test]

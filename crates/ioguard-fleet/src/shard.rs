@@ -13,24 +13,23 @@
 
 use std::collections::BTreeMap;
 
+use ioguard_sched::analysis::DEFAULT_MAX_HYPER_PERIOD;
 use ioguard_sched::gsched::GschedVerdict;
 use ioguard_sched::lsched::theorem3_exact;
 use ioguard_sched::table::TimeSlotTable;
 use ioguard_sched::{AdmitOutcome, DemandLedger, PeriodicServer, SchedError, TaskSet};
 
-/// Hyper-period cap handed to the Theorem 3 exact test. Fleet workloads
-/// draw harmonic task systems whose lcm stays far below this.
-pub const LSCHED_BOUND: u64 = 1 << 26;
-
 /// True when `server`'s period divides the analysis `frame` every shard
-/// shares, and `tasks` is feasible on `server` in isolation (Theorem 3).
+/// shares, and `tasks` is feasible on `server` in isolation (Theorem 3,
+/// under the same hyper-period cap as the staging pipeline's
+/// [`DEFAULT_MAX_HYPER_PERIOD`]).
 ///
 /// Neither test depends on σ\* or on any other resident VM, so callers
 /// evaluate it once per arriving VM; a VM that fails here can never be
 /// placed on *any* shard and is rejected outright rather than spilled.
 pub fn locally_schedulable(server: &PeriodicServer, tasks: &TaskSet, frame: u64) -> bool {
     frame.is_multiple_of(server.period())
-        && theorem3_exact(server, tasks, LSCHED_BOUND)
+        && theorem3_exact(server, tasks, DEFAULT_MAX_HYPER_PERIOD)
             .map(|v| v.is_schedulable())
             .unwrap_or(false)
 }

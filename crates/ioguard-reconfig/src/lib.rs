@@ -12,7 +12,8 @@
 //! any point rolls back to the old configuration.
 //!
 //! * [`staged`] — candidate construction, the typed [`RejectReason`]
-//!   taxonomy, and offline (full or incremental) verification.
+//!   taxonomy, and offline verification ([`StagedConfig::verify`], the
+//!   one admission gate for a new configuration).
 //! * [`protocol`] — the [`ReconfigController`] state machine:
 //!   stage → verify → commit → drain → switch, epoch ledger, and the
 //!   work-conservation accounting that backs the exactly-once property.

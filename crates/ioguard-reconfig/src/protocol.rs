@@ -14,8 +14,8 @@
 //! ```
 //!
 //! * **Staging** builds and verifies a candidate beside the running system
-//!   ([`StagedConfig::verify_incremental`]); an uncommittable stage is
-//!   rejected with a typed [`RejectReason`] and nothing else happens.
+//!   ([`StagedConfig::verify`]); an uncommittable stage is rejected with a
+//!   typed [`RejectReason`] and nothing else happens.
 //! * **Commit** is accepted only if the quiesce window to the next
 //!   hyperperiod boundary of the *old* σ\* fits the drain latency budget —
 //!   the bound is enforced up front, so an accepted drain can never run
@@ -41,7 +41,6 @@ use ioguard_hypervisor::hypervisor::{HvMode, RtJob};
 use ioguard_hypervisor::pool::NEVER_DISPATCHED;
 use ioguard_hypervisor::{HvMetrics, Hypervisor, RefuseReason, SubmitError};
 use ioguard_obs::{ObsKind, TraceSink, SYSTEM_VM};
-use ioguard_sched::verify::IncrementalVerifier;
 
 use crate::staged::{RejectReason, StagedConfig, VerifiedConfig};
 
@@ -139,8 +138,6 @@ struct PendingSwitch {
 #[derive(Debug)]
 pub struct ReconfigController {
     hv: Hypervisor,
-    config: StagedConfig,
-    verifier: IncrementalVerifier,
     drain_budget: u64,
     epoch: u64,
     epoch_base: u64,
@@ -199,15 +196,9 @@ impl ReconfigController {
                 return Err(reason);
             }
         };
-        let verifier = match IncrementalVerifier::new(verified.analysis.clone()) {
-            Ok(v) => v,
-            Err(e) => return Err(RejectReason::Analysis(e)),
-        };
         sink.record(0, ObsKind::ReconfigCommit, SYSTEM_VM, 0, 0);
         Ok(Self {
             hv,
-            config: verified.config,
-            verifier,
             drain_budget,
             epoch: 0,
             epoch_base: 0,
@@ -295,9 +286,9 @@ impl ReconfigController {
     }
 
     /// Stages a candidate configuration: records the attempt, runs the
-    /// offline admission pipeline (incrementally against the proven live
-    /// configuration), and holds the verified result for [`Self::commit`].
-    /// Re-staging before commit replaces the held stage.
+    /// offline admission pipeline ([`StagedConfig::verify`]), and holds the
+    /// verified result for [`Self::commit`]. Re-staging before commit
+    /// replaces the held stage.
     ///
     /// # Errors
     ///
@@ -320,7 +311,7 @@ impl ReconfigController {
                 .record(at, ObsKind::ReconfigAbort, SYSTEM_VM, id, reason.ordinal());
             return Err(reason);
         }
-        match candidate.verify_incremental(&self.verifier) {
+        match candidate.verify() {
             Ok(verified) => {
                 self.sink
                     .record(at, ObsKind::ReconfigVerify, SYSTEM_VM, id, 1);
@@ -622,9 +613,6 @@ impl ReconfigController {
         self.epoch = self.epoch.saturating_add(1);
         self.epoch_base = at_global;
         self.hv = next;
-        self.config = p.verified.config.clone();
-        self.verifier
-            .advance(p.verified.analysis, p.verified.verdict);
     }
 }
 
@@ -632,8 +620,9 @@ impl ReconfigController {
 mod tests {
     use super::*;
     use crate::staged::StagedConfig;
+    use ioguard_hypervisor::hypervisor::AdmissionGuard;
     use ioguard_hypervisor::pchannel::PredefinedTask;
-    use ioguard_hypervisor::VmMetrics;
+    use ioguard_hypervisor::{HvError, VmMetrics};
     use ioguard_sched::task::{PeriodicServer, SporadicTask, TaskSet};
 
     fn task(t: u64, c: u64, d: u64) -> SporadicTask {
@@ -720,6 +709,32 @@ mod tests {
             ReconfigController::new(c, 16, 64),
             Err(RejectReason::Unschedulable { .. })
         ));
+    }
+
+    #[test]
+    fn invalid_candidate_parameter_aborts_as_activation_failure() {
+        let mut rc = ReconfigController::new(cfg_a(), 16, 64).unwrap();
+        rc.run(2);
+        let mut bad = cfg_b();
+        bad.admission_guard = Some(AdmissionGuard {
+            window: 0,
+            max_submissions: 4,
+            throttle_slots: 8,
+        });
+        let reason = rc.stage(bad).unwrap_err();
+        assert!(
+            matches!(
+                reason,
+                RejectReason::Activation(HvError::InvalidConfig { .. })
+            ),
+            "{reason:?}"
+        );
+        let aborts: Vec<_> = rc.sink().of_kind(ObsKind::ReconfigAbort).collect();
+        assert_eq!(aborts.len(), 1);
+        let abort = aborts.first().unwrap();
+        assert_eq!((abort.task, abort.arg), (1, 10), "stage 1, ordinal 10");
+        assert_eq!(rc.commit().unwrap_err(), RejectReason::NothingStaged);
+        assert_eq!(rc.epoch(), 0);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use ioguard_hypervisor::pchannel::PredefinedTask;
 use ioguard_hypervisor::Hypervisor;
 use ioguard_sched::analysis::{TwoLayerAnalysis, TwoLayerVerdict};
 use ioguard_sched::task::{PeriodicServer, TaskSet};
-use ioguard_sched::verify::{IncrementalVerifier, ReverifyStats};
 use ioguard_sched::SchedError;
 
 /// Why a staged configuration was rejected (or an in-flight commit
@@ -74,7 +73,8 @@ pub enum RejectReason {
     /// during the drain (device fault mid-quiesce): the switch is aborted
     /// and the old configuration keeps running.
     DegradedAtBoundary,
-    /// Building the successor hypervisor failed at the switch point.
+    /// The candidate's hypervisor cannot be built, at staging or at the
+    /// switch.
     Activation(HvError),
     /// The operator rolled back an in-flight stage or commit explicitly.
     Cancelled,
@@ -133,7 +133,7 @@ impl std::fmt::Display for RejectReason {
             RejectReason::DegradedAtBoundary => {
                 write!(f, "old system degraded during the drain; switch aborted")
             }
-            RejectReason::Activation(e) => write!(f, "successor activation failed: {e}"),
+            RejectReason::Activation(e) => write!(f, "candidate hypervisor cannot be built: {e}"),
             RejectReason::Cancelled => write!(f, "rolled back by explicit abort"),
         }
     }
@@ -205,9 +205,8 @@ impl StagedConfig {
         }
     }
 
-    /// Runs the full offline admission pipeline from scratch: static
-    /// well-formedness, σ\* construction, then the exact Theorem 1/3
-    /// tests. See [`Self::verify_incremental`] for the cached path.
+    /// Runs the full offline admission pipeline: static well-formedness,
+    /// σ\* construction, then the exact Theorem 1/3 tests.
     ///
     /// # Errors
     ///
@@ -219,28 +218,17 @@ impl StagedConfig {
             Ok(v) => v,
             Err(e) => return Err(RejectReason::Analysis(e)),
         };
-        self.finish_verify(analysis, verdict, ReverifyStats::default())
-    }
-
-    /// The admission pipeline with the incremental Theorem 1/3 path: tests
-    /// whose inputs match `verifier`'s cached configuration are reused
-    /// instead of recomputed. The verdict is identical to [`Self::verify`]
-    /// (proven differentially in the sched crate); the stats say how much
-    /// work was saved.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`RejectReason`], exactly as [`Self::verify`].
-    pub fn verify_incremental(
-        &self,
-        verifier: &IncrementalVerifier,
-    ) -> Result<VerifiedConfig, RejectReason> {
-        let analysis = self.static_checks()?;
-        let outcome = match verifier.reverify(&analysis) {
-            Ok(o) => o,
-            Err(e) => return Err(RejectReason::Analysis(e)),
-        };
-        self.finish_verify(analysis, outcome.verdict, outcome.stats)
+        if !verdict.is_schedulable() {
+            return Err(RejectReason::Unschedulable {
+                global_ok: verdict.global.is_schedulable(),
+                failing_vms: verdict.failing_vms(),
+            });
+        }
+        Ok(VerifiedConfig {
+            config: self.clone(),
+            analysis,
+            verdict,
+        })
     }
 
     /// Static (non-schedulability) checks, returning the analysis model.
@@ -258,41 +246,20 @@ impl StagedConfig {
                 task_sets: self.task_sets.len(),
             });
         }
-        // Build σ* offline exactly the way activation will, so a table
-        // that cannot be constructed is rejected here, not at the switch.
-        let probe = Hypervisor::new(self.params());
-        let table = match probe {
+        // Build the hypervisor offline exactly the way activation will,
+        // so a candidate that cannot be built is rejected here, not at the
+        // switch.
+        let table = match Hypervisor::new(self.params()) {
             Ok(hv) => hv.pchannel().table().clone(),
-            Err(e) => {
-                return Err(RejectReason::InfeasibleTable {
-                    reason: e.to_string(),
-                })
+            Err(HvError::TableConstruction { reason }) => {
+                return Err(RejectReason::InfeasibleTable { reason })
             }
+            Err(e) => return Err(RejectReason::Activation(e)),
         };
         match TwoLayerAnalysis::new(table, self.servers.clone(), self.task_sets.clone()) {
             Ok(a) => Ok(a),
             Err(e) => Err(RejectReason::Analysis(e)),
         }
-    }
-
-    fn finish_verify(
-        &self,
-        analysis: TwoLayerAnalysis,
-        verdict: TwoLayerVerdict,
-        stats: ReverifyStats,
-    ) -> Result<VerifiedConfig, RejectReason> {
-        if !verdict.is_schedulable() {
-            return Err(RejectReason::Unschedulable {
-                global_ok: verdict.global.is_schedulable(),
-                failing_vms: verdict.failing_vms(),
-            });
-        }
-        Ok(VerifiedConfig {
-            config: self.clone(),
-            analysis,
-            verdict,
-            stats,
-        })
     }
 }
 
@@ -302,9 +269,8 @@ impl StagedConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifiedConfig {
     pub(crate) config: StagedConfig,
-    pub(crate) analysis: TwoLayerAnalysis,
-    pub(crate) verdict: TwoLayerVerdict,
-    pub(crate) stats: ReverifyStats,
+    analysis: TwoLayerAnalysis,
+    verdict: TwoLayerVerdict,
 }
 
 impl VerifiedConfig {
@@ -321,12 +287,6 @@ impl VerifiedConfig {
     /// The proven (schedulable) two-layer verdict.
     pub fn verdict(&self) -> &TwoLayerVerdict {
         &self.verdict
-    }
-
-    /// How much of the pipeline was reused from the incremental cache
-    /// (all-zero for the from-scratch path).
-    pub fn stats(&self) -> ReverifyStats {
-        self.stats
     }
 }
 
@@ -354,7 +314,6 @@ mod tests {
         let v = light_config().verify().unwrap();
         assert!(v.verdict().is_schedulable());
         assert_eq!(v.config().vm_count(), 2);
-        assert_eq!(v.stats(), ReverifyStats::default());
     }
 
     #[test]
@@ -421,19 +380,34 @@ mod tests {
     }
 
     #[test]
-    fn incremental_verify_matches_full() {
-        let base = light_config();
-        let full = base.verify().unwrap();
-        let verifier = IncrementalVerifier::new(full.analysis().clone()).unwrap();
-        // Change only VM 1's task set.
-        let mut next = base.clone();
-        next.task_sets = vec![vec![task(20, 2, 10)].into(), vec![task(40, 2, 30)].into()];
-        let inc = next.verify_incremental(&verifier).unwrap();
-        let scratch = next.verify().unwrap();
-        assert_eq!(inc.verdict(), scratch.verdict());
-        assert!(!inc.stats().global_rerun);
-        assert_eq!(inc.stats().vms_rerun, 1);
-        assert_eq!(inc.stats().vms_reused, 1);
+    fn invalid_admission_guard_is_an_activation_failure() {
+        let guard = AdmissionGuard {
+            window: 8,
+            max_submissions: 4,
+            throttle_slots: 16,
+        };
+        for broken in [
+            AdmissionGuard { window: 0, ..guard },
+            AdmissionGuard {
+                max_submissions: 0,
+                ..guard
+            },
+        ] {
+            let mut c = light_config();
+            c.admission_guard = Some(broken);
+            let reason = c.verify().unwrap_err();
+            assert!(
+                matches!(
+                    reason,
+                    RejectReason::Activation(HvError::InvalidConfig { .. })
+                ),
+                "{broken:?}: {reason:?}"
+            );
+            assert_eq!(reason.ordinal(), 10);
+        }
+        let mut c = light_config();
+        c.admission_guard = Some(guard);
+        assert!(c.verify().is_ok());
     }
 
     #[test]

@@ -106,19 +106,10 @@ impl TwoLayerAnalysis {
     /// ([`crate::gsched::theorem2_pseudo_poly`],
     /// [`crate::lsched::theorem4_pseudo_poly`]).
     pub fn schedulable(&self) -> Result<TwoLayerVerdict, SchedError> {
-        self.schedulable_with_limit(DEFAULT_MAX_HYPER_PERIOD)
-    }
-
-    /// Exact tests with an explicit hyper-period cap.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::schedulable`].
-    pub fn schedulable_with_limit(&self, max_hyper: u64) -> Result<TwoLayerVerdict, SchedError> {
-        let global = theorem1_exact(&self.sigma, &self.servers, max_hyper)?;
+        let global = theorem1_exact(&self.sigma, &self.servers, DEFAULT_MAX_HYPER_PERIOD)?;
         let mut per_vm = Vec::with_capacity(self.servers.len());
         for (server, tasks) in self.servers.iter().zip(&self.task_sets) {
-            per_vm.push(theorem3_exact(server, tasks, max_hyper)?);
+            per_vm.push(theorem3_exact(server, tasks, DEFAULT_MAX_HYPER_PERIOD)?);
         }
         Ok(TwoLayerVerdict { global, per_vm })
     }

@@ -75,19 +75,6 @@ pub fn theorem1_exact(
     servers: &[PeriodicServer],
     max_hyper_period: u64,
 ) -> Result<GschedVerdict, SchedError> {
-    theorem1_exact_counted(sigma, servers, max_hyper_period).map(|(verdict, _)| verdict)
-}
-
-/// [`theorem1_exact`] plus the number of demand checkpoints actually
-/// visited — the second element counts every `(t, demand)` jump point
-/// compared against `sbf`, including those of the constructive
-/// over-utilization scan, and stops counting at the first violation (an
-/// early refusal reports only the work done, not the sweep length).
-pub fn theorem1_exact_counted(
-    sigma: &TimeSlotTable,
-    servers: &[PeriodicServer],
-    max_hyper_period: u64,
-) -> Result<(GschedVerdict, u64), SchedError> {
     // Necessary bandwidth condition: total server bandwidth within the free
     // fraction. If it fails, demand eventually outruns supply.
     let bandwidth: f64 = servers.iter().map(PeriodicServer::bandwidth).sum();
@@ -101,21 +88,16 @@ pub fn theorem1_exact_counted(
             limit: max_hyper_period,
         });
     }
-    let mut visited = 0u64;
     if bandwidth > sigma.free_fraction() + 1e-12 {
         // Find the violation constructively for the report: scan multiples.
         for (t, demand) in DemandSweep::servers(servers, hyper.saturating_mul(4)) {
-            visited = visited.saturating_add(1);
             let supply = sigma.sbf(t);
             if demand > supply {
-                return Ok((
-                    GschedVerdict::Unschedulable {
-                        violation_at: t,
-                        demand,
-                        supply,
-                    },
-                    visited,
-                ));
+                return Ok(GschedVerdict::Unschedulable {
+                    violation_at: t,
+                    demand,
+                    supply,
+                });
             }
         }
         // Over-utilized but no integer violation within 4 hyper-periods can
@@ -123,25 +105,18 @@ pub fn theorem1_exact_counted(
         // integer arithmetic as authoritative.
     }
     for (t, demand) in DemandSweep::servers(servers, hyper) {
-        visited = visited.saturating_add(1);
         let supply = sigma.sbf(t);
         if demand > supply {
-            return Ok((
-                GschedVerdict::Unschedulable {
-                    violation_at: t,
-                    demand,
-                    supply,
-                },
-                visited,
-            ));
+            return Ok(GschedVerdict::Unschedulable {
+                violation_at: t,
+                demand,
+                supply,
+            });
         }
     }
-    Ok((
-        GschedVerdict::Schedulable {
-            checked_up_to: hyper,
-        },
-        visited,
-    ))
+    Ok(GschedVerdict::Schedulable {
+        checked_up_to: hyper,
+    })
 }
 
 /// **Theorem 2** (pseudo-polynomial): for systems with slack
@@ -249,12 +224,19 @@ mod tests {
     fn bandwidth_fits_but_blackout_kills_it() {
         // Table 20 slots: slots 0..10 occupied, 10..20 free → F/H = 0.5.
         // Server Π=4, Θ=2 (bandwidth 0.5 — fits on average) but the table's
-        // 10-slot blackout cannot give Θ=2 every Π=4: dbf(8) = 4 > sbf(8) = 0.
+        // 10-slot blackout cannot give Θ=2 every Π=4. The sweep stops at
+        // the first violation: dbf(4) = 2 > sbf(4) = 0.
         let occ: Vec<u64> = (0..10).collect();
         let t = sigma(20, &occ);
         let servers = [server(4, 2)];
-        let v = theorem1_exact(&t, &servers, 1 << 20).unwrap();
-        assert!(!v.is_schedulable(), "{v:?}");
+        assert_eq!(
+            theorem1_exact(&t, &servers, 1 << 20).unwrap(),
+            GschedVerdict::Unschedulable {
+                violation_at: 4,
+                demand: 2,
+                supply: 0
+            }
+        );
     }
 
     #[test]
@@ -354,29 +336,5 @@ mod tests {
     fn theorem2_rejects_nonpositive_c() {
         let t = sigma(4, &[]);
         let _ = theorem2_pseudo_poly(&t, &[], 0.0);
-    }
-
-    #[test]
-    fn counted_variant_reports_work_actually_done() {
-        let t = sigma(10, &[0]);
-        let servers = [server(5, 1)];
-        let (v, visited) = theorem1_exact_counted(&t, &servers, 1 << 20).unwrap();
-        assert!(v.is_schedulable());
-        // Jump points of Π=5 within lcm(10, 5) = 10: t = 5, 10.
-        assert_eq!(visited, 2);
-
-        // Early refusal: dbf(8) = 4 > sbf(8) = 0 on a half-blacked table —
-        // the count must reflect the stop, not the full sweep length.
-        let occ: Vec<u64> = (0..10).collect();
-        let t = sigma(20, &occ);
-        let servers = [server(4, 2)];
-        let (v, visited) = theorem1_exact_counted(&t, &servers, 1 << 20).unwrap();
-        assert!(!v.is_schedulable());
-        let full_sweep = DemandSweep::servers(&servers, 20).count() as u64;
-        assert!(
-            visited < full_sweep,
-            "early refusal must not charge the full sweep: {visited} vs {full_sweep}"
-        );
-        assert_eq!(theorem1_exact(&t, &servers, 1 << 20).unwrap(), v);
     }
 }

@@ -15,6 +15,8 @@
 //!   bounded) and **Theorem 2** (pseudo-polynomial bound).
 //! * [`lsched`] — the L-Sched test: **Theorem 3** (exact) and **Theorem 4**
 //!   (pseudo-polynomial bound).
+//! * [`analysis`] — the two-layer verdict: Theorem 1 on σ\* plus
+//!   Theorem 3 per VM, which staged reconfiguration admits through.
 //! * [`ledger`] — the O(Δ)-incremental admission path: a persistent
 //!   [`DemandLedger`] materializes the slack envelope `sbf − Σ dbf` over a
 //!   harmonic frame so `admit`/`evict` touch only the tree nodes the
@@ -57,11 +59,9 @@ pub mod ledger;
 pub mod lsched;
 pub mod table;
 pub mod task;
-pub mod verify;
 
 pub use analysis::{TwoLayerAnalysis, TwoLayerVerdict};
 pub use error::SchedError;
 pub use ledger::{AdmitOutcome, AdmitStats, DemandLedger};
 pub use table::TimeSlotTable;
 pub use task::{PeriodicServer, SporadicTask, TaskSet};
-pub use verify::{IncrementalVerifier, ReverifyOutcome, ReverifyStats};

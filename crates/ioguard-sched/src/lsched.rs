@@ -70,18 +70,6 @@ pub fn theorem3_exact(
     tasks: &TaskSet,
     max_hyper_period: u64,
 ) -> Result<LschedVerdict, SchedError> {
-    theorem3_exact_counted(server, tasks, max_hyper_period).map(|(verdict, _)| verdict)
-}
-
-/// [`theorem3_exact`] plus the number of demand checkpoints actually
-/// visited — every `(t, demand)` jump point compared against `sbf`,
-/// including the constructive over-utilization scan, counting stopping at
-/// the first violation (early refusals report only the work done).
-pub fn theorem3_exact_counted(
-    server: &PeriodicServer,
-    tasks: &TaskSet,
-    max_hyper_period: u64,
-) -> Result<(LschedVerdict, u64), SchedError> {
     let hyper = tasks
         .iter()
         .map(|t| t.period())
@@ -104,44 +92,32 @@ pub fn theorem3_exact_counted(
         .map(|t| (hyper / t.period()).saturating_mul(t.wcet()))
         .fold(0u64, u64::saturating_add);
     let supply_rate = (hyper / server.period()).saturating_mul(server.budget());
-    let mut visited = 0u64;
     if demand_rate > supply_rate {
         // Constructive violation search within a few hyper-periods.
         for (t, demand) in DemandSweep::tasks(tasks, bound.saturating_mul(4)) {
-            visited = visited.saturating_add(1);
             let supply = sbf_server(server, t);
             if demand > supply {
-                return Ok((
-                    LschedVerdict::Unschedulable {
-                        violation_at: t,
-                        demand,
-                        supply,
-                    },
-                    visited,
-                ));
+                return Ok(LschedVerdict::Unschedulable {
+                    violation_at: t,
+                    demand,
+                    supply,
+                });
             }
         }
     }
     for (t, demand) in DemandSweep::tasks(tasks, bound) {
-        visited = visited.saturating_add(1);
         let supply = sbf_server(server, t);
         if demand > supply {
-            return Ok((
-                LschedVerdict::Unschedulable {
-                    violation_at: t,
-                    demand,
-                    supply,
-                },
-                visited,
-            ));
+            return Ok(LschedVerdict::Unschedulable {
+                violation_at: t,
+                demand,
+                supply,
+            });
         }
     }
-    Ok((
-        LschedVerdict::Schedulable {
-            checked_up_to: bound,
-        },
-        visited,
-    ))
+    Ok(LschedVerdict::Schedulable {
+        checked_up_to: bound,
+    })
 }
 
 /// **Theorem 4** (pseudo-polynomial): for each VM with slack
@@ -223,7 +199,11 @@ mod tests {
     fn light_task_on_generous_server() {
         let s = server(5, 4);
         let ts: TaskSet = vec![task(50, 3, 40)].into();
-        assert!(theorem3_exact(&s, &ts, 1 << 20).unwrap().is_schedulable());
+        // Checked up to lcm(5, 50) + 40 = 90.
+        assert_eq!(
+            theorem3_exact(&s, &ts, 1 << 20).unwrap(),
+            LschedVerdict::Schedulable { checked_up_to: 90 }
+        );
     }
 
     #[test]
@@ -242,11 +222,15 @@ mod tests {
         // deadline even though bandwidth is plentiful.
         let s = server(10, 5);
         let ts: TaskSet = vec![task(20, 2, 2)].into();
-        let v = theorem3_exact(&s, &ts, 1 << 20).unwrap();
-        assert!(!v.is_schedulable(), "{v:?}");
-        if let LschedVerdict::Unschedulable { violation_at, .. } = v {
-            assert_eq!(violation_at, 2); // dbf(2) = 2 > sbf(2) = 0
-        }
+        // The sweep stops at the first jump point: dbf(2) = 2 > sbf(2) = 0.
+        assert_eq!(
+            theorem3_exact(&s, &ts, 1 << 20).unwrap(),
+            LschedVerdict::Unschedulable {
+                violation_at: 2,
+                demand: 2,
+                supply: 0
+            }
+        );
     }
 
     #[test]
@@ -339,23 +323,5 @@ mod tests {
     fn theorem4_rejects_nonpositive_c() {
         let s = server(4, 2);
         let _ = theorem4_pseudo_poly(&s, &TaskSet::new(), -1.0);
-    }
-
-    #[test]
-    fn counted_variant_reports_work_actually_done() {
-        let s = server(5, 4);
-        let ts: TaskSet = vec![task(50, 3, 40)].into();
-        let (v, visited) = theorem3_exact_counted(&s, &ts, 1 << 20).unwrap();
-        assert!(v.is_schedulable());
-        // Jump points at 40 + 50m within lcm(5, 50) + 40 = 90: t = 40, 90.
-        assert_eq!(visited, 2);
-
-        // Early refusal at the first checkpoint (D = 2, blackout 10 > 2).
-        let s = server(10, 5);
-        let ts: TaskSet = vec![task(20, 2, 2)].into();
-        let (v, visited) = theorem3_exact_counted(&s, &ts, 1 << 20).unwrap();
-        assert!(!v.is_schedulable());
-        assert_eq!(visited, 1, "refusal at the first jump must count one");
-        assert_eq!(theorem3_exact(&s, &ts, 1 << 20).unwrap(), v);
     }
 }
