@@ -205,7 +205,6 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::placement::{Fleet, FleetConfig, PlacementPolicy};
-    use ioguard_sched::{PeriodicServer, TaskSet};
     use ioguard_workload::{FleetArrivalConfig, FleetArrivals};
     use proptest::prelude::*;
 
@@ -297,43 +296,6 @@ mod tests {
         assert_conserved(&fleet);
     }
 
-    /// What callers can observe of a fleet. The ledgers' lifetime
-    /// `nodes_visited` counters are left out: a rejected admit's search
-    /// advances them without changing anything else.
-    #[derive(Debug, PartialEq)]
-    struct View {
-        locations: Vec<(u64, usize)>,
-        spilled: Vec<u64>,
-        stats: crate::FleetStats,
-        /// Per shard: each resident's id, server and declared tasks.
-        residents: Vec<Vec<(u64, PeriodicServer, TaskSet)>>,
-        /// Per shard: `(headroom, min_slack)`.
-        slack: Vec<(i64, i64)>,
-    }
-
-    impl View {
-        fn of(fleet: &Fleet) -> Self {
-            let shards = fleet.shards();
-            Self {
-                locations: fleet.locations().collect(),
-                spilled: fleet.spilled_vms().collect(),
-                stats: fleet.stats(),
-                residents: shards
-                    .iter()
-                    .map(|s| {
-                        s.residents()
-                            .map(|(vm, server)| (vm, *server, s.tasks_of(vm).unwrap().clone()))
-                            .collect()
-                    })
-                    .collect(),
-                slack: shards
-                    .iter()
-                    .map(|s| (s.headroom(), s.min_slack()))
-                    .collect(),
-            }
-        }
-    }
-
     /// Every (resident, other shard) pair of loaded fleets: the
     /// destination's read-only probe predicts the migration exactly.
     #[test]
@@ -368,8 +330,7 @@ mod tests {
                 }
                 moved += moved_here;
                 assert_eq!(
-                    View::of(&fleet),
-                    View::of(&before),
+                    fleet, before,
                     "{policy:?} seed {seed}: a rejection changed the fleet"
                 );
             }

@@ -103,6 +103,32 @@ impl ArbiterKind {
             ArbiterKind::FixedPriority => Box::new(FixedPriority),
         }
     }
+
+    /// The policy's grant over the five router ports, with the requests as
+    /// a bitmask (bit `i` = input `i` requests) and `next` as the
+    /// round-robin pointer. Picks the same winner and leaves the same
+    /// pointer as [`RoundRobin::grant`] or [`FixedPriority::grant`] over
+    /// the same requests: round-robin takes the lowest requester at or
+    /// above the pointer, else the lowest one below it.
+    #[inline]
+    pub(crate) fn grant_mask(self, requests: u8, next: &mut u8) -> Option<usize> {
+        if requests == 0 {
+            return None;
+        }
+        match self {
+            ArbiterKind::RoundRobin => {
+                let from_next = requests >> *next;
+                let winner = if from_next != 0 {
+                    *next + from_next.trailing_zeros() as u8
+                } else {
+                    requests.trailing_zeros() as u8
+                };
+                *next = if winner == 4 { 0 } else { winner + 1 };
+                Some(usize::from(winner))
+            }
+            ArbiterKind::FixedPriority => Some(requests.trailing_zeros() as usize),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -176,6 +202,33 @@ mod tests {
         assert_eq!(fp.grant(&[true, true]), Some(0));
         assert_eq!(fp.grant(&[true, true]), Some(0));
         assert_eq!(ArbiterKind::default(), ArbiterKind::RoundRobin);
+    }
+
+    #[test]
+    fn mask_grant_equals_the_policies_on_every_request_set() {
+        for requests in 0u8..32 {
+            let flags: [bool; 5] = std::array::from_fn(|i| requests & (1 << i) != 0);
+            for pointer in 0..5u8 {
+                let mut rr = RoundRobin::new(5);
+                rr.next = usize::from(pointer);
+                let mut next = pointer;
+                let winner = ArbiterKind::RoundRobin.grant_mask(requests, &mut next);
+                // The tuple reads `rr.next` after `rr.grant` has moved it.
+                let (expected, expected_next) = (rr.grant(&flags), rr.next);
+                assert_eq!(
+                    (winner, usize::from(next)),
+                    (expected, expected_next),
+                    "mask {requests:05b}, pointer {pointer}"
+                );
+            }
+            let mut untouched = 3;
+            assert_eq!(
+                ArbiterKind::FixedPriority.grant_mask(requests, &mut untouched),
+                FixedPriority.grant(&flags),
+                "mask {requests:05b}"
+            );
+            assert_eq!(untouched, 3, "fixed priority keeps no pointer");
+        }
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //!   wormhole traversal is applied in one batch: O(hops) arbiter updates
 //!   plus O(1) stats, with the clock jumped to the exact delivery cycle the
 //!   reference stepper would produce.
+//! * **One route per header** — a router plan routes each buffered header
+//!   once into a per-output bitmask of requesting inputs, then resolves
+//!   its five outputs from those masks (lock, class filter, mask
+//!   arbitration, link and backpressure gates). Two tables built by
+//!   [`Network::new`] — each node's coordinates and each output port's
+//!   downstream input port — replace the coordinate and neighbour
+//!   arithmetic in planning and move execution.
 //!
 //! The per-cycle semantics (two-phase move planning/execution, NI feeding,
 //! reassembly) are documented on [`crate::reference`]; this module must
@@ -29,7 +36,8 @@
 
 // lint: allow(indexing, file) — all dense arrays are sized to mesh.nodes()
 // (times the fixed 5 ports and FIFO depth) at construction; every index is
-// derived from mesh.index_of, Direction::index (0..5) or a bounded counter.
+// derived from mesh.index_of, the downstream-port table (built from
+// mesh.neighbor), Direction::index (0..5) or a bounded counter.
 
 use std::collections::VecDeque;
 
@@ -194,6 +202,13 @@ pub trait NocFabric {
 /// Sentinel for "no input owns this output" in the dense lock array.
 const NO_LOCK: u8 = 5;
 
+/// Sentinel for "this output feeds no router" (ejection or a mesh edge) in
+/// the downstream-port table.
+const NO_PORT: usize = usize::MAX;
+
+/// Dense index of the ejection port.
+const LOCAL: usize = Direction::Local.index();
+
 /// One flit in the dense core. Carries its packet's slab slot (plus the
 /// slot generation for debug validation), so ejection never needs a keyed
 /// lookup.
@@ -238,8 +253,9 @@ struct LivePacket {
     corrupt: bool,
 }
 
-/// A planned flit move: (router index, input port, output port).
-type Move = (u32, u8, u8);
+/// A planned flit move: (router index, input port, output port, downstream
+/// input port or `NO_PORT`).
+type Move = (u32, u8, u8, usize);
 
 /// The mesh network (event-driven core).
 #[derive(Debug)]
@@ -249,6 +265,13 @@ pub struct Network {
     injection_depth: usize,
     class_aware: bool,
     arbiter: ArbiterKind,
+
+    /// Coordinates per node index.
+    coords: Vec<NodeId>,
+    /// Per output port `node * 5 + dir`: the input port it feeds on the
+    /// neighbouring router (`next * 5 + opposite(dir)`), or `NO_PORT` for
+    /// ejection and mesh edges.
+    down: Vec<usize>,
 
     /// Flit arena: `nodes * 5` ring buffers of `fifo_depth` flits each,
     /// flattened. Port `p`'s window is `fifo[p*depth .. (p+1)*depth]`.
@@ -286,7 +309,6 @@ pub struct Network {
 
     now: Cycles,
     stats: NetworkStats,
-    delivered: Vec<Delivery>,
     /// Calls of `step_cycle`, quiescent ones included.
     cycles_stepped: u64,
 
@@ -313,12 +335,24 @@ impl Network {
         let nodes = mesh.nodes();
         let ports = nodes * 5;
         let words = nodes.div_ceil(64);
+        let coords: Vec<NodeId> = mesh.iter_nodes().collect();
+        let down = coords
+            .iter()
+            .flat_map(|&node| {
+                Direction::ALL.map(|d| match mesh.neighbor(node, d) {
+                    Some(next) => mesh.index_of(next) * 5 + d.opposite().index(),
+                    None => NO_PORT,
+                })
+            })
+            .collect();
         Ok(Self {
             mesh,
             fifo_depth: config.fifo_depth.max(1),
             injection_depth: config.injection_depth,
             class_aware: config.class_aware,
             arbiter: config.arbiter,
+            coords,
+            down,
             fifo: vec![SimFlit::default(); ports * config.fifo_depth.max(1)],
             fifo_head: vec![0; ports],
             fifo_len: vec![0; ports],
@@ -338,7 +372,6 @@ impl Network {
             live_packets: 0,
             now: Cycles::ZERO,
             stats: NetworkStats::default(),
-            delivered: Vec::new(),
             cycles_stepped: 0,
             moves: Vec::new(),
             ejected: Vec::new(),
@@ -363,11 +396,6 @@ impl Network {
     /// Number of packets still traversing the fabric.
     pub fn in_flight(&self) -> usize {
         self.live_packets
-    }
-
-    /// All deliveries since construction.
-    pub fn deliveries(&self) -> &[Delivery] {
-        &self.delivered
     }
 
     /// Cycles stepped one at a time since construction, quiescent ones
@@ -539,15 +567,6 @@ impl Network {
     // ---- dense FIFO helpers -------------------------------------------
 
     #[inline]
-    fn fifo_front(&self, p: usize) -> Option<&SimFlit> {
-        if self.fifo_len[p] == 0 {
-            None
-        } else {
-            Some(&self.fifo[p * self.fifo_depth + self.fifo_head[p] as usize])
-        }
-    }
-
-    #[inline]
     fn fifo_space(&self, p: usize) -> usize {
         self.fifo_depth - self.fifo_len[p] as usize
     }
@@ -555,7 +574,11 @@ impl Network {
     #[inline]
     fn fifo_push(&mut self, p: usize, flit: SimFlit) {
         debug_assert!(self.fifo_space(p) > 0, "input fifo overflow at port {p}");
-        let pos = (self.fifo_head[p] as usize + self.fifo_len[p] as usize) % self.fifo_depth;
+        // head < depth and len < depth, so one subtraction wraps the sum.
+        let mut pos = self.fifo_head[p] as usize + self.fifo_len[p] as usize;
+        if pos >= self.fifo_depth {
+            pos -= self.fifo_depth;
+        }
         self.fifo[p * self.fifo_depth + pos] = flit;
         self.fifo_len[p] += 1;
     }
@@ -563,8 +586,13 @@ impl Network {
     #[inline]
     fn fifo_pop(&mut self, p: usize) -> SimFlit {
         debug_assert!(self.fifo_len[p] > 0, "pop from empty fifo at port {p}");
-        let flit = self.fifo[p * self.fifo_depth + self.fifo_head[p] as usize];
-        self.fifo_head[p] = ((self.fifo_head[p] as usize + 1) % self.fifo_depth) as u32;
+        let head = self.fifo_head[p] as usize;
+        let flit = self.fifo[p * self.fifo_depth + head];
+        self.fifo_head[p] = if head + 1 == self.fifo_depth {
+            0
+        } else {
+            head as u32 + 1
+        };
         self.fifo_len[p] -= 1;
         flit
     }
@@ -585,96 +613,75 @@ impl Network {
         }
     }
 
-    /// Replays the reference arbiter for output port `p` over `requests`
-    /// (indexed by input port). Mutates the rotation pointer exactly like
-    /// `RoundRobin::grant`.
-    #[inline]
-    fn arbitrate(&mut self, p: usize, requests: &[bool; 5]) -> Option<usize> {
-        match self.arbiter {
-            ArbiterKind::RoundRobin => {
-                let start = self.rr_next[p] as usize;
-                for offset in 0..5 {
-                    let idx = (start + offset) % 5;
-                    if requests[idx] {
-                        self.rr_next[p] = ((idx + 1) % 5) as u8;
-                        return Some(idx);
-                    }
-                }
-                None
-            }
-            ArbiterKind::FixedPriority => requests.iter().position(|&r| r),
-        }
-    }
-
     // ---- the per-cycle hot path ---------------------------------------
 
-    /// Plans this cycle's moves for router `idx` (phase 1). Mirrors the
-    /// reference stepper's per-router planning loop exactly: wormhole locks
-    /// first, then header arbitration, then failed-link and backpressure
-    /// gates.
+    /// Plans this cycle's moves for router `idx` (phase 1). Routes each
+    /// buffered header once, into a bitmask of requesting inputs per
+    /// output, then resolves the outputs in the reference stepper's order:
+    /// wormhole lock first, then header arbitration (class filter, then the
+    /// arbiter's pick), then the failed-link and backpressure gates.
+    /// Outputs with neither a lock nor a request are skipped: the reference
+    /// changes no state for them.
     // lint: hot-path — per-cycle planning; dense arrays only, no keyed maps
     fn plan_router(&mut self, idx: usize) {
-        let here = self.mesh.node_at(idx);
-        for out_d in Direction::ALL {
-            let p = idx * 5 + out_d.index();
+        let base = idx * 5;
+        let here = self.coords[idx];
+        let mut requests = [0u8; 5];
+        let mut classes = [u8::MAX; 5];
+        let mut outputs = 0u8;
+        for (port, class) in classes.iter_mut().enumerate() {
+            let p = base + port;
+            outputs |= u8::from(self.locks[p] != NO_LOCK) << port;
+            // An empty FIFO's head slot holds a stale or default flit:
+            // routing it anyway and masking its request out costs less than
+            // a branch.
+            let f = self.fifo[p * self.fifo_depth + self.fifo_head[p] as usize];
+            let header = u8::from((self.fifo_len[p] != 0) & f.is_head());
+            let out = xy_port(here, f.dst);
+            requests[out] |= header << port;
+            outputs |= header << out;
+            *class = f.class;
+        }
+        while outputs != 0 {
+            let out = outputs.trailing_zeros() as usize;
+            outputs &= outputs - 1;
+            let p = base + out;
             let lock = self.locks[p];
-            let granted: Option<usize> = if lock != NO_LOCK {
+            let input = if lock != NO_LOCK {
                 // The locked input's head flit continues the packet; with
                 // nothing buffered yet this cycle, no move.
-                if self.fifo_len[idx * 5 + lock as usize] > 0 {
-                    Some(lock as usize)
-                } else {
-                    None
+                if self.fifo_len[base + lock as usize] == 0 {
+                    continue;
                 }
+                usize::from(lock)
             } else {
-                // Header arbitration: inputs whose head is a header flit
-                // routed to `out_d`. Under class-aware QoS only the best
-                // traffic class competes.
-                let mut requests = [false; 5];
-                let mut classes = [u8::MAX; 5];
-                let mut any = false;
-                let mut best_class = u8::MAX;
-                for in_i in 0..5 {
-                    if let Some(f) = self.fifo_front(idx * 5 + in_i) {
-                        if f.is_head() && self.mesh.xy_route(here, f.dst) == out_d {
-                            requests[in_i] = true;
-                            classes[in_i] = f.class;
-                            best_class = best_class.min(f.class);
-                            any = true;
-                        }
-                    }
-                }
-                if any {
-                    if self.class_aware {
-                        for i in 0..5 {
-                            if classes[i] != best_class {
-                                requests[i] = false;
-                            }
-                        }
-                    }
-                    self.arbitrate(p, &requests)
+                // Under class-aware QoS only the best traffic class competes.
+                let mask = if self.class_aware {
+                    best_class_only(requests[out], &classes)
                 } else {
-                    None
-                }
+                    requests[out]
+                };
+                let Some(input) = self.arbiter.grant_mask(mask, &mut self.rr_next[p]) else {
+                    continue;
+                };
+                input
             };
-            let Some(input) = granted else { continue };
             // A failed link blocks its traffic exactly like exhausted
             // downstream credit — flits wait upstream, locks persist.
             if self.failed_link_count != 0 && self.failed_links[p] {
                 self.stats.contention_cycles += 1;
                 continue;
             }
-            // Backpressure: the downstream buffer must have space.
-            let has_space = match self.mesh.neighbor(here, out_d) {
-                Some(next) => {
-                    let nidx = self.mesh.index_of(next);
-                    self.fifo_space(nidx * 5 + out_d.opposite().index()) > 0
-                }
-                None => out_d == Direction::Local, // ejection always sinks
+            // Backpressure: the downstream buffer must have space; ejection
+            // always sinks.
+            let down = self.down[p];
+            let has_space = if down == NO_PORT {
+                out == LOCAL
+            } else {
+                (self.fifo_len[down] as usize) < self.fifo_depth
             };
             if has_space {
-                self.moves
-                    .push((idx as u32, input as u8, out_d.index() as u8));
+                self.moves.push((idx as u32, input as u8, out as u8, down));
             } else {
                 self.stats.contention_cycles += 1;
             }
@@ -712,30 +719,25 @@ impl Network {
         // Phase 2: execute moves simultaneously (planning never reads the
         // mutations below, so sequential execution is equivalent).
         for m in 0..self.moves.len() {
-            let (idx, input, out_p) = self.moves[m];
-            let idx = idx as usize;
-            let flit = self.fifo_pop(idx * 5 + input as usize);
-            self.remove_router_flit(idx);
+            let (idx, input, out, down) = self.moves[m];
+            let base = idx as usize * 5;
+            let flit = self.fifo_pop(base + input as usize);
+            self.remove_router_flit(idx as usize);
             self.stats.flit_hops += 1;
             // Maintain the wormhole lock.
-            let p = idx * 5 + out_p as usize;
+            let p = base + out as usize;
             if flit.is_head() && !flit.tail {
                 debug_assert_eq!(self.locks[p], NO_LOCK, "double lock at port {p}");
                 self.locks[p] = input;
             } else if flit.tail && self.locks[p] == input {
                 self.locks[p] = NO_LOCK;
             }
-            let out_d = Direction::ALL[out_p as usize];
-            match self.mesh.neighbor(self.mesh.node_at(idx), out_d) {
-                Some(next) => {
-                    let nidx = self.mesh.index_of(next);
-                    self.fifo_push(nidx * 5 + out_d.opposite().index(), flit);
-                    self.add_router_flit(nidx);
-                }
-                None => {
-                    debug_assert_eq!(out_d, Direction::Local);
-                    self.ejected.push(flit);
-                }
+            if down == NO_PORT {
+                debug_assert_eq!(out as usize, LOCAL);
+                self.ejected.push(flit);
+            } else {
+                self.fifo_push(down, flit);
+                self.add_router_flit(down / 5);
             }
         }
 
@@ -801,14 +803,12 @@ impl Network {
         }
         self.stats.delivered += 1;
         self.stats.corrupted += u64::from(done.corrupt);
-        let delivery = Delivery {
+        out.push(Delivery {
             packet: done.packet,
             injected_at: done.injected_at,
             delivered_at: self.now,
             corrupted: done.corrupt,
-        };
-        out.push(delivery.clone());
-        self.delivered.push(delivery);
+        });
     }
 
     // ---- express transit (batched uncontended traversal) --------------
@@ -860,23 +860,17 @@ impl Network {
         // Replay the header's arbitration at each router on the XY path:
         // a single requester always wins, advancing the round-robin pointer
         // past the granted input — identical to `RoundRobin::grant`.
-        let mut here = src;
-        let mut input = Direction::Local;
+        let mut port = self.mesh.index_of(src) * 5 + LOCAL;
         loop {
-            let out_d = self.mesh.xy_route(here, dst);
-            if self.arbiter == ArbiterKind::RoundRobin {
-                let p = self.mesh.index_of(here) * 5 + out_d.index();
-                self.rr_next[p] = ((input.index() + 1) % 5) as u8;
-            }
-            if out_d == Direction::Local {
+            let (node, input) = (port / 5, port % 5);
+            let p = node * 5 + self.mesh.xy_route(self.coords[node], dst).index();
+            self.arbiter.grant_mask(1 << input, &mut self.rr_next[p]);
+            let down = self.down[p];
+            if down == NO_PORT {
+                debug_assert_eq!(p % 5, LOCAL, "xy route stays in mesh");
                 break;
             }
-            let Some(next) = self.mesh.neighbor(here, out_d) else {
-                debug_assert!(false, "xy route stays in mesh");
-                break;
-            };
-            input = out_d.opposite();
-            here = next;
+            port = down;
         }
         // Each of the hops+1 path routers forwards every flit exactly once
         // (the ejection pop included) and the NI feed is not a hop.
@@ -1031,6 +1025,29 @@ fn clear_bit(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1u64 << (i % 64));
 }
 
+/// [`Mesh::xy_route`]'s port index, looked up from the two coordinate
+/// comparisons instead of branching on them.
+#[inline]
+fn xy_port(here: NodeId, dst: NodeId) -> usize {
+    use Direction::{East, Local, North, South, West};
+    // Indexed by 3·side(x) + side(y), where side is 0 when dst lies below
+    // here on that axis, 1 when level and 2 when above.
+    const PORT: [Direction; 9] = [West, West, West, North, Local, South, East, East, East];
+    let side = |h: u16, d: u16| usize::from(d > h) + usize::from(d >= h);
+    PORT[3 * side(here.x, dst.x) + side(here.y, dst.y)].index()
+}
+
+/// The requesters in `requests` (bit `i` = input `i`) whose traffic class
+/// is the best (lowest) among them.
+#[inline]
+fn best_class_only(requests: u8, classes: &[u8; 5]) -> u8 {
+    let requesting = |i: &usize| requests & (1 << i) != 0;
+    let best = (0..5).filter(requesting).map(|i| classes[i]).min();
+    (0..5)
+        .filter(|i| requesting(i) && Some(classes[*i]) == best)
+        .fold(0, |kept, i| kept | 1 << i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1039,6 +1056,20 @@ mod tests {
 
     fn net(w: u16, h: u16) -> Network {
         Network::new(NetworkConfig::mesh(w, h)).unwrap()
+    }
+
+    #[test]
+    fn xy_port_is_the_xy_route_index() {
+        let mesh = Mesh::new(5, 3);
+        for here in mesh.iter_nodes() {
+            for dst in mesh.iter_nodes() {
+                assert_eq!(
+                    xy_port(here, dst),
+                    mesh.xy_route(here, dst).index(),
+                    "{here} -> {dst}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1194,7 +1225,7 @@ mod tests {
             total += n.step().len();
         }
         assert_eq!(total, 1);
-        assert_eq!(n.deliveries().len(), 1);
+        assert_eq!(n.stats().delivered, 1);
     }
 
     #[test]
@@ -1431,18 +1462,20 @@ mod tests {
             .unwrap();
         n.run_until_idle_into(1_000, &mut scratch);
         assert_eq!(scratch.len(), 2, "deliveries accumulate across runs");
-        assert_eq!(n.deliveries().len(), 2);
+        assert_eq!(n.stats().delivered, 2);
     }
 
     #[test]
     fn slab_slots_are_recycled() {
         let mut n = net(2, 2);
+        let mut out = Vec::new();
         for i in 0..50u64 {
             n.inject(Packet::request(i + 1, NodeId::new(0, 0), NodeId::new(1, 1), 2).unwrap())
                 .unwrap();
-            n.run_until_idle(1_000);
+            n.run_until_idle_into(1_000, &mut out);
         }
-        assert_eq!(n.deliveries().len(), 50);
+        assert_eq!(out.len(), 50);
+        assert_eq!(n.stats().delivered, 50);
         // One packet at a time ⇒ the slab never needs more than one slot.
         assert_eq!(n.slab.len(), 1, "free list reuses the single slot");
     }

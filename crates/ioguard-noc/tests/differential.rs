@@ -184,6 +184,44 @@ fn differential_shallow_fifos() {
 }
 
 #[test]
+fn differential_non_square_meshes() {
+    // Both coordinate and downstream-port tables are built from the mesh
+    // width; a square mesh cannot tell rows from columns.
+    for (w, h, seed) in [(5u16, 3u16, 41u64), (2, 7, 43), (1, 6, 47), (6, 1, 53)] {
+        for with_link_faults in [false, true] {
+            let stim = stimulus(seed, w, h, 400, 0.08, with_link_faults);
+            assert_equivalent(NetworkConfig::mesh(w, h), &stim, 30_000);
+        }
+    }
+}
+
+#[test]
+fn differential_class_aware_fixed_priority() {
+    let mut config = NetworkConfig::mesh(4, 4);
+    config.class_aware = true;
+    config.arbiter = ioguard_noc::arbiter::ArbiterKind::FixedPriority;
+    let stim = stimulus(59, 4, 4, 400, 0.10, false);
+    assert_equivalent(config, &stim, 30_000);
+}
+
+#[test]
+fn differential_class_aware_8x8_saturated() {
+    let mut config = NetworkConfig::mesh(8, 8);
+    config.class_aware = true;
+    let stim = stimulus(61, 8, 8, 200, 0.3, false);
+    assert_equivalent(config, &stim, 60_000);
+}
+
+#[test]
+fn differential_class_aware_shallow_fifos() {
+    let mut config = NetworkConfig::mesh(4, 4);
+    config.class_aware = true;
+    config.fifo_depth = 1;
+    let stim = stimulus(67, 4, 4, 300, 0.08, false);
+    assert_equivalent(config, &stim, 50_000);
+}
+
+#[test]
 fn differential_drop_and_corrupt_marks() {
     let config = NetworkConfig::mesh(4, 4);
     let mut engine = Network::new(config.clone()).unwrap();
