@@ -482,7 +482,7 @@ impl Fig7Report {
     }
 
     /// Runs the sweep and also returns the engine counters (trial count,
-    /// steals, per-trial timing) for throughput reporting.
+    /// steals, busy seconds) for throughput reporting.
     ///
     /// Work is scheduled at *(system, trial)* granularity on the
     /// work-stealing engine, one `(vms, utilization)` group at a time. Each

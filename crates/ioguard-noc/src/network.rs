@@ -828,13 +828,17 @@ impl Network {
         if self.live_packets != 1 || self.failed_link_count != 0 || self.fifo_depth < 2 {
             return None;
         }
+        // Every live flit must still be queued at the source NI: then no
+        // FIFO holds anything, no lock is held, and the traversal starts
+        // from a clean fabric. A router holding a flit rules that out
+        // before the slab scan.
+        if self.active_routers.iter().any(|&word| word != 0) {
+            return None;
+        }
         let slot = self.slab.iter().position(|s| s.live.is_some())?;
         let live = self.slab[slot].live.as_ref()?;
         let total = u64::from(live.packet.total_flits());
         let src_idx = self.mesh.index_of(live.packet.src());
-        // Every live flit must still be queued at the source NI: then no
-        // FIFO holds anything, no lock is held, and the traversal starts
-        // from a clean fabric.
         if self.live_flits != total || self.injection[src_idx].len() as u64 != total {
             return None;
         }

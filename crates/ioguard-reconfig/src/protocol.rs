@@ -28,9 +28,9 @@
 //!   (metrics, watchdog, admission windows, GuardedEdf budgets) — VM ids
 //!   reused by a later epoch never inherit a predecessor's counters.
 //! * **Rollback** is the default: any failure before or at the boundary
-//!   (unschedulable stage, blown drain budget, degraded mode at the
-//!   switch, successor activation failure) leaves the old configuration
-//!   running, observationally identical to never having staged.
+//!   (unschedulable or unbuildable stage, blown drain budget, degraded
+//!   mode at the switch) leaves the old configuration running,
+//!   observationally identical to never having staged.
 //!
 //! Reconfiguration events go to a controller-owned [`TraceSink`], *not*
 //! the hypervisor's observer — the live system's trace is byte-identical
@@ -165,7 +165,7 @@ impl ReconfigController {
     /// # Errors
     ///
     /// A typed [`RejectReason`] when the initial configuration fails
-    /// verification or activation; nothing is left running.
+    /// verification; nothing is left running.
     pub fn new(
         initial: StagedConfig,
         drain_budget: u64,
@@ -188,17 +188,9 @@ impl ReconfigController {
             }
         };
         sink.record(0, ObsKind::ReconfigVerify, SYSTEM_VM, 0, 1);
-        let hv = match Hypervisor::new(verified.config.params()) {
-            Ok(hv) => hv,
-            Err(e) => {
-                let reason = RejectReason::Activation(e);
-                sink.record(0, ObsKind::ReconfigAbort, SYSTEM_VM, 0, reason.ordinal());
-                return Err(reason);
-            }
-        };
         sink.record(0, ObsKind::ReconfigCommit, SYSTEM_VM, 0, 0);
         Ok(Self {
-            hv,
+            hv: verified.hv,
             drain_budget,
             epoch: 0,
             epoch_base: 0,
@@ -543,21 +535,9 @@ impl ReconfigController {
             );
             return;
         }
-        // Activate the successor *before* draining so an activation
-        // failure leaves the old pools untouched (rollback-safe order).
-        let mut next = match Hypervisor::new(p.verified.config.params()) {
-            Ok(hv) => hv,
-            Err(e) => {
-                self.sink.record(
-                    at_global,
-                    ObsKind::ReconfigAbort,
-                    SYSTEM_VM,
-                    p.stage_id,
-                    RejectReason::Activation(e).ordinal(),
-                );
-                return;
-            }
-        };
+        // The successor was built when it was staged, so activation
+        // cannot fail once the drain starts.
+        let mut next = p.verified.hv;
         if self.obs_capacity > 0 {
             next.attach_obs(self.obs_capacity);
         }

@@ -73,8 +73,9 @@ pub enum RejectReason {
     /// during the drain (device fault mid-quiesce): the switch is aborted
     /// and the old configuration keeps running.
     DegradedAtBoundary,
-    /// The candidate's hypervisor cannot be built, at staging or at the
-    /// switch.
+    /// The candidate's hypervisor cannot be built. Staging builds it,
+    /// and activation moves that build into place, so this is raised at
+    /// staging only.
     Activation(HvError),
     /// The operator rolled back an in-flight stage or commit explicitly.
     Cancelled,
@@ -206,14 +207,15 @@ impl StagedConfig {
     }
 
     /// Runs the full offline admission pipeline: static well-formedness,
-    /// σ\* construction, then the exact Theorem 1/3 tests.
+    /// the candidate's hypervisor (σ\* included), then the exact Theorem
+    /// 1/3 tests. The hypervisor built here is the one activation runs.
     ///
     /// # Errors
     ///
     /// A typed [`RejectReason`]; the candidate never touches the live
     /// system either way.
     pub fn verify(&self) -> Result<VerifiedConfig, RejectReason> {
-        let analysis = self.static_checks()?;
+        let (hv, analysis) = self.static_checks()?;
         let verdict = match analysis.schedulable() {
             Ok(v) => v,
             Err(e) => return Err(RejectReason::Analysis(e)),
@@ -226,13 +228,15 @@ impl StagedConfig {
         }
         Ok(VerifiedConfig {
             config: self.clone(),
+            hv,
             analysis,
             verdict,
         })
     }
 
-    /// Static (non-schedulability) checks, returning the analysis model.
-    fn static_checks(&self) -> Result<TwoLayerAnalysis, RejectReason> {
+    /// Static (non-schedulability) checks, returning the candidate's
+    /// hypervisor and the analysis model over its σ\*.
+    fn static_checks(&self) -> Result<(Hypervisor, TwoLayerAnalysis), RejectReason> {
         if self.servers.is_empty() {
             return Err(RejectReason::EmptyPopulation);
         }
@@ -246,18 +250,19 @@ impl StagedConfig {
                 task_sets: self.task_sets.len(),
             });
         }
-        // Build the hypervisor offline exactly the way activation will,
-        // so a candidate that cannot be built is rejected here, not at the
-        // switch.
-        let table = match Hypervisor::new(self.params()) {
-            Ok(hv) => hv.pchannel().table().clone(),
+        // Build the hypervisor offline, once: a candidate that cannot be
+        // built is rejected here, and activation moves this build into
+        // place.
+        let hv = match Hypervisor::new(self.params()) {
+            Ok(hv) => hv,
             Err(HvError::TableConstruction { reason }) => {
                 return Err(RejectReason::InfeasibleTable { reason })
             }
             Err(e) => return Err(RejectReason::Activation(e)),
         };
+        let table = hv.pchannel().table().clone();
         match TwoLayerAnalysis::new(table, self.servers.clone(), self.task_sets.clone()) {
-            Ok(a) => Ok(a),
+            Ok(a) => Ok((hv, a)),
             Err(e) => Err(RejectReason::Analysis(e)),
         }
     }
@@ -265,10 +270,12 @@ impl StagedConfig {
 
 /// A candidate that passed the full admission pipeline — the only type the
 /// commit path accepts. Carries the proof (analysis model and verdict)
-/// alongside the configuration.
+/// alongside the configuration, and the candidate's never-stepped
+/// hypervisor that activation moves into place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifiedConfig {
-    pub(crate) config: StagedConfig,
+    config: StagedConfig,
+    pub(crate) hv: Hypervisor,
     analysis: TwoLayerAnalysis,
     verdict: TwoLayerVerdict,
 }

@@ -18,8 +18,13 @@
 //!   A node whose minimum covers the need at its last slot is skipped; in
 //!   one step the need is flat, so a node that fails that test holds a
 //!   violation. That is O(frame/Π + log frame) nodes at worst and about
-//!   log frame in practice. Slot `frame` is checked last, so a rejection
-//!   names the leftmost violating slot.
+//!   log frame in practice. The slack at slot `frame` — the integer
+//!   bandwidth headroom — is also kept as a scalar, moved by every
+//!   staircase add. `probe` compares it with the candidate's whole-frame
+//!   need `Θ·(frame/Π)` first and rejects in O(1) when it falls short:
+//!   a probe only asks whether some slot violates. `admit` descends first
+//!   and reads the scalar last, so a rejection names the leftmost
+//!   violating slot.
 //! - **Staircase add.** `admit` (on acceptance) and `evict` add `∓Θ·⌊t/Π⌋`
 //!   in one pass that stops at every node over which `⌊t/Π⌋` is constant.
 //!   Slot `t` lives at leaf `t mod frame`, so with a power-of-two Π every
@@ -223,9 +228,9 @@ impl DemandLedger {
 
     /// Slack at `t = frame`: the integer bandwidth headroom of the
     /// resident set (`sbf(frame) − Σ dbf(frame)`), used by worst-fit
-    /// placement.
+    /// placement. O(1): the envelope keeps it as a scalar.
     pub fn headroom(&self) -> i64 {
-        self.envelope.value_at(self.envelope.n)
+        self.envelope.at_frame
     }
 
     /// The G-Sched verdict for the current resident set: always
@@ -262,7 +267,9 @@ impl DemandLedger {
     }
 
     /// Read-only feasibility probe: would admitting `server` keep the
-    /// envelope non-negative? One pruned descent, no mutation.
+    /// envelope non-negative? The bandwidth check first — `false` at once
+    /// when [`Self::headroom`] is below the whole-frame need `Θ·(frame/Π)`
+    /// — then one pruned descent. No mutation.
     ///
     /// # Errors
     ///
@@ -270,11 +277,12 @@ impl DemandLedger {
     /// the frame.
     pub fn probe(&self, server: &PeriodicServer) -> Result<bool, SchedError> {
         self.require_harmonic(server)?;
+        let need = Staircase::of(server);
+        if self.envelope.at_frame < need.at(self.envelope.n) {
+            return Ok(false);
+        }
         let mut visited = 0;
-        Ok(self
-            .envelope
-            .first_below(Staircase::of(server), &mut visited)
-            .is_none())
+        Ok(self.envelope.first_below(need, &mut visited).is_none())
     }
 
     /// Admits `server` as `id`: one search for the leftmost slot its
@@ -384,7 +392,8 @@ pub fn theorem1_frame(
 ///
 /// Lazy adds are stored *applied at the node* (`vals[node]` already
 /// includes `pend[node]`), so updates never push down; queries accumulate
-/// the pending adds of strict ancestors on the way down.
+/// the pending adds of strict ancestors on the way down. The slack at slot
+/// `frame` is also kept as a scalar, so reading it never walks the tree.
 #[derive(Debug, Clone, PartialEq)]
 struct SlackEnvelope {
     /// Leaves in use: the frame.
@@ -396,6 +405,8 @@ struct SlackEnvelope {
     vals: Vec<i64>,
     /// Pending adds, applied to `vals[node]` but not yet to descendants.
     pend: Vec<i64>,
+    /// The slack at slot `frame`: leaf 0 plus its ancestors' pending adds.
+    at_frame: i64,
 }
 
 impl SlackEnvelope {
@@ -426,6 +437,7 @@ impl SlackEnvelope {
             size,
             vals,
             pend: vec![0; size.saturating_mul(2)],
+            at_frame: base,
         }
     }
 
@@ -443,7 +455,8 @@ impl SlackEnvelope {
         }
     }
 
-    /// The slack at slot `t ∈ 1..=frame`.
+    /// The slack at slot `t ∈ 1..=frame`, read from the tree.
+    #[cfg(test)]
     fn value_at(&self, t: usize) -> i64 {
         let mut node = self.size + t % self.n;
         let mut value = self.vals[node];
@@ -457,6 +470,7 @@ impl SlackEnvelope {
     /// Adds `stair` to the envelope in one pass that stops at each node
     /// over which `⌊t/Π⌋` is constant. Returns the nodes visited.
     fn add_staircase(&mut self, stair: Staircase) -> u64 {
+        self.at_frame = self.at_frame.saturating_add(stair.at(self.n));
         self.add_rec(1, 0, self.size, stair)
     }
 
@@ -482,15 +496,13 @@ impl SlackEnvelope {
     }
 
     /// The leftmost slot `t` where `slack(t) < need(t)`, with `slack(t)`:
-    /// one descent over slots `1..frame`, then slot `frame` at leaf 0. Adds
-    /// the nodes visited to `visited`.
+    /// one descent over slots `1..frame`, then slot `frame` from the
+    /// scalar. Adds the nodes visited to `visited`.
     fn first_below(&self, need: Staircase, visited: &mut u64) -> Option<(u64, i64)> {
         if let Some((t, slack)) = self.search(1, 0, self.size, 0, need, visited) {
             return Some((t as u64, slack));
         }
-        *visited = visited.saturating_add(u64::from(self.size.ilog2()) + 1);
-        let slack = self.value_at(self.n);
-        (slack < need.at(self.n)).then_some((self.n as u64, slack))
+        (self.at_frame < need.at(self.n)).then_some((self.n as u64, self.at_frame))
     }
 
     /// Left-first descent below `node` (leaves `[lo, lo + width)`, strict
@@ -672,6 +684,43 @@ mod tests {
     }
 
     #[test]
+    fn bandwidth_first_probe_agrees_with_admit_and_the_full_sweep() {
+        // The free slots come late in the table, so sbf(t) = 0 up to t = 4
+        // and the early slots are the tight ones: sbf = 0 0 0 0 1 2 3 4
+        // over the first table period, 8 at the frame.
+        let table = sigma(8, &[0, 1, 2, 3]);
+        let frame = 16;
+        let mut ledger = DemandLedger::new(table.clone(), frame).unwrap();
+        assert_eq!(ledger.headroom(), 8);
+        // (Π, Θ, leftmost violating slot): 9 > 8 only at the frame, so the
+        // bandwidth check alone rejects it; ⌊t/2⌋ passes the bandwidth
+        // check (8 ≤ 8) but exceeds sbf at slots 2, 4, 6, 10, 12 and 14,
+        // which only the descent sees; 2·⌊t/8⌋ fits.
+        let candidates = [(16, 9, Some(16)), (2, 1, Some(2)), (8, 2, None)];
+        for (id, (pi, theta, violation)) in candidates.into_iter().enumerate() {
+            let s = server(pi, theta);
+            let within_bandwidth = ledger.headroom() >= (theta * (frame / pi)) as i64;
+            assert_eq!(within_bandwidth, violation != Some(frame), "Π = {pi}");
+            let mut candidate: Vec<PeriodicServer> = ledger.residents().map(|(_, r)| *r).collect();
+            candidate.push(s);
+            let reference = theorem1_frame(&table, &candidate, frame);
+            let probed = ledger.probe(&s).unwrap();
+            let out = ledger.admit(id as u64, s).unwrap();
+            assert_eq!(out.verdict, reference, "Π = {pi}");
+            assert_eq!(probed, out.admitted(), "Π = {pi}");
+            assert_eq!(probed, reference.is_schedulable(), "Π = {pi}");
+            match out.verdict {
+                GschedVerdict::Unschedulable { violation_at, .. } => {
+                    assert_eq!(Some(violation_at), violation, "Π = {pi}");
+                }
+                GschedVerdict::Schedulable { .. } => assert_eq!(violation, None, "Π = {pi}"),
+            }
+        }
+        assert_eq!(ledger.resident_count(), 1);
+        assert_eq!(ledger.headroom(), 8 - 2 * 2);
+    }
+
+    #[test]
     fn headroom_tracks_bandwidth() {
         let mut ledger = DemandLedger::new(sigma(8, &[]), 64).unwrap();
         assert_eq!(ledger.headroom(), 64);
@@ -773,6 +822,12 @@ mod tests {
                 }
                 // The persistent state always equals a from-scratch sweep.
                 prop_assert_eq!(ledger.verify_full(), ledger.verdict());
+                // The frame-end scalar is sbf(frame) − Σ Θ·(frame/Π).
+                let need: u64 = ledger
+                    .residents()
+                    .map(|(_, r)| r.budget() * (frame / r.period()))
+                    .sum();
+                prop_assert_eq!(ledger.headroom(), table.sbf(frame) as i64 - need as i64);
                 // And a rebuilt ledger over the same residents is identical.
                 let mut rebuilt = DemandLedger::new(table.clone(), frame).unwrap();
                 for (id, s) in ledger.residents() {
@@ -809,6 +864,8 @@ mod tests {
         env.add_staircase(stair(3, -1));
         assert_eq!(slacks(&env), [1, 2, 2, 0, 1, 1, 2, 0, 0, 1, 2, -1]);
         assert_eq!(env.min_all(), -1);
+        // The frame-end scalar moves with the tree's slot 12.
+        assert_eq!(env.at_frame, env.value_at(12));
 
         // Only slot 12 is negative; when other slots fall below the need
         // too, the leftmost of them is reported, never leaf 0 first.

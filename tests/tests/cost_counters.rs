@@ -222,7 +222,9 @@ fn one_admit_or_evict_visits_o_steps_plus_log_frame_nodes() {
             .admitted());
     }
     let candidate = PeriodicServer::new(1 << 14, 1).expect("valid server");
-    // 2·(frame/Π) + 4·log₂(frame) = 128 + 80.
+    // 2·(frame/Π) + 4·log₂(frame) = 128 + 80. The admit visits 13 nodes
+    // in its search, which reads slot `frame` from a scalar, and 155 in its
+    // staircase add, 168 in all; the evict visits 155.
     let bound = 2 * FRAME / candidate.period() + 4 * u64::from(FRAME.ilog2());
     assert_eq!(bound, 208);
     let before = ledger.nodes_visited();
