@@ -10,6 +10,7 @@
 //!   iterate instead of re-summing the dbf at every checkpoint.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::task::{PeriodicServer, SporadicTask, TaskSet};
@@ -182,6 +183,9 @@ impl Iterator for StepEvents {
 /// sorted checkpoint vector costs O(P log P) up front); this iterator merges
 /// the per-source event streams with a small heap and carries the running
 /// sum forward instead — O(log n) per jump point, no checkpoint vector.
+/// Each heap entry carries its source's stride and step, so a sweep makes
+/// one allocation, the heap, and advancing a source is one sift of the top
+/// entry.
 ///
 /// Demand bound functions are right-continuous step functions, so each
 /// yielded item `(t, demand)` includes every step at `t` itself, exactly as
@@ -200,11 +204,9 @@ impl Iterator for StepEvents {
 /// # Ok::<(), ioguard_sched::SchedError>(())
 /// ```
 pub struct DemandSweep {
-    /// `(next jump point, source index)` min-heap.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Per-source `(stride, step)`: the source jumps by `step` every
-    /// `stride` slots.
-    sources: Vec<(u64, u64)>,
+    /// `(next jump point, stride, step)` min-heap: the source jumps by
+    /// `step` every `stride` slots.
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
     /// Inclusive sweep bound; events past it are dropped.
     bound: u64,
     /// Running `Σ dbf` including every event emitted so far.
@@ -230,19 +232,11 @@ impl DemandSweep {
         )
     }
 
-    fn from_sources(sources_iter: impl IntoIterator<Item = (u64, u64, u64)>, bound: u64) -> Self {
-        let mut heap = BinaryHeap::new();
-        let mut sources = Vec::new();
-        for (start, stride, step) in sources_iter {
-            let idx = sources.len();
-            sources.push((stride, step));
-            if start <= bound {
-                heap.push(Reverse((start, idx)));
-            }
-        }
+    fn from_sources(sources: impl ExactSizeIterator<Item = (u64, u64, u64)>, bound: u64) -> Self {
+        let mut entries = Vec::with_capacity(sources.len());
+        entries.extend(sources.filter(|&(start, _, _)| start <= bound).map(Reverse));
         Self {
-            heap,
-            sources,
+            heap: BinaryHeap::from(entries),
             bound,
             demand: 0,
         }
@@ -255,18 +249,18 @@ impl Iterator for DemandSweep {
     /// The next distinct jump point and the total demand there. Sources
     /// that coincide at `t` are folded into one item.
     fn next(&mut self) -> Option<(u64, u64)> {
-        let Reverse((t, _)) = *self.heap.peek()?;
-        while let Some(&Reverse((at, idx))) = self.heap.peek() {
+        let Reverse((t, _, _)) = *self.heap.peek()?;
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse((at, stride, step)) = *top;
             if at != t {
                 break;
             }
-            self.heap.pop();
-            // lint: allow(indexing) — idx was bounds-valid at heap-insert time (sources.len() when pushed)
-            let (stride, step) = self.sources[idx];
             self.demand = self.demand.saturating_add(step);
-            match at.checked_add(stride) {
-                Some(next) if next <= self.bound => self.heap.push(Reverse((next, idx))),
-                _ => {}
+            match at.checked_add(stride).filter(|&next| next <= self.bound) {
+                Some(next) => *top = Reverse((next, stride, step)),
+                None => {
+                    PeekMut::pop(top);
+                }
             }
         }
         Some((t, self.demand))

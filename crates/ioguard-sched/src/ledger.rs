@@ -15,29 +15,37 @@
 //!
 //! - **Search.** `probe`, and `admit` before it changes anything, run one
 //!   left-first descent for the earliest slot where `slack(t) < Θ·⌊t/Π⌋`.
-//!   A node whose minimum covers the need at its last slot is skipped; in
-//!   one step the need is flat, so a node that fails that test holds a
-//!   violation. That is O(frame/Π + log frame) nodes at worst and about
-//!   log frame in practice. The slack at slot `frame` — the integer
-//!   bandwidth headroom — is also kept as a scalar, moved by every
-//!   staircase add. `probe` compares it with the candidate's whole-frame
-//!   need `Θ·(frame/Π)` first and rejects in O(1) when it falls short:
-//!   a probe only asks whether some slot violates. `admit` descends first
-//!   and reads the scalar last, so a rejection names the leftmost
-//!   violating slot.
+//!   A node is skipped when its minimum covers the need at its last slot;
+//!   in one step the need is flat, so a node that fails that test holds a
+//!   violation. The descent is a loop: a skipped node hands over to its
+//!   right sibling, after climbing out of every subtree it finishes. That
+//!   is O(frame/Π + log frame) nodes at worst and about log frame in
+//!   practice. The slack at slot `frame` — the integer bandwidth
+//!   headroom — is also kept as a scalar, moved by every staircase add.
+//!   `probe` compares it with the candidate's whole-frame need
+//!   `Θ·(frame/Π)` first and rejects in O(1) when it falls short: a probe
+//!   only asks whether some slot violates. `admit` descends first and
+//!   reads the scalar last, so a rejection names the leftmost violating
+//!   slot.
 //! - **Staircase add.** `admit` (on acceptance) and `evict` add `∓Θ·⌊t/Π⌋`
-//!   in one pass that stops at every node over which `⌊t/Π⌋` is constant.
-//!   Slot `t` lives at leaf `t mod frame`, so with a power-of-two Π every
-//!   step boundary starts a subtree and the pass visits `1 + 2·(frame/Π −
-//!   1 + log₂ Π)` nodes: 155 at Π = 2¹⁴, frame 2²⁰. A period that is not
-//!   a power of two is exact too, only slower, since its steps cut nodes.
+//!   in one pass over a single tree level, then recompute the minima
+//!   above it. Let `w` be the largest power of two dividing Π. Every step
+//!   boundary `m·Π` is a multiple of `w`, so each node `w` slots wide
+//!   lies inside one step and takes one lazy add. Only leaf 0, which holds
+//!   slot `frame` beside slots `1..w` of step 0, takes its add alone.
+//!   Without padding leaves a power-of-two Π (`w = Π`) costs `2·frame/Π +
+//!   log₂ Π − 1` nodes: 141 at Π = 2¹⁴, frame 2²⁰. The fleet and serve
+//!   frames the benchmark and the CLIs use are powers of two, so every
+//!   period they admit is one too. A period with an odd factor `q > 1`
+//!   costs about `q` nodes per step, at most `2·frame/w + ⌈log₂ frame⌉`
+//!   in all (394 at Π = 3·2¹², frame 3·2¹⁸; about `2·frame` at an odd Π,
+//!   where `w = 1`). Only the ledger's own tests admit such periods.
 //!
 //! A rejected admit changes nothing. The resident set is schedulable iff
 //! the envelope is non-negative everywhere, and the leftmost slot below
 //! the candidate's staircase is exactly the violation the full sweep
-//! reports. The `cost_counters` test
-//! `one_admit_or_evict_visits_o_steps_plus_log_frame_nodes` gates
-//! [`DemandLedger::nodes_visited`] at `2·(frame/Π) + 4·log₂ frame`.
+//! reports. The `cost_counters` tests gate [`DemandLedger::nodes_visited`]
+//! at `2·(frame/w) + 4·log₂ frame`.
 //!
 //! # Exactness
 //!
@@ -81,9 +89,6 @@ pub struct AdmitStats {
     /// Delta events the decision covers: `frame / Π` steps of the changed
     /// server — the only checkpoints the delta can violate.
     pub delta_events: u64,
-    /// Envelope checkpoints (slots) covered by those delta events; equals
-    /// `frame + 1 - Π` (every slot from the first jump on).
-    pub checkpoints_touched: u64,
 }
 
 /// Outcome of a [`DemandLedger::admit`] call.
@@ -214,8 +219,9 @@ impl DemandLedger {
     }
 
     /// Lifetime count of envelope nodes visited by `admit` (search plus
-    /// staircase add) and `evict` (staircase add). `probe` is read-only and
-    /// not counted.
+    /// staircase add) and `evict` (staircase add): the search's descent
+    /// steps plus every node a level pass adds to or recomputes. `probe`
+    /// is read-only and not counted.
     pub fn nodes_visited(&self) -> u64 {
         self.nodes_visited
     }
@@ -245,10 +251,8 @@ impl DemandLedger {
     /// The delta events an admit/probe of `server` decides over, without
     /// doing it.
     pub fn delta_stats(&self, server: &PeriodicServer) -> AdmitStats {
-        let events = self.frame / server.period();
         AdmitStats {
-            delta_events: events,
-            checkpoints_touched: self.frame.saturating_sub(server.period()).saturating_add(1),
+            delta_events: self.frame / server.period(),
         }
     }
 
@@ -386,9 +390,11 @@ pub fn theorem1_frame(
 
 /// The dense slack envelope: a lazy segment tree over slots `1..=frame`
 /// with one leaf per slot. Slot `t` sits at leaf `t mod frame`: leaves
-/// `1..frame` hold slots `1..frame`, and leaf 0 holds slot `frame`. With a
-/// power-of-two step width every step boundary `m·Π` then starts a
-/// subtree, so a staircase over the leaves is constant on whole nodes.
+/// `1..frame` hold slots `1..frame`, and leaf 0 holds slot `frame`. Node
+/// `size/w + j` of the level whose nodes are `w` leaves wide then holds
+/// slots `j·w … (j+1)·w − 1`, slot `frame` standing in for slot 0. When
+/// `w` divides Π, a staircase of period Π is constant on every node of
+/// that level but the first.
 ///
 /// Lazy adds are stored *applied at the node* (`vals[node]` already
 /// includes `pend[node]`), so updates never push down; queries accumulate
@@ -446,15 +452,6 @@ impl SlackEnvelope {
         self.vals[1]
     }
 
-    /// The slot leaf `leaf < n` holds.
-    fn slot(&self, leaf: usize) -> usize {
-        if leaf == 0 {
-            self.n
-        } else {
-            leaf
-        }
-    }
-
     /// The slack at slot `t ∈ 1..=frame`, read from the tree.
     #[cfg(test)]
     fn value_at(&self, t: usize) -> i64 {
@@ -467,74 +464,101 @@ impl SlackEnvelope {
         value
     }
 
-    /// Adds `stair` to the envelope in one pass that stops at each node
-    /// over which `⌊t/Π⌋` is constant. Returns the nodes visited.
-    fn add_staircase(&mut self, stair: Staircase) -> u64 {
-        self.at_frame = self.at_frame.saturating_add(stair.at(self.n));
-        self.add_rec(1, 0, self.size, stair)
-    }
-
-    fn add_rec(&mut self, node: usize, lo: usize, width: usize, stair: Staircase) -> u64 {
-        if lo >= self.n {
-            return 1;
-        }
-        let (first, last) = (self.slot(lo), lo + width - 1);
-        if last < self.n && first / stair.pi == self.slot(last) / stair.pi {
-            let add = stair.at(first);
-            self.vals[node] = self.vals[node].saturating_add(add);
-            self.pend[node] = self.pend[node].saturating_add(add);
-            return 1;
-        }
-        let half = width / 2;
-        let visited = self
-            .add_rec(2 * node, lo, half, stair)
-            .saturating_add(self.add_rec(2 * node + 1, lo + half, half, stair));
+    /// Recomputes `vals[node]` from its children and its own pending add.
+    fn refresh_min(&mut self, node: usize) {
         self.vals[node] = self.vals[2 * node]
             .min(self.vals[2 * node + 1])
             .saturating_add(self.pend[node]);
-        visited.saturating_add(1)
+    }
+
+    /// Adds `stair` to the envelope in one pass over the tree level whose
+    /// nodes are `w` leaves wide, `w` the largest power of two dividing Π,
+    /// and returns the nodes visited. Every step boundary `m·Π` is a
+    /// multiple of `w`, so node `size/w + j` lies in step `⌊j·w/Π⌋` and
+    /// takes that step's add, counted up once every `Π/w` nodes. The
+    /// first node holds leaf 0 (slot `frame`, step `frame/Π`) beside
+    /// slots `1..w` (step 0): leaf 0 takes its add alone and its spine up
+    /// to the level is recomputed. Then the minima of every level above
+    /// are recomputed over the nodes real slots reach.
+    fn add_staircase(&mut self, stair: Staircase) -> u64 {
+        let last = stair.at(self.n);
+        self.at_frame = self.at_frame.saturating_add(last);
+        let w = stair.pi & stair.pi.wrapping_neg();
+        let (first, end) = (self.size / w, (self.size + self.n) / w);
+        let leaf0 = self.size;
+        self.vals[leaf0] = self.vals[leaf0].saturating_add(last);
+        self.pend[leaf0] = self.pend[leaf0].saturating_add(last);
+        let mut visited = 1;
+        let mut node = leaf0 / 2;
+        while node >= first {
+            self.refresh_min(node);
+            node /= 2;
+            visited += 1;
+        }
+        // Step 0 adds nothing; each later step covers Π/w whole nodes.
+        let per_step = stair.pi / w;
+        let level = first + per_step..end;
+        visited += level.len();
+        let steps = self.vals[level.clone()]
+            .chunks_exact_mut(per_step)
+            .zip(self.pend[level].chunks_exact_mut(per_step));
+        let mut add = 0i64;
+        for (vals, pend) in steps {
+            add = add.saturating_add(stair.rise);
+            for (val, pending) in vals.iter_mut().zip(pend) {
+                *val = val.saturating_add(add);
+                *pending = pending.saturating_add(add);
+            }
+        }
+        let (mut lo, mut hi) = (first, end);
+        while lo > 1 {
+            (lo, hi) = (lo / 2, hi.div_ceil(2));
+            for node in lo..hi {
+                self.refresh_min(node);
+            }
+            visited += hi - lo;
+        }
+        visited as u64
     }
 
     /// The leftmost slot `t` where `slack(t) < need(t)`, with `slack(t)`:
-    /// one descent over slots `1..frame`, then slot `frame` from the
-    /// scalar. Adds the nodes visited to `visited`.
+    /// one left-first descent over slots `1..frame`, then slot `frame`
+    /// from the scalar. A node is skipped when its minimum covers the need
+    /// at its last leaf, the largest need in it because the staircase
+    /// never decreases (leaf 0, slot `frame`, is left to the scalar, and
+    /// its value only lowers the minimum). A skipped node hands over to
+    /// its right sibling, after climbing out of every subtree it is the
+    /// last child of. Adds the nodes visited to `visited`.
     fn first_below(&self, need: Staircase, visited: &mut u64) -> Option<(u64, i64)> {
-        if let Some((t, slack)) = self.search(1, 0, self.size, 0, need, visited) {
-            return Some((t as u64, slack));
+        // The node covers leaves `[lo, lo + width)`; `above` sums the
+        // pending adds of its strict ancestors.
+        let (mut node, mut lo, mut width, mut above) = (1, 0, self.size, 0i64);
+        loop {
+            *visited = visited.saturating_add(1);
+            let min = self.vals[node].saturating_add(above);
+            if lo < self.n && min < need.at((lo + width - 1).min(self.n - 1)) {
+                if width > 1 {
+                    above = above.saturating_add(self.pend[node]);
+                    (node, width) = (2 * node, width / 2);
+                    continue;
+                }
+                if lo > 0 {
+                    return Some((lo as u64, min));
+                }
+            }
+            while node % 2 == 1 {
+                if node == 1 {
+                    return (self.at_frame < need.at(self.n))
+                        .then_some((self.n as u64, self.at_frame));
+                }
+                node /= 2;
+                above = above.saturating_sub(self.pend[node]);
+                lo -= width;
+                width *= 2;
+            }
+            node += 1;
+            lo += width;
         }
-        (self.at_frame < need.at(self.n)).then_some((self.n as u64, self.at_frame))
-    }
-
-    /// Left-first descent below `node` (leaves `[lo, lo + width)`, strict
-    /// ancestors' pending adds summing to `above`) for the leftmost leaf
-    /// `t ≥ 1` below `need(t)`. A node is skipped when its minimum covers
-    /// the need at its last leaf, the largest need in it because the
-    /// staircase never decreases (leaf 0, slot `frame`, is left to the
-    /// caller, and its value only lowers the minimum).
-    fn search(
-        &self,
-        node: usize,
-        lo: usize,
-        width: usize,
-        above: i64,
-        need: Staircase,
-        visited: &mut u64,
-    ) -> Option<(usize, i64)> {
-        *visited = visited.saturating_add(1);
-        if lo >= self.n {
-            return None;
-        }
-        let min = self.vals[node].saturating_add(above);
-        if min >= need.at((lo + width - 1).min(self.n - 1)) {
-            return None;
-        }
-        if width == 1 {
-            return (lo > 0).then_some((lo, min));
-        }
-        let below = above.saturating_add(self.pend[node]);
-        let half = width / 2;
-        self.search(2 * node, lo, half, below, need, visited)
-            .or_else(|| self.search(2 * node + 1, lo + half, half, below, need, visited))
     }
 }
 
@@ -543,16 +567,27 @@ impl SlackEnvelope {
 #[derive(Debug, Clone, Copy)]
 struct Staircase {
     pi: usize,
+    /// `log₂ Π` when Π is a power of two, so `⌊t/Π⌋` is a shift.
+    shift: Option<u32>,
     rise: i64,
 }
 
 impl Staircase {
+    /// The staircase `rise·⌊t/Π⌋` with `pi = Π ≥ 1`.
+    fn new(pi: usize, rise: i64) -> Self {
+        Self {
+            pi,
+            shift: pi.is_power_of_two().then(|| pi.trailing_zeros()),
+            rise,
+        }
+    }
+
     /// The need of `server`: `Θ·⌊t/Π⌋`.
     fn of(server: &PeriodicServer) -> Self {
-        Self {
-            pi: usize::try_from(server.period()).unwrap_or(usize::MAX),
-            rise: i64::try_from(server.budget()).unwrap_or(i64::MAX),
-        }
+        Self::new(
+            usize::try_from(server.period()).unwrap_or(usize::MAX),
+            i64::try_from(server.budget()).unwrap_or(i64::MAX),
+        )
     }
 
     /// The same staircase with `rise` negated.
@@ -565,8 +600,12 @@ impl Staircase {
 
     /// The staircase's value at slot `t`.
     fn at(self, t: usize) -> i64 {
+        let steps = match self.shift {
+            Some(shift) => t >> shift,
+            None => t / self.pi,
+        };
         self.rise
-            .saturating_mul(i64::try_from(t / self.pi).unwrap_or(i64::MAX))
+            .saturating_mul(i64::try_from(steps).unwrap_or(i64::MAX))
     }
 }
 
@@ -737,7 +776,6 @@ mod tests {
         let ledger = DemandLedger::new(sigma(8, &[]), 64).unwrap();
         let s = ledger.delta_stats(&server(16, 2));
         assert_eq!(s.delta_events, 4);
-        assert_eq!(s.checkpoints_touched, 64 - 16 + 1);
     }
 
     #[test]
@@ -845,7 +883,7 @@ mod tests {
         // and leaves 12..=15 are padding.
         let mut env = SlackEnvelope::from_supply(&sigma(4, &[]), 12);
         let fresh = env.clone();
-        let stair = |pi, rise| Staircase { pi, rise };
+        let stair = Staircase::new;
         let slacks = |env: &SlackEnvelope| (1..=12).map(|t| env.value_at(t)).collect::<Vec<_>>();
         let first = |env: &SlackEnvelope, need| env.first_below(need, &mut 0);
         assert_eq!(slacks(&env), (1..=12).collect::<Vec<i64>>());
@@ -877,5 +915,50 @@ mod tests {
         env.add_staircase(stair(3, 1));
         env.add_staircase(stair(4, 3));
         assert_eq!(env, fresh);
+    }
+
+    #[test]
+    fn level_pass_matches_a_per_slot_envelope() {
+        // Frames 12, 24 and 96 leave padding leaves, 16 none; their
+        // divisors include odd factors and odd periods (`w = 1`).
+        for frame in [12usize, 16, 24, 96] {
+            let table = sigma(4, &[0]);
+            let mut env = SlackEnvelope::from_supply(&table, frame as u64);
+            let fresh = env.clone();
+            let mut slack: Vec<i64> = (0..=frame).map(|t| table.sbf(t as u64) as i64).collect();
+            // Longest period first: Π = frame moves only slot `frame`, and
+            // its −20 makes that slot the minimum.
+            let stairs: Vec<Staircase> = (1..=frame)
+                .rev()
+                .filter(|pi| frame.is_multiple_of(*pi))
+                .zip([-20, 7, -3, 11].into_iter().cycle())
+                .map(|(pi, rise)| Staircase::new(pi, rise))
+                .collect();
+            let inverses = stairs.iter().rev().map(|stair| stair.negated());
+            for stair in stairs.iter().copied().chain(inverses) {
+                env.add_staircase(stair);
+                for (t, value) in slack.iter_mut().enumerate().skip(1) {
+                    *value += stair.rise * (t / stair.pi) as i64;
+                }
+                let tree: Vec<i64> = (1..=frame).map(|t| env.value_at(t)).collect();
+                assert_eq!(tree, slack[1..], "frame {frame}, Π = {}", stair.pi);
+                assert_eq!(
+                    env.min_all(),
+                    *slack[1..].iter().min().unwrap(),
+                    "frame {frame}, Π = {}",
+                    stair.pi
+                );
+                assert_eq!(
+                    env.at_frame,
+                    env.value_at(frame),
+                    "frame {frame}, Π = {}",
+                    stair.pi
+                );
+            }
+            assert_eq!(
+                env, fresh,
+                "frame {frame}: the inverses must restore the envelope"
+            );
+        }
     }
 }

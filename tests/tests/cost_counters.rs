@@ -10,7 +10,9 @@
 //!   full Theorem 1 sweep over the residents walks.
 //! * **Staircase admission.** Admitting or evicting that candidate visits
 //!   at most `2·(frame/Π) + 4·log₂ frame` envelope nodes: one pruned
-//!   search plus one staircase add over leaves that line up with its steps.
+//!   search plus one staircase add over the tree level whose nodes line up
+//!   with its steps. A period with an odd factor stays within
+//!   `2·(frame/w) + 4·log₂ frame`, `w` the largest power of two dividing it.
 //! * **Observation.** An `ObservedFabric` makes exactly the heap
 //!   allocations the plain `Network` under it makes, and no others.
 //! * **Deadline sweep.** The hypervisor walks its pools for expired work
@@ -223,8 +225,10 @@ fn one_admit_or_evict_visits_o_steps_plus_log_frame_nodes() {
     }
     let candidate = PeriodicServer::new(1 << 14, 1).expect("valid server");
     // 2·(frame/Π) + 4·log₂(frame) = 128 + 80. The admit visits 13 nodes
-    // in its search, which reads slot `frame` from a scalar, and 155 in its
-    // staircase add, 168 in all; the evict visits 155.
+    // in its search, which reads slot `frame` from a scalar, and 141 in its
+    // staircase add, 154 in all; the evict visits 141. The add is one pass
+    // over the 64 nodes of the level 2¹⁴ leaves wide, the 14 nodes from
+    // leaf 0 up to it and the 63 above it.
     let bound = 2 * FRAME / candidate.period() + 4 * u64::from(FRAME.ilog2());
     assert_eq!(bound, 208);
     let before = ledger.nodes_visited();
@@ -237,6 +241,33 @@ fn one_admit_or_evict_visits_o_steps_plus_log_frame_nodes() {
     ledger.evict(1_000_000).expect("candidate is resident");
     let evict = ledger.nodes_visited() - before;
     println!("Π = 2^14 at frame 2^20: admit visits {admit} nodes, evict {evict}");
+    assert!(admit <= bound, "admit visited {admit} nodes, bound {bound}");
+    assert!(evict <= bound, "evict visited {evict} nodes, bound {bound}");
+}
+
+#[test]
+fn a_period_with_an_odd_factor_visits_o_frame_over_w_plus_log_frame_nodes() {
+    // Π = 3·2¹² at frame 3·2¹⁸: the staircase is constant on the nodes
+    // w = 2¹² leaves wide, the largest power of two dividing Π, so an add
+    // is one pass over the 192 nodes of that level, three per step, plus
+    // the nodes above it and leaf 0's spine. A pass over the leaves would
+    // visit about 2·frame = 1 572 864.
+    const FRAME: u64 = 3 << 18;
+    let sigma = TimeSlotTable::from_occupied(192, &[0]).expect("valid σ*");
+    let mut ledger = DemandLedger::new(sigma, FRAME).expect("harmonic frame");
+    let candidate = PeriodicServer::new(3 << 12, 1).expect("valid server");
+    let w = candidate.period() & candidate.period().wrapping_neg();
+    assert_eq!(w, 1 << 12);
+    let bound = 2 * FRAME / w + 4 * u64::from(FRAME.ilog2());
+    assert_eq!(bound, 460);
+    assert!(ledger
+        .admit(1, candidate)
+        .expect("harmonic period")
+        .admitted());
+    let admit = ledger.nodes_visited();
+    ledger.evict(1).expect("candidate is resident");
+    let evict = ledger.nodes_visited() - admit;
+    println!("Π = 3·2^12 at frame 3·2^18: admit visits {admit} nodes, evict {evict}");
     assert!(admit <= bound, "admit visited {admit} nodes, bound {bound}");
     assert!(evict <= bound, "evict visited {evict} nodes, bound {bound}");
 }
