@@ -68,6 +68,11 @@ impl IoGuardPlatform {
             hypervisor: Hypervisor::new(params)?,
         })
     }
+
+    /// The hypervisor the platform drives (σ\*, pools, work counters).
+    pub fn hypervisor(&self) -> &Hypervisor {
+        &self.hypervisor
+    }
 }
 
 impl IoPlatform for IoGuardPlatform {
@@ -97,6 +102,10 @@ impl IoPlatform for IoGuardPlatform {
 
     fn step(&mut self) {
         self.hypervisor.step();
+    }
+
+    fn advance_to(&mut self, slot: u64) {
+        self.hypervisor.advance_to(slot);
     }
 
     fn now(&self) -> u64 {

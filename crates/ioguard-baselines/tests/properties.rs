@@ -8,6 +8,9 @@ use ioguard_baselines::legacy::LegacyPlatform;
 use ioguard_baselines::platform::{FifoDevice, IoPlatform, PlatformJob, PlatformMetrics};
 use ioguard_baselines::rtxen::RtXenPlatform;
 use ioguard_hypervisor::gsched::GschedPolicy;
+use ioguard_hypervisor::hypervisor::PchannelReclaim;
+use ioguard_hypervisor::pchannel::PredefinedTask;
+use ioguard_sched::task::SporadicTask;
 
 fn arb_jobs() -> impl Strategy<Value = Vec<(u64, u64, u64, bool)>> {
     // (release gap, wcet, relative deadline headroom, critical)
@@ -76,6 +79,30 @@ fn four_platforms(seed: u64) -> Vec<Box<dyn IoPlatform>> {
         Box::new(BlueVisorPlatform::new(4, seed)),
         Box::new(IoGuardPlatform::new(4, vec![], GschedPolicy::GlobalEdf).expect("constructible")),
     ]
+}
+
+/// The four platforms and an I/O-GUARD whose P-channel pre-loads two
+/// tasks with slack reclamation on, so that its `advance_to` walks σ\*
+/// around occupied and reclaimed slots. The fifth is not in
+/// `four_platforms`: its pre-defined jobs complete without being offered.
+fn platforms_to_advance(seed: u64) -> Vec<Box<dyn IoPlatform>> {
+    let preload = [(1, 8, 2), (2, 20, 3)].map(|(task_id, period, wcet)| PredefinedTask {
+        task_id,
+        vm: 0,
+        task: SporadicTask::implicit(period, wcet).expect("valid task"),
+        response_bytes: 32,
+        start_offset: task_id,
+    });
+    let reclaim = PchannelReclaim {
+        seed,
+        min_fraction: 0.5,
+    };
+    let mut platforms = four_platforms(seed);
+    platforms.push(Box::new(
+        IoGuardPlatform::with_reclaim(4, preload.to_vec(), GschedPolicy::GlobalEdf, reclaim)
+            .expect("σ* fits"),
+    ));
+    platforms
 }
 
 /// An `arb_jobs` stream with `bursts` of (slot, jobs) added, as jobs
@@ -196,7 +223,8 @@ proptest! {
     /// `advance_to` per release slot leaves every platform with the
     /// metrics that calling `step` on every slot gives, at each release
     /// and at the end. Bursts of 65 or more jobs in one slot overflow the
-    /// 64-deep FIFO, so the drops must match too.
+    /// 64-deep FIFO, so the drops must match too; on I/O-GUARD they
+    /// overflow the pools.
     #[test]
     fn advancing_release_to_release_equals_stepping_every_slot(
         jobs in arb_jobs(),
@@ -205,7 +233,8 @@ proptest! {
     ) {
         let stream = release_stream(&jobs, &bursts);
         let end = stream.last().map_or(0, |j| j.release) + 1_500;
-        for (mut jump, mut step) in four_platforms(seed).into_iter().zip(four_platforms(seed)) {
+        let platforms = platforms_to_advance(seed).into_iter().zip(platforms_to_advance(seed));
+        for (mut jump, mut step) in platforms {
             let jumped = metrics_at_releases(jump.as_mut(), &stream, end, true);
             let stepped = metrics_at_releases(step.as_mut(), &stream, end, false);
             for (k, (a, b)) in jumped.iter().zip(&stepped).enumerate() {

@@ -11,11 +11,25 @@
 //!    executor runs one slot of that pool's earliest-deadline job,
 //!    preempting at slot granularity.
 //!
+//! [`Hypervisor::advance_to`] reaches the state that stepping to a later
+//! slot reaches. When nothing watches a slot and nothing can deny one (no
+//! observer, no watchdog, global EDF with no throttle window, normal mode,
+//! a healthy device), it passes one run at a time instead of stepping.
+//! After the deadline sweep, the comparator-tree winner keeps the root
+//! until it has run its remaining work or its deadline slot comes, so one
+//! pass walks σ\* over that run: the P-channel fires in the occupied
+//! slots, and the free and reclaimed ones go to the winner in one grant,
+//! or idle when nothing is buffered. Any other configuration steps slot by
+//! slot. [`Hypervisor::slot_passes`] counts the passes.
+//!
 //! Every decision — each submission verdict, each job's fate and one
 //! disposition per slot — leaves the device once, as a typed [`HvEvent`],
 //! through a single private emission point that folds it into the
 //! [`HvMetrics`], feeds the optional observer and queues it for
-//! [`Hypervisor::step_into`].
+//! [`Hypervisor::step_into`]. The σ\* walk, which nothing observes and
+//! whose events are discarded as stepping discards them, folds the
+//! P-channel's dispositions and a run's repeated free-slot dispositions
+//! straight into the metrics.
 
 // lint: allow(indexing, file) — pool indices come from the G-Sched grant
 // (bounded by the pool count it was handed) and task indices from the
@@ -26,7 +40,7 @@ use crate::error::{HvError, SubmitError};
 use crate::event::{HvEvent, RefuseReason};
 use crate::gsched::{Gsched, GschedPolicy};
 use crate::obs::HvObs;
-use crate::pchannel::{PChannel, PredefinedTask};
+use crate::pchannel::{PChannel, PredefinedTask, SlotOwner};
 use crate::pool::{IoPool, PoolEntry, NEVER_DISPATCHED};
 use crate::shadowindex::ShadowIndex;
 
@@ -232,7 +246,7 @@ struct AdmState {
 }
 
 /// The I/O-GUARD hypervisor device model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Hypervisor {
     pools: Vec<IoPool>,
     /// Comparator tree over the pools' shadow registers, refreshed on every
@@ -267,12 +281,66 @@ pub struct Hypervisor {
     healthy_slots: u64,
     /// Slots whose deadline sweep walked the pools.
     deadline_sweeps: u64,
+    /// Passes of the slot loop: one per slot stepped, one per run walked.
+    /// A work counter, left out of equality.
+    slot_passes: u64,
     /// Events emitted since the caller last took them
     /// ([`Hypervisor::step_into`], [`Hypervisor::drain_events`]).
     outbox: Vec<HvEvent>,
     /// Optional observer (structured events + latency histograms) fed from
     /// the event stream. `None` by default.
     obs: Option<Box<HvObs>>,
+}
+
+/// Equality over the device state, without the `slot_passes` work
+/// counter: advancing and stepping reach equal hypervisors in different
+/// numbers of passes.
+impl PartialEq for Hypervisor {
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            pools,
+            shadow_index,
+            pchannel,
+            gsched,
+            now,
+            metrics,
+            reclaim,
+            pjob_state,
+            last_dispatched,
+            mode,
+            watchdog,
+            degradation,
+            admission,
+            adm_state,
+            device_stall_until,
+            device_fault_active,
+            healthy_slots,
+            deadline_sweeps,
+            slot_passes: _,
+            outbox,
+            obs,
+        } = self;
+        *pools == other.pools
+            && *shadow_index == other.shadow_index
+            && *pchannel == other.pchannel
+            && *gsched == other.gsched
+            && *now == other.now
+            && *metrics == other.metrics
+            && *reclaim == other.reclaim
+            && *pjob_state == other.pjob_state
+            && *last_dispatched == other.last_dispatched
+            && *mode == other.mode
+            && *watchdog == other.watchdog
+            && *degradation == other.degradation
+            && *admission == other.admission
+            && *adm_state == other.adm_state
+            && *device_stall_until == other.device_stall_until
+            && *device_fault_active == other.device_fault_active
+            && *healthy_slots == other.healthy_slots
+            && *deadline_sweeps == other.deadline_sweeps
+            && *outbox == other.outbox
+            && *obs == other.obs
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -352,6 +420,7 @@ impl Hypervisor {
             device_fault_active: false,
             healthy_slots: 0,
             deadline_sweeps: 0,
+            slot_passes: 0,
             outbox: Vec::new(),
             obs: None,
         })
@@ -429,6 +498,14 @@ impl Hypervisor {
     /// this never exceeds the misses the sweeps report.
     pub fn deadline_sweeps(&self) -> u64 {
         self.deadline_sweeps
+    }
+
+    /// Passes of the slot loop since construction: one per slot stepped,
+    /// and in [`Hypervisor::advance_to`]'s walk over σ\* one per run: a
+    /// job's slots up to its completion or deadline slot, or an idle
+    /// stretch, cut at the slot the call advances to.
+    pub fn slot_passes(&self) -> u64 {
+        self.slot_passes
     }
 
     /// Injects a transient device fault: I/O transactions stall for the
@@ -615,27 +692,114 @@ impl Hypervisor {
         self.drain_events(out);
     }
 
+    /// Advances the global timer to `slot`, reaching exactly the state
+    /// that calling [`Hypervisor::step`] until `now() == slot` reaches; a
+    /// `slot` at or before `now()` does nothing. Like `step`, it discards
+    /// the events of the slots it passes (the metrics still fold them).
+    ///
+    /// When nothing watches a slot and nothing can deny one, it walks σ\*
+    /// one run at a time ([`Hypervisor::pass_to`]); otherwise it steps
+    /// every slot.
+    pub fn advance_to(&mut self, slot: u64) {
+        if self.passes_runs() {
+            self.pass_to(slot);
+        } else {
+            while self.now < slot {
+                self.step();
+            }
+        }
+    }
+
+    /// True when a run of slots can be passed at once: no observer and no
+    /// watchdog watch the slots, global EDF with no throttle window grants
+    /// the comparator-tree winner, the mode is normal and the device
+    /// healthy. None of these can change while the timer advances.
+    fn passes_runs(&self) -> bool {
+        self.obs.is_none()
+            && self.watchdog.is_none()
+            && !self.gsched.has_guards()
+            && self.mode == HvMode::Normal
+            && !self.device_fault_active
+            && !self.device_faulty()
+    }
+
+    /// [`Hypervisor::advance_to`]'s walk, one pass per run. After the
+    /// deadline sweep no submission arrives inside the call, so the
+    /// comparator-tree winner keeps the root until it has had its remaining
+    /// slots or its deadline slot comes. The pass walks σ\* over that run:
+    /// the P-channel fires in the occupied slots, reclaim machine included,
+    /// and the free and reclaimed slots go to the winner in one R-channel
+    /// grant, or idle. σ\* is read at a table cursor, so the timer is
+    /// reduced modulo the hyper-period once per call. A pass leaves the
+    /// G-Sched clock, the healthy-slot count and the outbox where stepping
+    /// its slots would.
+    // lint: hot-path — one pass per job run of a trial
+    fn pass_to(&mut self, slot: u64) {
+        // The first slot stepped would discard the events queued since the
+        // last hand-off; drop them before a run's events join them.
+        if self.now < slot {
+            self.outbox.clear();
+        }
+        let hyper = self.pchannel.hyper_period() as usize;
+        let mut index = (self.now % hyper as u64) as usize;
+        while self.now < slot {
+            let now = self.now;
+            self.slot_passes = self.slot_passes.saturating_add(1);
+            self.sweep(now);
+            // The run ends where the winner has had its remaining slots (an
+            // entry with no work left still takes one) or at its deadline
+            // slot, where the next pass's sweep takes it. With nothing
+            // buffered, every free slot up to `slot` idles.
+            let (end, need) = match self.shadow_index.min() {
+                Some((deadline, _, vm)) => {
+                    let remaining = self.pools[vm].shadow().map_or(0, |e| e.remaining);
+                    (slot.min(deadline), remaining.max(1))
+                }
+                None => (slot, u64::MAX),
+            };
+            // Nothing observes these slots: the P-channel's events fold
+            // straight into the metrics. `free` counts the free and
+            // reclaimed slots, all of which go to the R-channel.
+            let mut t = now;
+            let mut first = None;
+            let mut free = 0;
+            while t < end && free < need {
+                let fired = self
+                    .pchannel
+                    .owner_at(index)
+                    .and_then(|owner| self.pchannel_slot(owner));
+                match fired {
+                    Some(event) => self.metrics.fold(&event),
+                    None => {
+                        first.get_or_insert(t);
+                        free += 1;
+                    }
+                }
+                t += 1;
+                index += 1;
+                if index == hyper {
+                    index = 0;
+                }
+            }
+            if let Some(first) = first {
+                self.rchannel_run(first, free, t, true);
+            }
+            self.gsched.tick(t - 1);
+            self.healthy_slots = self.healthy_slots.saturating_add(t - now);
+            self.now = t;
+            self.outbox.clear();
+        }
+    }
+
     /// One slot: deadline sweep, replenishment, device health, then exactly
     /// one slot disposition. The per-slot path is forced inline (here and in
     /// its helpers) so each `emit` site folds only its own variant.
     #[inline(always)]
     fn advance(&mut self) {
         let now = self.now;
-        // 1. Deadline sweep. The comparator-tree root holds the earliest
-        //    buffered deadline, so the pools are walked only in a slot where
-        //    it has passed. They pop expired work off their shadow registers
-        //    in VM order; the tree is refreshed only for pools that actually
-        //    lost entries.
-        let expired = self
-            .shadow_index
-            .min()
-            .is_some_and(|(deadline, ..)| deadline <= now);
-        if expired {
-            self.deadline_sweeps = self.deadline_sweeps.saturating_add(1);
-            for vm in 0..self.pools.len() {
-                self.expire(vm);
-            }
-        }
+        self.slot_passes = self.slot_passes.saturating_add(1);
+        // 1. Deadline sweep.
+        self.sweep(now);
         // 2. Server replenishment.
         self.gsched.tick(now);
         // 2b. Device health: emit fault/recovery edges and advance the
@@ -666,7 +830,11 @@ impl Hypervisor {
             self.healthy_slots = 0;
         }
         // 3. P-channel owns occupied slots.
-        if let Some(event) = self.pchannel_slot(now) {
+        let fired = self
+            .pchannel
+            .fire(now)
+            .and_then(|owner| self.pchannel_slot(owner));
+        if let Some(event) = fired {
             self.emit(event);
         } else if self.mode == HvMode::PchannelOnly {
             // Degraded slot table: only σ\* executes, the R-channel is off.
@@ -676,17 +844,36 @@ impl Hypervisor {
             // off the (possibly still faulty) device.
             self.emit(HvEvent::Backoff);
         } else {
-            self.rchannel_slot(now, device_ok);
+            self.rchannel_run(now, 1, now.saturating_add(1), device_ok);
         }
         self.now += 1;
     }
 
-    /// The P-channel's claim on slot `now`: σ\* fires its pre-defined task —
-    /// unless slack reclamation is on and the job already finished early,
-    /// releasing its residual reservation to the R-channel (`None`).
+    /// The deadline sweep of slot `now`. The comparator-tree root holds the
+    /// earliest buffered deadline, so the pools are walked only in a slot
+    /// where it has passed. They pop expired work off their shadow
+    /// registers in VM order; the tree is refreshed only for pools that
+    /// actually lost entries.
     #[inline(always)]
-    fn pchannel_slot(&mut self, now: u64) -> Option<HvEvent> {
-        let owner = self.pchannel.fire(now)?;
+    fn sweep(&mut self, now: u64) {
+        let expired = self
+            .shadow_index
+            .min()
+            .is_some_and(|(deadline, ..)| deadline <= now);
+        if expired {
+            self.deadline_sweeps = self.deadline_sweeps.saturating_add(1);
+            for vm in 0..self.pools.len() {
+                self.expire(vm);
+            }
+        }
+    }
+
+    /// The P-channel's claim on an occupied slot owned by `owner`: σ\* fires
+    /// its pre-defined task — unless slack reclamation is on and the job
+    /// already finished early, releasing its residual reservation to the
+    /// R-channel (`None`).
+    #[inline(always)]
+    fn pchannel_slot(&mut self, owner: SlotOwner) -> Option<HvEvent> {
         let task = &self.pchannel.tasks()[owner.task_index];
         let completes = match self.reclaim {
             // Full-WCET semantics: the reservation is the execution.
@@ -718,13 +905,22 @@ impl Hypervisor {
         })
     }
 
-    /// 4. A free (or reclaimed) slot: the G-Sched grants one pool, reading
-    ///    the winner off the comparator tree, and the executor runs one
-    ///    slot of its earliest-deadline job. A grant whose pool has no
-    ///    shadow entry would be a scheduler bug; the slot then idles
-    ///    instead of bringing the model down.
+    /// 4. `slots` free (or reclaimed) slots, the first at `now`: the G-Sched
+    ///    grants one pool, reading the winner off the comparator tree, and
+    ///    the executor runs the slots on that pool's earliest-deadline job,
+    ///    which finishes at `end` if it completes in them. With nothing
+    ///    granted the slots idle.
+    ///
+    ///    Only [`Hypervisor::pass_to`] grants more than one slot: with
+    ///    global EDF and no throttle window the winner keeps the root over
+    ///    its run, and a run gives it no more slots than its remaining work
+    ///    (one when it has none). The first slot's disposition is emitted,
+    ///    the repeats fold in one add.
+    ///
+    ///    A grant whose pool has no shadow entry would be a scheduler bug;
+    ///    the slot then idles instead of bringing the model down.
     #[inline(always)]
-    fn rchannel_slot(&mut self, now: u64, device_ok: bool) {
+    fn rchannel_run(&mut self, now: u64, slots: u64, end: u64, device_ok: bool) {
         if self.gsched.has_guards() {
             // Slot-denial accounting: VMs with buffered work that budget
             // enforcement or a throttle window holds back.
@@ -744,6 +940,7 @@ impl Hypervisor {
             });
         let Some((vm, task_id, remaining)) = granted else {
             self.emit(HvEvent::Idle);
+            self.metrics.fold_free_run(false, slots - 1);
             return;
         };
         if !device_ok {
@@ -764,6 +961,7 @@ impl Hypervisor {
             task_id,
             remaining,
         });
+        self.metrics.fold_free_run(true, slots - 1);
         let running = (vm, task_id);
         if self.last_dispatched != Some(running) {
             // A different job resumed while the previous one still has
@@ -791,23 +989,24 @@ impl Hypervisor {
         // Stamp the dispatch edge for the latency split (idempotent;
         // invisible to scheduling).
         self.pools[vm].note_dispatch(now);
-        if let Ok(Some(job)) = self.pools[vm].execute_slot() {
+        if let Ok(Some(job)) = self.pools[vm].execute_slots(slots) {
             // Completion moved the shadow register; a mere budget
             // decrement leaves the key untouched. (The Err arm is
             // unreachable — the shadow register was read non-empty on this
             // same slot.)
             self.sync_shadow(vm);
-            let finish = now.saturating_add(1);
-            self.emit(HvEvent::Completed { vm, job, finish });
+            self.emit(HvEvent::Completed {
+                vm,
+                job,
+                finish: end,
+            });
             self.last_dispatched = None;
         }
     }
 
-    /// Runs `slots` consecutive slots.
+    /// Runs `slots` consecutive slots ([`Hypervisor::advance_to`]).
     pub fn run(&mut self, slots: u64) {
-        for _ in 0..slots {
-            self.step();
-        }
+        self.advance_to(self.now.saturating_add(slots));
     }
 
     /// Drains every pool for a configuration switch, returning the carried
@@ -1116,6 +1315,127 @@ mod tests {
             (events, hv.metrics().clone(), hv.pools().to_vec())
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Submits two jobs per VM at the current slot, one of which cannot
+    /// meet its deadline.
+    fn load(hv: &mut Hypervisor) {
+        let t = hv.now();
+        for vm in 0..hv.vm_count() {
+            let id = 10 * vm as u64;
+            hv.submit(RtJob::new(vm, id, t, 6, t + 90)).unwrap();
+            hv.submit(RtJob::new(vm, id + 1, t, 9, t + 5 + vm as u64).best_effort())
+                .unwrap();
+        }
+    }
+
+    /// Drives `hv` to slot `to` twice: with `advance_to`, and with
+    /// `step_into` on a clone, whose events it returns.
+    fn advanced_and_stepped(hv: Hypervisor, to: u64) -> (Hypervisor, Hypervisor, Vec<HvEvent>) {
+        let mut stepped = hv.clone();
+        let mut events = Vec::new();
+        while stepped.now() < to {
+            stepped.step_into(&mut events);
+        }
+        let mut advanced = hv;
+        advanced.advance_to(to);
+        (advanced, stepped, events)
+    }
+
+    /// The fold of `events` into fresh metrics for `vms` VMs.
+    fn folded(events: &[HvEvent], vms: usize) -> HvMetrics {
+        let mut metrics = HvMetrics::with_vms(vms);
+        for event in events {
+            metrics.fold(event);
+        }
+        metrics
+    }
+
+    #[test]
+    fn advance_to_passes_each_run_once() {
+        let params = HypervisorParams::new(2).with_predefined(vec![predefined(1, 8, 2)]);
+        let mut hv = Hypervisor::new(params).unwrap();
+        load(&mut hv);
+        let (advanced, stepped, events) = advanced_and_stepped(hv, 200);
+        assert_eq!(advanced, stepped);
+        assert_eq!(*advanced.metrics(), folded(&events, 2));
+        assert_eq!(stepped.slot_passes(), 200, "stepping: one pass per slot");
+        // One pass per run: job 1 up to its deadline slot 5 and job 11 up
+        // to 6, jobs 0 and 10 to their completions at 14 and 22 around
+        // σ\*'s slots 0 and 4 of every 8, and the idle rest.
+        assert_eq!(advanced.slot_passes(), 5);
+    }
+
+    #[test]
+    fn advance_to_steps_every_slot_under_an_observer() {
+        let params = HypervisorParams::new(2).with_predefined(vec![predefined(1, 8, 2)]);
+        let mut hv = Hypervisor::new(params).unwrap();
+        hv.attach_obs(1024);
+        load(&mut hv);
+        let (advanced, stepped, events) = advanced_and_stepped(hv, 200);
+        assert_eq!(advanced.slot_passes(), 200, "one pass per slot stepped");
+        // Equality covers the observer: its sink holds the same events.
+        assert_eq!(advanced, stepped);
+        assert_eq!(*advanced.metrics(), folded(&events, 2));
+        // The observer renders every event but the slot dispositions
+        // Idle, Stalled and Backoff: one Grant per served slot included.
+        let rendered = events
+            .iter()
+            .filter(|e| !matches!(e, HvEvent::Idle | HvEvent::Stalled | HvEvent::Backoff))
+            .count();
+        assert_eq!(advanced.obs().unwrap().sink.recorded(), rendered as u64);
+    }
+
+    #[test]
+    fn advance_to_steps_every_slot_under_a_watchdog() {
+        let params = HypervisorParams::new(2).with_watchdog(crate::driver::RetryPolicy {
+            timeout_slots: 2,
+            max_retries: 3,
+            backoff_base: 1,
+            backoff_cap: 2,
+        });
+        let mut hv = Hypervisor::new(params).unwrap();
+        load(&mut hv);
+        hv.inject_device_stall(12);
+        let (advanced, stepped, events) = advanced_and_stepped(hv, 100);
+        assert_eq!(advanced.slot_passes(), 100, "one pass per slot stepped");
+        assert_eq!(advanced, stepped);
+        assert_eq!(*advanced.metrics(), folded(&events, 2));
+        let m = advanced.metrics();
+        assert!(
+            m.stalled_slots > 0 && m.retries > 0 && m.backoff_slots > 0,
+            "{m:?}"
+        );
+        assert!(events.contains(&HvEvent::Recovery));
+        // The device is healthy again and the mode normal: the watchdog
+        // alone still makes every slot a pass.
+        let mut hv = advanced;
+        assert!(!hv.device_faulty() && hv.mode() == HvMode::Normal);
+        load(&mut hv);
+        let (advanced, stepped, _) = advanced_and_stepped(hv, 200);
+        assert_eq!(advanced.slot_passes(), 200);
+        assert_eq!(advanced, stepped);
+    }
+
+    #[test]
+    fn advance_to_steps_every_slot_under_guarded_edf() {
+        let servers = vec![PeriodicServer::new(10, 2).unwrap(); 2];
+        let params = HypervisorParams::new(2).with_policy(GschedPolicy::GuardedEdf(servers));
+        let mut hv = Hypervisor::new(params).unwrap();
+        load(&mut hv);
+        let (advanced, stepped, events) = advanced_and_stepped(hv, 100);
+        assert_eq!(advanced.slot_passes(), 100, "one pass per slot stepped");
+        assert_eq!(advanced, stepped);
+        assert_eq!(*advanced.metrics(), folded(&events, 2));
+        let throttled = events
+            .iter()
+            .filter(|e| matches!(e, HvEvent::ThrottledSlot { .. }))
+            .count() as u64;
+        assert!(throttled > 0);
+        assert_eq!(
+            advanced.metrics().vm(0).throttled_slots + advanced.metrics().vm(1).throttled_slots,
+            throttled
+        );
     }
 
     #[test]

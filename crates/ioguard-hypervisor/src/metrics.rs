@@ -9,7 +9,11 @@
 //!
 //! The metrics are a fold over the hypervisor's event stream
 //! ([`HvMetrics::fold`]): the device updates them nowhere else, so folding
-//! the stream into fresh metrics reproduces the live ones exactly.
+//! the stream into fresh metrics reproduces the live ones exactly. The
+//! σ\* walk of `Hypervisor::advance_to` runs with no observer attached and
+//! discards its events as stepping does; it folds them here directly, and
+//! a run's repeated free-slot dispositions in one add
+//! ([`HvMetrics::fold_free_run`]).
 
 use ioguard_sim::stats::OnlineStats;
 
@@ -141,6 +145,18 @@ impl HvMetrics {
             | HvEvent::Preempt { .. }
             | HvEvent::Fault
             | HvEvent::Recovery => {}
+        }
+    }
+
+    /// Folds `slots` free-slot dispositions of one run in one add: as many
+    /// [`HvEvent::Grant`]s when `granted`, as many [`HvEvent::Idle`]s
+    /// otherwise.
+    #[inline(always)]
+    pub(crate) fn fold_free_run(&mut self, granted: bool, slots: u64) {
+        if granted {
+            self.rchannel_slots = self.rchannel_slots.saturating_add(slots);
+        } else {
+            self.idle_slots = self.idle_slots.saturating_add(slots);
         }
     }
 

@@ -188,6 +188,13 @@ impl PChannel {
         self.owners[(t % h) as usize]
     }
 
+    /// The owner of slot `index` of one hyper-period (`None`: free), for
+    /// an executor that keeps a table cursor instead of reducing the
+    /// global timer as [`PChannel::fire`] does.
+    pub(crate) fn owner_at(&self, index: usize) -> Option<SlotOwner> {
+        self.owners.get(index).copied().flatten()
+    }
+
     /// Hyper-period length of the table.
     pub fn hyper_period(&self) -> u64 {
         self.owners.len() as u64

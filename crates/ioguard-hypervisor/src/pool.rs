@@ -166,10 +166,12 @@ impl IoPool {
         }
     }
 
-    /// Executes one slot of the shadow entry (called by the executor when
-    /// the G-Sched grants this pool the slot). Returns `Ok(Some(entry))` if
-    /// the task *completed* with this slot (removing it from the queue) and
-    /// `Ok(None)` if it still has work left.
+    /// Executes `slots` slots of the shadow entry (called by the executor
+    /// when the G-Sched grants this pool a slot, or a run of slots with no
+    /// other grant between them). Returns `Ok(Some(entry))` if the task
+    /// *completed* within them (removing it from the queue) and `Ok(None)`
+    /// if it still has work left. An entry with no work left completes in
+    /// its one slot.
     ///
     /// # Errors
     ///
@@ -177,11 +179,11 @@ impl IoPool {
     /// a correct G-Sched only grants pools with a valid shadow register, so
     /// hitting this indicates a scheduler bug, which the caller can surface
     /// without bringing down the whole hypervisor model.
-    pub fn execute_slot(&mut self) -> Result<Option<PoolEntry>, HvError> {
+    pub fn execute_slots(&mut self, slots: u64) -> Result<Option<PoolEntry>, HvError> {
         let Some(idx) = self.shadow_idx else {
             return Err(HvError::EmptyPool);
         };
-        self.entries[idx].remaining = self.entries[idx].remaining.saturating_sub(1);
+        self.entries[idx].remaining = self.entries[idx].remaining.saturating_sub(slots);
         if self.entries[idx].remaining == 0 {
             Ok(Some(self.remove_at(idx)))
         } else {
@@ -305,10 +307,18 @@ mod tests {
     fn execute_slot_decrements_and_completes() {
         let mut p = IoPool::new(4);
         p.insert(entry(1, 100, 2)).unwrap();
-        assert_eq!(p.execute_slot(), Ok(None)); // 1 slot left
-        let done = p.execute_slot().unwrap().expect("completes");
+        assert_eq!(p.execute_slots(1), Ok(None)); // 1 slot left
+        let done = p.execute_slots(1).unwrap().expect("completes");
         assert_eq!(done.task_id, 1);
         assert!(p.is_empty());
+        // A run of slots takes the same work off at once.
+        p.insert(entry(2, 100, 5)).unwrap();
+        assert_eq!(p.execute_slots(3), Ok(None));
+        assert_eq!(p.shadow().unwrap().remaining, 2);
+        assert_eq!(p.execute_slots(2).unwrap().map(|e| e.task_id), Some(2));
+        // No work left: one slot completes it.
+        p.insert(entry(3, 100, 0)).unwrap();
+        assert_eq!(p.execute_slots(1).unwrap().map(|e| e.task_id), Some(3));
     }
 
     #[test]
@@ -317,9 +327,9 @@ mod tests {
         // the preemption FIFOs cannot do.
         let mut p = IoPool::new(4);
         p.insert(entry(1, 100, 3)).unwrap();
-        assert_eq!(p.execute_slot(), Ok(None)); // task 1 partially done
+        assert_eq!(p.execute_slots(1), Ok(None)); // task 1 partially done
         p.insert(entry(2, 10, 1)).unwrap();
-        let done = p.execute_slot().unwrap().expect("task 2 completes first");
+        let done = p.execute_slots(1).unwrap().expect("task 2 completes first");
         assert_eq!(done.task_id, 2);
         // Task 1 resumes with its remaining budget intact.
         assert_eq!(p.shadow().unwrap().remaining, 2);
@@ -329,10 +339,10 @@ mod tests {
     fn execute_on_empty_pool_is_a_typed_error() {
         // Previously a panic; now the scheduler bug surfaces as a value.
         let mut p = IoPool::new(2);
-        assert_eq!(p.execute_slot(), Err(HvError::EmptyPool));
+        assert_eq!(p.execute_slots(1), Err(HvError::EmptyPool));
         // The pool stays usable after the error.
         p.insert(entry(1, 5, 1)).unwrap();
-        assert_eq!(p.execute_slot().unwrap().map(|e| e.task_id), Some(1));
+        assert_eq!(p.execute_slots(1).unwrap().map(|e| e.task_id), Some(1));
     }
 
     #[test]

@@ -40,6 +40,25 @@ fn misses_on_deadline(fresh: &[HvEvent], now: u64) -> Result<(), TestCaseError> 
     Ok(())
 }
 
+/// Advances `hv` to slot `to` and checks it against a clone that calls
+/// `step` until `to`: the whole hypervisor must be equal, and advancing
+/// must make no more slot passes than stepping.
+fn advance_matches_stepping(hv: &mut Hypervisor, to: u64) -> Result<(), TestCaseError> {
+    let mut stepped = hv.clone();
+    while stepped.now() < to {
+        stepped.step();
+    }
+    let before = hv.slot_passes();
+    hv.advance_to(to);
+    prop_assert_eq!(&*hv, &stepped, "advance_to({}) diverged from stepping", to);
+    prop_assert!(
+        hv.slot_passes() - before <= stepped.slot_passes() - before,
+        "advance_to({}) made more passes than stepping",
+        to
+    );
+    Ok(())
+}
+
 /// Long-run cross-check of the incremental shadow register against a naive
 /// linear-scan model: 10 000 randomized insert/execute/expire operations,
 /// verifying `shadow()`/`shadow_key()` equal the scan minimum (ties by task
@@ -81,7 +100,7 @@ fn pool_shadow_matches_naive_model_over_10k_ops() {
             }
             4..=5 => {
                 if !pool.is_empty() {
-                    let completed = pool.execute_slot().expect("pool checked non-empty");
+                    let completed = pool.execute_slots(1).expect("pool checked non-empty");
                     let (i, _) = model
                         .iter()
                         .enumerate()
@@ -205,7 +224,7 @@ proptest! {
                 }
                 3..=4 => {
                     if !pool.is_empty() {
-                        let _ = pool.execute_slot();
+                        let _ = pool.execute_slots(1);
                     }
                 }
                 _ => {
@@ -401,6 +420,42 @@ proptest! {
         }
         prop_assert_eq!(answers.len() as u64, admitted);
         prop_assert!(answers.values().all(|&n| n == 1), "every admitted task answered once: {:?}", answers);
+    }
+
+    /// Advancing is stepping: at every release and 300 slots after the
+    /// last, `advance_to` leaves the whole hypervisor equal to a clone
+    /// stepped slot by slot. The loads pre-load σ\* with or without slack
+    /// reclamation, burst jobs into 1–8-entry pools until they overflow,
+    /// give some jobs no work and some deadlines they cannot meet, and mix
+    /// in best-effort jobs.
+    #[test]
+    fn advancing_equals_stepping_every_slot(
+        tasks in arb_predefined_set(),
+        reclaim in any::<bool>(),
+        seed in any::<u64>(),
+        vms in 1usize..=8,
+        capacity in 1usize..=8,
+        jobs in prop::collection::vec((0u64..12, 0usize..8, 0u64..6, 0u64..40, any::<bool>()), 1..80),
+    ) {
+        let mut params = HypervisorParams {
+            pool_capacity: capacity,
+            ..HypervisorParams::new(vms)
+        }
+        .with_predefined(tasks);
+        if reclaim {
+            params = params.with_reclaim(PchannelReclaim { seed, min_fraction: 0.5 });
+        }
+        let Ok(mut hv) = Hypervisor::new(params) else {
+            return Ok(()); // infeasible σ*: construction correctly refuses
+        };
+        let mut release = 0u64;
+        for (task_id, (gap, vm, wcet, window, critical)) in (0u64..).zip(jobs) {
+            release += gap;
+            advance_matches_stepping(&mut hv, release)?;
+            let job = RtJob::new(vm % vms, task_id, release, wcet, release + window);
+            let _ = hv.submit(if critical { job } else { job.best_effort() });
+        }
+        advance_matches_stepping(&mut hv, release + 300)?;
     }
 
     /// Server-based G-Sched never grants a VM more than its budget within

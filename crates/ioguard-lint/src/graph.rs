@@ -123,7 +123,7 @@ pub struct FnInfo {
     pub path: PathBuf,
     /// 1-based line of the body-opening `{`.
     pub line: usize,
-    /// Marked as a per-cycle hot path (`// lint: hot-path` or name).
+    /// Marked as a per-cycle hot path (`// lint: hot-path`).
     pub hot: bool,
     /// Direct lock acquisitions.
     pub locks: Vec<LockAcq>,

@@ -28,7 +28,7 @@ pub mod rule {
     /// `HashMap`/`HashSet`/`std::time` in deterministic-simulation code.
     pub const NONDETERMINISM: &str = "nondeterminism";
     /// Keyed-container lookup inside a loop in a function marked as a
-    /// per-cycle hot path (`// lint: hot-path` or a `hot_path` name): the
+    /// per-cycle hot path (`// lint: hot-path`): the
     /// dense-storage invariant of the event-driven simulation core.
     pub const HOT_PATH_LOOKUP: &str = "hot-path-lookup";
     /// Crate root missing `#![forbid(unsafe_code)]`.

@@ -69,8 +69,8 @@ pub struct LineInfo {
     /// function.
     pub in_test: bool,
     /// True when the line sits inside a function marked as a per-cycle hot
-    /// path — via a `// lint: hot-path` comment directly above it, or a
-    /// name containing `hot_path`.
+    /// path by a `// lint: hot-path` comment directly above it. A name
+    /// alone marks nothing.
     pub in_hot_path: bool,
     /// True when the line sits inside (or on the header of) a `for`/
     /// `while`/`loop` body.
@@ -118,16 +118,15 @@ impl SourceFile {
         let mut depth: usize = 0;
         let mut test_stack: Vec<usize> = Vec::new();
         let mut test_attr_armed = false;
-        // Hot-path-region tracking: armed by a `lint: hot-path` comment (or
-        // a `hot_path` fn name), the region opens at the next `{` — the fn
-        // body — exactly like the test-attribute pattern above.
+        // Hot-path-region tracking: armed by a `lint: hot-path` comment, the
+        // region opens at the next `{` — the fn body — exactly like the
+        // test-attribute pattern above.
         let mut hot_stack: Vec<usize> = Vec::new();
         let mut hot_armed = false;
         // Loop tracking: `for`/`while`/`loop` arms a region opening at the
         // next `{`. Loops nest, so the stack may hold several depths.
         let mut loop_stack: Vec<usize> = Vec::new();
         let mut loop_armed = false;
-        let mut fn_armed = false;
         // Builder tracking: a `(mut self` parameter list arms a region
         // opening at the next `{` — the consuming builder's body.
         let mut builder_stack: Vec<usize> = Vec::new();
@@ -180,17 +179,8 @@ impl SourceFile {
                     {
                         j += 1;
                     }
-                    match &code[start..j] {
-                        "for" | "while" | "loop" => loop_armed = true,
-                        "fn" => fn_armed = true,
-                        word => {
-                            if fn_armed {
-                                fn_armed = false;
-                                if word.contains("hot_path") {
-                                    hot_armed = true;
-                                }
-                            }
-                        }
+                    if matches!(&code[start..j], "for" | "while" | "loop") {
+                        loop_armed = true;
                     }
                     continue;
                 }
@@ -215,7 +205,6 @@ impl SourceFile {
                             saw_builder = true;
                         }
                         loop_armed = false;
-                        fn_armed = false;
                         depth += 1;
                     }
                     '}' => {
@@ -239,7 +228,6 @@ impl SourceFile {
                     ';' if depth == 0 => {
                         test_attr_armed = false;
                         hot_armed = false;
-                        fn_armed = false;
                         builder_armed = false;
                     }
                     _ => {}
@@ -651,9 +639,11 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_fn_name_marks_body() {
-        let f = parse("fn route_hot_path(&self) {\n    let x = 1;\n}\n");
-        assert!(f.lines[1].in_hot_path);
+    fn hot_path_fn_name_alone_does_not_mark_body() {
+        // Only the directive marks a hot path: the rules' own
+        // `check_blocking_in_hot_path` is no hot root.
+        let f = parse("fn check_blocking_in_hot_path(&self) {\n    let x = 1;\n}\n");
+        assert!(f.lines.iter().all(|l| !l.in_hot_path));
     }
 
     #[test]

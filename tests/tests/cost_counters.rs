@@ -23,6 +23,9 @@
 //! * **FIFO skipping.** A FIFO baseline driven from one release to the
 //!   next steps its device only in slots where a job arrives, starts or
 //!   completes: at most three per offered job on a Fig. 7 trial.
+//! * **σ\* walk.** An I/O-GUARD trial driven from one release to the next
+//!   makes one hypervisor pass per run, and a run ends only at a release,
+//!   a completion or a deadline slot: at most `2·offered + 1` passes.
 //! * **Serve ready list.** A serve slot visits only the backlogs that
 //!   hold work: never more backlog visits than accepted requests, however
 //!   many clients are connected.
@@ -35,10 +38,12 @@ use std::cell::Cell;
 
 use bytes::Bytes;
 use ioguard_baselines::bluevisor::BlueVisorPlatform;
+use ioguard_baselines::ioguard::IoGuardPlatform;
 use ioguard_baselines::legacy::LegacyPlatform;
 use ioguard_baselines::platform::{IoPlatform, PlatformJob};
 use ioguard_baselines::rtxen::RtXenPlatform;
-use ioguard_hypervisor::hypervisor::{Hypervisor, HypervisorParams, RtJob};
+use ioguard_hypervisor::gsched::GschedPolicy;
+use ioguard_hypervisor::hypervisor::{Hypervisor, HypervisorParams, PchannelReclaim, RtJob};
 use ioguard_hypervisor::pchannel::{PChannel, PredefinedTask};
 use ioguard_hypervisor::HvEvent;
 use ioguard_noc::network::{Delivery, Network, NetworkConfig, NetworkStats, NocFabric};
@@ -450,6 +455,89 @@ fn fifo_baselines_step_their_device_only_where_a_job_arrives_starts_or_completes
             "{name}: {steps} device steps for {offered} offered jobs"
         );
     }
+}
+
+/// An I/O-GUARD-40 trial: the 4-VM workload at 40 % utilization with 40 %
+/// of its tasks pre-loaded into σ\* (start offsets and slack reclamation as
+/// the Fig. 7 sweep sets them), the others released periodically from a
+/// random phase for 16 000 slots, driven with one `advance_to` per release.
+/// A pass walks one run over σ\*, which ends at a release (or the horizon),
+/// where its job completes or at its job's deadline slot; each offered job
+/// completes or reaches its deadline once. A pass per σ\*-occupied slot
+/// and per free run would take about 7 800, stepping every slot 16 000.
+#[test]
+fn hypervisor_passes_each_run_once() {
+    const HORIZON: u64 = 16_000;
+    let workload = TrialWorkload::generate(&TrialConfig::new(4, 0.4, 2021));
+    let tasks = workload.tasks();
+    let (preload, _) = workload.split_preload(0.4);
+    let preloaded: Vec<bool> = tasks
+        .iter()
+        .map(|t| preload.iter().any(|p| p.name == t.name))
+        .collect();
+    let predefined: Vec<PredefinedTask> = tasks
+        .iter()
+        .enumerate()
+        .filter(|&(idx, _)| preloaded[idx])
+        .map(|(idx, t)| PredefinedTask {
+            task_id: idx as u64 + 1,
+            vm: t.vm,
+            task: t.task,
+            response_bytes: t.response_bytes,
+            start_offset: (idx as u64).wrapping_mul(0x9E37_79B9) % t.task.period(),
+        })
+        .collect();
+    let reclaim = PchannelReclaim {
+        seed: 7,
+        min_fraction: 0.9,
+    };
+    let mut platform =
+        IoGuardPlatform::with_reclaim(4, predefined, GschedPolicy::GlobalEdf, reclaim)
+            .expect("σ* fits");
+    let mut rng = Xoshiro256StarStar::new(7);
+    let mut releases: Vec<(u64, usize)> = Vec::new();
+    for (idx, t) in tasks.iter().enumerate() {
+        let period = t.task.period();
+        let phase = rng.range_u64(0, period);
+        if !preloaded[idx] {
+            releases.extend(
+                (phase..HORIZON)
+                    .step_by(period as usize)
+                    .map(|slot| (slot, idx)),
+            );
+        }
+    }
+    releases.sort_unstable();
+    for (k, &(slot, idx)) in releases.iter().enumerate() {
+        let t = &tasks[idx];
+        platform.advance_to(slot);
+        platform.submit(PlatformJob::new(
+            t.vm,
+            k as u64 + 1,
+            slot,
+            t.task.wcet(),
+            slot + t.task.deadline(),
+            t.response_bytes,
+            t.is_critical(),
+        ));
+    }
+    platform.advance_to(HORIZON);
+    let hv = platform.hypervisor();
+    let occupied = (0..HORIZON)
+        .filter(|&t| hv.pchannel().fire(t).is_some())
+        .count() as u64;
+    let offered = releases.len() as u64;
+    let bound = 2 * offered + 1;
+    let passes = hv.slot_passes();
+    println!(
+        "{passes} passes over {HORIZON} slots ({occupied} σ*-occupied) for {offered} offered \
+         jobs, {} missed; bound {bound}",
+        hv.metrics().missed
+    );
+    assert!(
+        passes <= bound,
+        "{passes} passes for {offered} offered jobs"
+    );
 }
 
 /// 64 clients connected across four shards, of which client 63 alone
