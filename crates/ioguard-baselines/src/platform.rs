@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 
+use ioguard_sim::rng::mix64;
 use ioguard_sim::stats::OnlineStats;
 
 /// One run-time I/O job as seen by a platform.
@@ -313,13 +314,7 @@ pub fn job_jitter(seed: u64, task_id: u64, release: u64, span: u64) -> u64 {
     if span == 0 {
         return 0;
     }
-    let mut x = seed ^ task_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ release.rotate_left(17);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x % span
+    mix64(seed ^ task_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ release.rotate_left(17)) % span
 }
 
 #[cfg(test)]

@@ -35,6 +35,8 @@
 // (bounded by the pool count it was handed) and task indices from the
 // P-channel's own fire() result; pjob_state is sized to tasks() at build.
 
+use ioguard_sim::rng::mix64;
+
 use crate::driver::{RetryPolicy, Watchdog, WatchdogVerdict};
 use crate::error::{HvError, SubmitError};
 use crate::event::{HvEvent, RefuseReason};
@@ -88,7 +90,8 @@ pub struct HypervisorParams {
 }
 
 impl HypervisorParams {
-    /// Defaults: global-EDF policy, 16-entry pools, no pre-defined tasks.
+    /// Defaults: global-EDF policy, 32-entry pools
+    /// ([`DEFAULT_POOL_CAPACITY`]), no pre-defined tasks.
     pub fn new(vms: usize) -> Self {
         Self {
             vms,
@@ -350,14 +353,9 @@ struct PjobState {
     job_counter: u64,
 }
 
-/// Mixes three words into a well-spread hash (SplitMix64 finalizer).
+/// Mixes three words into a well-spread hash.
 fn hash3(a: u64, b: u64, c: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ c.rotate_left(23);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    mix64(a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ c.rotate_left(23))
 }
 
 impl Hypervisor {
@@ -772,6 +770,7 @@ impl Hypervisor {
                     Some(event) => self.metrics.fold(&event),
                     None => {
                         first.get_or_insert(t);
+                        // lint: allow(unchecked-arith) — the loop runs while free < need, so free + 1 ≤ need
                         free += 1;
                     }
                 }
@@ -846,6 +845,7 @@ impl Hypervisor {
         } else {
             self.rchannel_run(now, 1, now.saturating_add(1), device_ok);
         }
+        // lint: allow(unchecked-arith) — one a slot: 2^64 slots of 50 µs outlast 29 million years
         self.now += 1;
     }
 

@@ -120,6 +120,7 @@ impl HvMetrics {
                 self.latency
                     .push(finish.saturating_sub(job.enqueued_at) as f64);
             }
+            // lint: allow(unchecked-arith) — at most one a slot, so never above the u64 slot clock
             HvEvent::ThrottledSlot { vm } => self.on_vm(vm, |p| p.throttled_slots += 1),
             HvEvent::Retry { vm, .. } => {
                 self.retries += 1;
@@ -129,15 +130,20 @@ impl HvMetrics {
             HvEvent::PchannelSlot {
                 completed_bytes, ..
             } => {
+                // lint: allow(unchecked-arith) — at most one a slot, so never above the u64 slot clock
                 self.pchannel_slots += 1;
                 if let Some(bytes) = completed_bytes {
                     self.predefined_completed += 1;
                     self.response_bytes += u64::from(bytes);
                 }
             }
+            // lint: allow(unchecked-arith) — at most one a slot, so never above the u64 slot clock
             HvEvent::Grant { .. } => self.rchannel_slots += 1,
+            // lint: allow(unchecked-arith) — at most one a slot, so never above the u64 slot clock
             HvEvent::Stalled => self.stalled_slots += 1,
+            // lint: allow(unchecked-arith) — at most one a slot, so never above the u64 slot clock
             HvEvent::Backoff => self.backoff_slots += 1,
+            // lint: allow(unchecked-arith) — at most one a slot, so never above the u64 slot clock
             HvEvent::Idle => self.idle_slots += 1,
             HvEvent::Admitted { .. }
             | HvEvent::ThrottleTrip { .. }

@@ -13,7 +13,7 @@
 // enumerate() index the job list was built from.
 
 use ioguard_sched::table::TimeSlotTable;
-use ioguard_sched::task::SporadicTask;
+use ioguard_sched::task::{checked_lcm, SporadicTask};
 
 use crate::error::HvError;
 
@@ -67,10 +67,7 @@ impl PChannel {
         let hyper = tasks
             .iter()
             .map(|t| t.task.period())
-            .try_fold(1u64, |acc, p| {
-                let g = gcd(acc, p);
-                (acc / g).checked_mul(p)
-            })
+            .try_fold(1u64, checked_lcm)
             .ok_or_else(|| HvError::TableConstruction {
                 reason: "hyper-period overflows u64".into(),
             })?;
@@ -109,7 +106,7 @@ impl PChannel {
             // leave multi-hundred-slot windows with no free slot at all).
             chosen.clear();
             for k in 0..wcet {
-                let target = release + (k * window) / wcet;
+                let target = release.saturating_add(k * window / wcet);
                 let mut slot = target.max(release);
                 while slot < deadline {
                     let s = (slot % hyper) as usize;
@@ -121,7 +118,7 @@ impl PChannel {
                         chosen.push(slot);
                         break;
                     }
-                    slot += 1;
+                    slot = slot.saturating_add(1);
                 }
             }
             // Pass 2 — greedy fallback for any slot the strided probe could
@@ -138,7 +135,7 @@ impl PChannel {
                         });
                         chosen.push(slot);
                     }
-                    slot += 1;
+                    slot = slot.saturating_add(1);
                 }
             }
             if (chosen.len() as u64) < wcet {
@@ -204,14 +201,6 @@ impl PChannel {
     pub fn utilization(&self) -> f64 {
         1.0 - self.table.free_fraction()
     }
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    let (mut a, mut b) = (a, b);
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 #[cfg(test)]

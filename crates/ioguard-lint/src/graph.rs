@@ -2,7 +2,8 @@
 //!
 //! One place in the workspace shares memory across threads: the
 //! work-stealing engine (`ioguard-core::engine`: mutex-guarded per-worker
-//! deques and an atomic steal counter), which runs the trials and also
+//! deques and an atomic steal counter). It runs the Fig. 7 trials, the
+//! chaos and reconfig sweeps, `Fleet::choose`'s shard probes and
 //! `ServeCluster::ingest`'s frame decode. Per-line token scans cannot
 //! reason about that kind of code: a lock-order inversion involves two
 //! functions, and which guards are live at a call is a property of a span

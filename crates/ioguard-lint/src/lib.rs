@@ -1,9 +1,8 @@
 //! Workspace static analysis for the I/O-GUARD reproduction.
 //!
 //! The linter reads Rust source and nothing else. It is deterministic and
-//! free of external parser crates (the workspace builds offline against
-//! vendored stubs, so there is no `syn` here); its one workspace
-//! dependency is the `ioguard-obs` JSON escaper. It has two parts:
+//! depends on no other crate (the workspace builds offline against
+//! vendored stubs, so there is no `syn` here). It has two parts:
 //!
 //! * **Source lints** ([`scan`], [`rules`]): a token/line-level analyzer
 //!   enforcing the workspace's load-bearing invariants — panic-free

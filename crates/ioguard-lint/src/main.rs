@@ -3,15 +3,12 @@
 //! ```text
 //! cargo run -p ioguard-lint -- check                 # every crate under crates/
 //! cargo run -p ioguard-lint -- check --root <dir>    # explicit workspace root
-//! cargo run -p ioguard-lint -- check --json          # one JSON object per line
 //! cargo run -p ioguard-lint -- check a.rs b.rs       # fixture mode: all rules
 //! ```
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error
-//! (including a path that is not a `.rs` file). `--json` prints violations
-//! to stdout with a stable field order (`path`, `line`, `rule`, `message`),
-//! one per line, and suppresses the human-readable progress text —
-//! byte-identical across runs.
+//! (including a path that is not a `.rs` file). Violations go to stderr,
+//! one per line.
 
 #![forbid(unsafe_code)]
 
@@ -22,23 +19,16 @@ use ioguard_lint::rules::Violation;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
     match run(&args) {
         Ok(violations) if violations.is_empty() => {
-            if !json {
-                println!("ioguard-lint: clean");
-            }
+            println!("ioguard-lint: clean");
             ExitCode::SUCCESS
         }
         Ok(violations) => {
-            if json {
-                print!("{}", ioguard_lint::rules::render_json(&violations));
-            } else {
-                for v in &violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("ioguard-lint: {} violation(s)", violations.len());
+            for v in &violations {
+                eprintln!("{v}");
             }
+            eprintln!("ioguard-lint: {} violation(s)", violations.len());
             ExitCode::FAILURE
         }
         Err(msg) => {
@@ -53,17 +43,14 @@ fn run(args: &[String]) -> Result<Vec<Violation>, String> {
     match it.next().map(String::as_str) {
         Some("check") => {}
         Some(other) => return Err(format!("unknown command `{other}` (try `check`)")),
-        None => return Err("usage: ioguard-lint check [--root DIR] [--json] [paths…]".into()),
+        None => return Err("usage: ioguard-lint check [--root DIR] [paths…]".into()),
     }
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut json = false;
     while let Some(arg) = it.next() {
         if arg == "--root" {
             let dir = it.next().ok_or("--root requires a directory")?;
             root = Some(PathBuf::from(dir));
-        } else if arg == "--json" {
-            json = true;
         } else {
             paths.push(PathBuf::from(arg));
         }
@@ -77,12 +64,10 @@ fn run(args: &[String]) -> Result<Vec<Violation>, String> {
     // Workspace mode: source lints over every crate under crates/.
     let root = root.unwrap_or_else(default_root);
     let (violations, scanned) = ioguard_lint::check_workspace(&root)?;
-    if !json {
-        println!(
-            "ioguard-lint: scanned {scanned} source files under {}",
-            root.join("crates").display()
-        );
-    }
+    println!(
+        "ioguard-lint: scanned {scanned} source files under {}",
+        root.join("crates").display()
+    );
     Ok(violations)
 }
 

@@ -9,8 +9,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use ioguard_obs::export::json_escape;
-
 use crate::scan::{LineInfo, SourceFile};
 
 /// Rule identifiers (kebab-case, used in allow directives and reports).
@@ -679,11 +677,16 @@ fn mentions_time_vocab(text: &str) -> bool {
 fn operand_mentions_vocab(code: &str, op_at: usize) -> bool {
     let is_operand_char =
         |c: char| is_ident_char(c) || matches!(c, '.' | '(' | ')' | '[' | ']' | ':');
+    // Collected walking back from the operator, then put back in reading
+    // order so that a time word on the left matches the vocabulary.
     let left = code[..op_at]
         .trim_end()
         .chars()
         .rev()
         .take_while(|&c| is_operand_char(c))
+        .collect::<Vec<_>>()
+        .into_iter()
+        .rev()
         .collect::<String>();
     let right = code
         .get(op_at + 1..)
@@ -805,23 +808,6 @@ pub fn collect_rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     }
     files.sort();
     Ok(files)
-}
-
-/// Renders violations as machine-readable JSON lines: one object per
-/// violation, fields in a fixed order (`path`, `line`, `rule`, `message`),
-/// no trailing spaces — byte-identical across runs and thread counts.
-pub fn render_json(violations: &[Violation]) -> String {
-    let mut out = String::new();
-    for v in violations {
-        out.push_str(&format!(
-            "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}\n",
-            json_escape(&v.path.display().to_string()),
-            v.line,
-            json_escape(v.rule),
-            json_escape(&v.message),
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -990,6 +976,20 @@ mod tests {
             1,
             "{v:?}"
         );
+    }
+
+    #[test]
+    fn flags_a_time_word_left_of_the_operator() {
+        let v = lint_src(
+            "fn f(now: u64) -> u64 { now + 1 }\nfn g(s: &mut S) { s.now += 1; }\n",
+            RuleSet::all(),
+        );
+        let lines: Vec<usize> = v
+            .iter()
+            .filter(|v| v.rule == rule::UNCHECKED_ARITH)
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(lines, [1, 2], "{v:?}");
     }
 
     #[test]
@@ -1221,19 +1221,5 @@ mod tests {
             RuleSet::all(),
         );
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn render_json_bytes_are_pinned() {
-        let v = Violation {
-            rule: rule::PANIC_SITE,
-            path: PathBuf::from("dir/a\"b.rs"),
-            line: 7,
-            message: "q\"x\\y\nz\t\u{1}".to_string(),
-        };
-        assert_eq!(
-            render_json(&[v]),
-            "{\"path\":\"dir/a\\\"b.rs\",\"line\":7,\"rule\":\"panic-site\",\"message\":\"q\\\"x\\\\y\\nz\\t\\u0001\"}\n"
-        );
     }
 }

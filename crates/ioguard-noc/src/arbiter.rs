@@ -1,25 +1,10 @@
-//! Output-port arbitration policies.
+//! Output-port arbitration.
 //!
 //! When several input ports want the same output port in the same cycle,
 //! the router's arbiter picks one. The legacy baseline's predictability
 //! problems (Fig. 1: "R: router/arbiter") come precisely from this shared
-//! decision point, so the policy is pluggable:
-//!
-//! * [`RoundRobin`] — fair, bounded-latency rotation (the BlueShell
-//!   default).
-//! * [`FixedPriority`] — lower port index always wins; simple but can
-//!   starve.
-
-/// An arbitration policy over `n` requesters.
-pub trait Arbiter: std::fmt::Debug {
-    /// Picks the winner among `requests` (true = requesting). Returns the
-    /// winning index, or `None` if nobody requests. Called once per output
-    /// port per cycle.
-    fn grant(&mut self, requests: &[bool]) -> Option<usize>;
-
-    /// Resets internal fairness state.
-    fn reset(&mut self);
-}
+//! decision point. Every router arbitrates with [`RoundRobin`], the
+//! BlueShell default: a fair, bounded-latency rotation.
 
 /// Rotating-priority (round-robin) arbiter: after granting index `i`, the
 /// highest priority moves to `i + 1`, giving every requester a bounded wait.
@@ -27,7 +12,7 @@ pub trait Arbiter: std::fmt::Debug {
 /// # Example
 ///
 /// ```
-/// use ioguard_noc::arbiter::{Arbiter, RoundRobin};
+/// use ioguard_noc::arbiter::RoundRobin;
 ///
 /// let mut rr = RoundRobin::new(3);
 /// assert_eq!(rr.grant(&[true, true, true]), Some(0));
@@ -51,10 +36,11 @@ impl RoundRobin {
         assert!(size > 0, "arbiter needs at least one requester");
         Self { next: 0, size }
     }
-}
 
-impl Arbiter for RoundRobin {
-    fn grant(&mut self, requests: &[bool]) -> Option<usize> {
+    /// Picks the winner among `requests` (true = requesting). Returns the
+    /// winning index, or `None` if nobody requests. Called once per output
+    /// port per cycle.
+    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
         debug_assert_eq!(requests.len(), self.size);
         for offset in 0..self.size {
             let idx = (self.next + offset) % self.size;
@@ -67,67 +53,29 @@ impl Arbiter for RoundRobin {
         None
     }
 
-    fn reset(&mut self) {
+    /// Resets the rotation to start at index 0.
+    pub fn reset(&mut self) {
         self.next = 0;
     }
-}
 
-/// Fixed-priority arbiter: the lowest requesting index always wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedPriority;
-
-impl Arbiter for FixedPriority {
-    fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        requests.iter().position(|&r| r)
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// Which arbitration policy a router instantiates (config-level enum so the
-/// network config stays serializable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ArbiterKind {
-    /// Round-robin rotation (default; bounded waiting).
-    #[default]
-    RoundRobin,
-    /// Fixed priority by port index.
-    FixedPriority,
-}
-
-impl ArbiterKind {
-    /// Instantiates the policy for `size` requesters.
-    pub fn build(self, size: usize) -> Box<dyn Arbiter + Send> {
-        match self {
-            ArbiterKind::RoundRobin => Box::new(RoundRobin::new(size)),
-            ArbiterKind::FixedPriority => Box::new(FixedPriority),
-        }
-    }
-
-    /// The policy's grant over the five router ports, with the requests as
-    /// a bitmask (bit `i` = input `i` requests) and `next` as the
-    /// round-robin pointer. Picks the same winner and leaves the same
-    /// pointer as [`RoundRobin::grant`] or [`FixedPriority::grant`] over
-    /// the same requests: round-robin takes the lowest requester at or
-    /// above the pointer, else the lowest one below it.
+    /// The grant over the five router ports, with the requests as a bitmask
+    /// (bit `i` = input `i` requests) and `next` as the rotation pointer.
+    /// Picks the same winner and leaves the same pointer as
+    /// [`RoundRobin::grant`] over the same requests: the lowest requester
+    /// at or above the pointer, else the lowest one below it.
     #[inline]
-    pub(crate) fn grant_mask(self, requests: u8, next: &mut u8) -> Option<usize> {
+    pub(crate) fn grant_mask(requests: u8, next: &mut u8) -> Option<usize> {
         if requests == 0 {
             return None;
         }
-        match self {
-            ArbiterKind::RoundRobin => {
-                let from_next = requests >> *next;
-                let winner = if from_next != 0 {
-                    *next + from_next.trailing_zeros() as u8
-                } else {
-                    requests.trailing_zeros() as u8
-                };
-                *next = if winner == 4 { 0 } else { winner + 1 };
-                Some(usize::from(winner))
-            }
-            ArbiterKind::FixedPriority => Some(requests.trailing_zeros() as usize),
-        }
+        let from_next = requests >> *next;
+        let winner = if from_next != 0 {
+            *next + from_next.trailing_zeros() as u8
+        } else {
+            requests.trailing_zeros() as u8
+        };
+        *next = if winner == 4 { 0 } else { winner + 1 };
+        Some(usize::from(winner))
     }
 }
 
@@ -183,28 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_priority_always_prefers_low_index() {
-        let mut fp = FixedPriority;
-        for _ in 0..10 {
-            assert_eq!(fp.grant(&[true, true, true]), Some(0));
-        }
-        assert_eq!(fp.grant(&[false, true, true]), Some(1));
-        assert_eq!(fp.grant(&[false, false, false]), None);
-        fp.reset(); // no-op, must not panic
-    }
-
-    #[test]
-    fn kind_builds_correct_policy() {
-        let mut rr = ArbiterKind::RoundRobin.build(2);
-        assert_eq!(rr.grant(&[true, true]), Some(0));
-        assert_eq!(rr.grant(&[true, true]), Some(1));
-        let mut fp = ArbiterKind::FixedPriority.build(2);
-        assert_eq!(fp.grant(&[true, true]), Some(0));
-        assert_eq!(fp.grant(&[true, true]), Some(0));
-        assert_eq!(ArbiterKind::default(), ArbiterKind::RoundRobin);
-    }
-
-    #[test]
     fn mask_grant_equals_the_policies_on_every_request_set() {
         for requests in 0u8..32 {
             let flags: [bool; 5] = std::array::from_fn(|i| requests & (1 << i) != 0);
@@ -212,7 +138,7 @@ mod tests {
                 let mut rr = RoundRobin::new(5);
                 rr.next = usize::from(pointer);
                 let mut next = pointer;
-                let winner = ArbiterKind::RoundRobin.grant_mask(requests, &mut next);
+                let winner = RoundRobin::grant_mask(requests, &mut next);
                 // The tuple reads `rr.next` after `rr.grant` has moved it.
                 let (expected, expected_next) = (rr.grant(&flags), rr.next);
                 assert_eq!(
@@ -221,13 +147,6 @@ mod tests {
                     "mask {requests:05b}, pointer {pointer}"
                 );
             }
-            let mut untouched = 3;
-            assert_eq!(
-                ArbiterKind::FixedPriority.grant_mask(requests, &mut untouched),
-                FixedPriority.grant(&flags),
-                "mask {requests:05b}"
-            );
-            assert_eq!(untouched, 3, "fixed priority keeps no pointer");
         }
     }
 

@@ -12,14 +12,14 @@
 //!   routing.
 //! * [`packet`] — the packet/flit protocol: I/O requests and responses
 //!   encapsulated as wormhole flit streams with a BlueShell-style header.
-//! * [`arbiter`] — round-robin and fixed-priority output-port arbiters.
-//! * [`router`] — a single 5-port wormhole router with per-input FIFOs and
-//!   per-output channel locks.
+//! * [`arbiter`] — the round-robin output-port arbiter.
+//! * [`router`] — a single 5-port wormhole router with 4-flit input FIFOs
+//!   and per-output channel locks.
 //! * [`network`] — the assembled mesh: injection/ejection interfaces, an
 //!   event-driven cycle stepper with dense state, a flit arena, quiescence
 //!   skipping and batched uncontended traversal, and per-packet latency
 //!   accounting.
-//! * [`reference`] — the retained per-cycle reference stepper, the
+//! * [`mod@reference`] — the retained per-cycle reference stepper, the
 //!   equivalence oracle for the event-driven core (see DESIGN.md §10).
 //!
 //! # Example

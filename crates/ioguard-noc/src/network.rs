@@ -23,11 +23,11 @@
 //!   reference stepper would produce.
 //! * **One route per header** — a router plan routes each buffered header
 //!   once into a per-output bitmask of requesting inputs, then resolves
-//!   its five outputs from those masks (lock, class filter, mask
-//!   arbitration, link and backpressure gates). Two tables built by
-//!   [`Network::new`] — each node's coordinates and each output port's
-//!   downstream input port — replace the coordinate and neighbour
-//!   arithmetic in planning and move execution.
+//!   its five outputs from those masks (lock, mask arbitration, link and
+//!   backpressure gates). Two tables built by [`Network::new`] — each
+//!   node's coordinates and each output port's downstream input port —
+//!   replace the coordinate and neighbour arithmetic in planning and move
+//!   execution.
 //!
 //! The per-cycle semantics (two-phase move planning/execution, NI feeding,
 //! reassembly) are documented on [`crate::reference`]; this module must
@@ -43,43 +43,32 @@ use std::collections::VecDeque;
 
 use ioguard_sim::time::Cycles;
 
-use crate::arbiter::ArbiterKind;
+use crate::arbiter::RoundRobin;
 use crate::error::NocError;
 use crate::packet::Packet;
 use crate::topology::{Direction, Mesh, NodeId};
 
-/// Configuration of a mesh network.
+/// Depth of each router input FIFO, in flits.
+pub const FIFO_DEPTH: usize = 4;
+
+/// Capacity of each node's injection queue, in flits.
+pub const INJECTION_DEPTH: usize = 64;
+
+/// Configuration of a mesh network: its geometry. Every router has
+/// [`FIFO_DEPTH`]-flit input FIFOs and round-robin output arbiters, and
+/// every node an [`INJECTION_DEPTH`]-flit injection queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Mesh width (columns).
     pub width: u16,
     /// Mesh height (rows).
     pub height: u16,
-    /// Depth of each router input FIFO, in flits.
-    pub fifo_depth: usize,
-    /// Capacity of each node's injection queue, in flits.
-    pub injection_depth: usize,
-    /// Arbitration policy of every router.
-    pub arbiter: ArbiterKind,
-    /// Class-aware arbitration: when several headers compete for an output,
-    /// only the best (lowest) traffic class takes part — responses beat
-    /// requests beat memory traffic. Models the predictability-focused
-    /// fabric's never-blocked response path.
-    pub class_aware: bool,
 }
 
 impl NetworkConfig {
-    /// A mesh with the evaluation defaults: 4-flit FIFOs, 64-flit injection
-    /// queues, round-robin arbitration.
+    /// A `width`×`height` mesh.
     pub fn mesh(width: u16, height: u16) -> Self {
-        Self {
-            width,
-            height,
-            fifo_depth: 4,
-            injection_depth: 64,
-            arbiter: ArbiterKind::RoundRobin,
-            class_aware: false,
-        }
+        Self { width, height }
     }
 
     /// The paper's platform: a 5×5 mesh.
@@ -224,8 +213,6 @@ struct SimFlit {
     tail: bool,
     /// Destination node.
     dst: NodeId,
-    /// Traffic class for QoS arbitration (0 = highest priority).
-    class: u8,
 }
 
 impl SimFlit {
@@ -261,10 +248,6 @@ type Move = (u32, u8, u8, usize);
 #[derive(Debug)]
 pub struct Network {
     mesh: Mesh,
-    fifo_depth: usize,
-    injection_depth: usize,
-    class_aware: bool,
-    arbiter: ArbiterKind,
 
     /// Coordinates per node index.
     coords: Vec<NodeId>,
@@ -273,7 +256,7 @@ pub struct Network {
     /// ejection and mesh edges.
     down: Vec<usize>,
 
-    /// Flit arena: `nodes * 5` ring buffers of `fifo_depth` flits each,
+    /// Flit arena: `nodes * 5` ring buffers of `FIFO_DEPTH` flits each,
     /// flattened. Port `p`'s window is `fifo[p*depth .. (p+1)*depth]`.
     fifo: Vec<SimFlit>,
     /// Ring head offset per port.
@@ -282,8 +265,7 @@ pub struct Network {
     fifo_len: Vec<u32>,
     /// Wormhole channel locks per output port (`NO_LOCK` = free).
     locks: Vec<u8>,
-    /// Round-robin rotation pointer per output port (ignored under
-    /// fixed-priority arbitration).
+    /// Round-robin rotation pointer per output port.
     rr_next: Vec<u8>,
     /// Failed unidirectional links, per output port.
     failed_links: Vec<bool>,
@@ -347,13 +329,9 @@ impl Network {
             .collect();
         Ok(Self {
             mesh,
-            fifo_depth: config.fifo_depth.max(1),
-            injection_depth: config.injection_depth,
-            class_aware: config.class_aware,
-            arbiter: config.arbiter,
             coords,
             down,
-            fifo: vec![SimFlit::default(); ports * config.fifo_depth.max(1)],
+            fifo: vec![SimFlit::default(); ports * FIFO_DEPTH],
             fifo_head: vec![0; ports],
             fifo_len: vec![0; ports],
             locks: vec![NO_LOCK; ports],
@@ -361,7 +339,7 @@ impl Network {
             failed_links: vec![false; ports],
             failed_link_count: 0,
             injection: (0..nodes)
-                .map(|_| VecDeque::with_capacity(config.injection_depth))
+                .map(|_| VecDeque::with_capacity(INJECTION_DEPTH))
                 .collect(),
             slab: Vec::new(),
             free_slots: Vec::new(),
@@ -521,8 +499,8 @@ impl Network {
         // A packet longer than the whole NI buffer is admitted only into an
         // empty queue (it drains through the router as it injects). Same
         // admission rule as the reference stepper, verbatim.
-        if q_len + total > self.injection_depth.max(total)
-            || (q_len != 0 && q_len + total > self.injection_depth)
+        if q_len + total > INJECTION_DEPTH.max(total)
+            || (q_len != 0 && q_len + total > INJECTION_DEPTH)
         {
             return Err(NocError::InjectionQueueFull { node: packet.src() });
         }
@@ -537,7 +515,6 @@ impl Network {
         };
         let gen = self.slab[slot as usize].gen;
         let dst = packet.dst();
-        let class = packet.kind().class();
         self.slab[slot as usize].live = Some(LivePacket {
             packet,
             injected_at: self.now,
@@ -555,7 +532,6 @@ impl Network {
                 seq,
                 tail: seq as usize + 1 == total,
                 dst,
-                class,
             });
         }
         set_bit(&mut self.active_inject, src_idx);
@@ -568,7 +544,7 @@ impl Network {
 
     #[inline]
     fn fifo_space(&self, p: usize) -> usize {
-        self.fifo_depth - self.fifo_len[p] as usize
+        FIFO_DEPTH - self.fifo_len[p] as usize
     }
 
     #[inline]
@@ -576,10 +552,10 @@ impl Network {
         debug_assert!(self.fifo_space(p) > 0, "input fifo overflow at port {p}");
         // head < depth and len < depth, so one subtraction wraps the sum.
         let mut pos = self.fifo_head[p] as usize + self.fifo_len[p] as usize;
-        if pos >= self.fifo_depth {
-            pos -= self.fifo_depth;
+        if pos >= FIFO_DEPTH {
+            pos -= FIFO_DEPTH;
         }
-        self.fifo[p * self.fifo_depth + pos] = flit;
+        self.fifo[p * FIFO_DEPTH + pos] = flit;
         self.fifo_len[p] += 1;
     }
 
@@ -587,8 +563,8 @@ impl Network {
     fn fifo_pop(&mut self, p: usize) -> SimFlit {
         debug_assert!(self.fifo_len[p] > 0, "pop from empty fifo at port {p}");
         let head = self.fifo_head[p] as usize;
-        let flit = self.fifo[p * self.fifo_depth + head];
-        self.fifo_head[p] = if head + 1 == self.fifo_depth {
+        let flit = self.fifo[p * FIFO_DEPTH + head];
+        self.fifo_head[p] = if head + 1 == FIFO_DEPTH {
             0
         } else {
             head as u32 + 1
@@ -618,8 +594,8 @@ impl Network {
     /// Plans this cycle's moves for router `idx` (phase 1). Routes each
     /// buffered header once, into a bitmask of requesting inputs per
     /// output, then resolves the outputs in the reference stepper's order:
-    /// wormhole lock first, then header arbitration (class filter, then the
-    /// arbiter's pick), then the failed-link and backpressure gates.
+    /// wormhole lock first, then the round robin's pick among the headers,
+    /// then the failed-link and backpressure gates.
     /// Outputs with neither a lock nor a request are skipped: the reference
     /// changes no state for them.
     // lint: hot-path — per-cycle planning; dense arrays only, no keyed maps
@@ -627,20 +603,18 @@ impl Network {
         let base = idx * 5;
         let here = self.coords[idx];
         let mut requests = [0u8; 5];
-        let mut classes = [u8::MAX; 5];
         let mut outputs = 0u8;
-        for (port, class) in classes.iter_mut().enumerate() {
+        for port in 0..5 {
             let p = base + port;
             outputs |= u8::from(self.locks[p] != NO_LOCK) << port;
             // An empty FIFO's head slot holds a stale or default flit:
             // routing it anyway and masking its request out costs less than
             // a branch.
-            let f = self.fifo[p * self.fifo_depth + self.fifo_head[p] as usize];
+            let f = self.fifo[p * FIFO_DEPTH + self.fifo_head[p] as usize];
             let header = u8::from((self.fifo_len[p] != 0) & f.is_head());
             let out = xy_port(here, f.dst);
             requests[out] |= header << port;
             outputs |= header << out;
-            *class = f.class;
         }
         while outputs != 0 {
             let out = outputs.trailing_zeros() as usize;
@@ -655,13 +629,8 @@ impl Network {
                 }
                 usize::from(lock)
             } else {
-                // Under class-aware QoS only the best traffic class competes.
-                let mask = if self.class_aware {
-                    best_class_only(requests[out], &classes)
-                } else {
-                    requests[out]
-                };
-                let Some(input) = self.arbiter.grant_mask(mask, &mut self.rr_next[p]) else {
+                let Some(input) = RoundRobin::grant_mask(requests[out], &mut self.rr_next[p])
+                else {
                     continue;
                 };
                 input
@@ -678,7 +647,7 @@ impl Network {
             let has_space = if down == NO_PORT {
                 out == LOCAL
             } else {
-                (self.fifo_len[down] as usize) < self.fifo_depth
+                (self.fifo_len[down] as usize) < FIFO_DEPTH
             };
             if has_space {
                 self.moves.push((idx as u32, input as u8, out as u8, down));
@@ -821,11 +790,11 @@ impl Network {
     /// header exactly once, and no contention accrues. Returns that transit
     /// time, or `None` when the batch cannot be applied.
     ///
-    /// `fifo_depth >= 2` is required: with single-flit buffers the worm
-    /// stalls on its own pre-state space check and the closed form no
-    /// longer holds (the cycle-exact path handles that configuration).
+    /// The closed form needs FIFOs of at least two flits: with single-flit
+    /// buffers the worm would stall on its own pre-state space check.
     fn express_transit(&self) -> Option<(usize, u64)> {
-        if self.live_packets != 1 || self.failed_link_count != 0 || self.fifo_depth < 2 {
+        const { assert!(FIFO_DEPTH >= 2) };
+        if self.live_packets != 1 || self.failed_link_count != 0 {
             return None;
         }
         // Every live flit must still be queued at the source NI: then no
@@ -868,7 +837,7 @@ impl Network {
         loop {
             let (node, input) = (port / 5, port % 5);
             let p = node * 5 + self.mesh.xy_route(self.coords[node], dst).index();
-            self.arbiter.grant_mask(1 << input, &mut self.rr_next[p]);
+            RoundRobin::grant_mask(1 << input, &mut self.rr_next[p]);
             let down = self.down[p];
             if down == NO_PORT {
                 debug_assert_eq!(p % 5, LOCAL, "xy route stays in mesh");
@@ -1039,17 +1008,6 @@ fn xy_port(here: NodeId, dst: NodeId) -> usize {
     const PORT: [Direction; 9] = [West, West, West, North, Local, South, East, East, East];
     let side = |h: u16, d: u16| usize::from(d > h) + usize::from(d >= h);
     PORT[3 * side(here.x, dst.x) + side(here.y, dst.y)].index()
-}
-
-/// The requesters in `requests` (bit `i` = input `i`) whose traffic class
-/// is the best (lowest) among them.
-#[inline]
-fn best_class_only(requests: u8, classes: &[u8; 5]) -> u8 {
-    let requesting = |i: &usize| requests & (1 << i) != 0;
-    let best = (0..5).filter(requesting).map(|i| classes[i]).min();
-    (0..5)
-        .filter(|i| requesting(i) && Some(classes[*i]) == best)
-        .fold(0, |kept, i| kept | 1 << i)
 }
 
 #[cfg(test)]
@@ -1234,94 +1192,19 @@ mod tests {
 
     #[test]
     fn injection_queue_overflow_detected() {
-        let mut config = NetworkConfig::mesh(2, 2);
-        config.injection_depth = 4;
-        let mut n = Network::new(config).unwrap();
+        let mut n = net(2, 2);
         let src = NodeId::new(0, 0);
         let dst = NodeId::new(1, 1);
-        // 3-flit packets: the first fits, the second overflows the 4-slot NI.
-        n.inject(Packet::request(1, src, dst, 2).unwrap()).unwrap();
-        let r = n.inject(Packet::request(2, src, dst, 2).unwrap());
+        // Packets of half the NI plus one flit: the first fits, the second
+        // overflows the INJECTION_DEPTH-flit queue.
+        let payload = (INJECTION_DEPTH / 2) as u32;
+        n.inject(Packet::request(1, src, dst, payload).unwrap())
+            .unwrap();
+        let r = n.inject(Packet::request(2, src, dst, payload).unwrap());
         assert!(
             matches!(r, Err(NocError::InjectionQueueFull { .. })),
             "{r:?}"
         );
-    }
-
-    #[test]
-    fn class_aware_arbitration_prioritizes_responses() {
-        // A response and many memory packets compete for the same column.
-        // With class-aware QoS the response's latency is unaffected by the
-        // competitors; with plain round-robin it queues behind them.
-        let run = |class_aware: bool| {
-            let mut config = NetworkConfig::mesh(5, 5);
-            config.class_aware = class_aware;
-            let mut n = Network::new(config).unwrap();
-            // Memory flood first (earlier injection = earlier NI slots).
-            for i in 0..6u64 {
-                n.inject(
-                    Packet::new(
-                        100 + i,
-                        PacketKind::Memory,
-                        NodeId::new(0, i as u16 % 5),
-                        NodeId::new(4, 2),
-                        8,
-                        0,
-                    )
-                    .unwrap(),
-                )
-                .unwrap();
-            }
-            n.inject(
-                Packet::new(
-                    1,
-                    PacketKind::IoResponse,
-                    NodeId::new(0, 2),
-                    NodeId::new(4, 2),
-                    8,
-                    0,
-                )
-                .unwrap(),
-            )
-            .unwrap();
-            let out = n.run_until_idle(100_000);
-            out.iter()
-                .find(|d| d.packet.id() == 1)
-                .expect("response delivered")
-                .latency()
-                .raw()
-        };
-        let rr = run(false);
-        let qos = run(true);
-        assert!(qos < rr, "qos {qos} must beat round-robin {rr}");
-    }
-
-    #[test]
-    fn class_aware_network_still_delivers_everything() {
-        let mut config = NetworkConfig::mesh(4, 4);
-        config.class_aware = true;
-        let mut n = Network::new(config).unwrap();
-        for i in 0..24u64 {
-            let kind = match i % 3 {
-                0 => PacketKind::IoResponse,
-                1 => PacketKind::IoRequest,
-                _ => PacketKind::Memory,
-            };
-            n.inject(
-                Packet::new(
-                    i + 1,
-                    kind,
-                    NodeId::new((i % 4) as u16, ((i / 4) % 4) as u16),
-                    NodeId::new(((i + 1) % 4) as u16, ((i / 2) % 4) as u16),
-                    2,
-                    0,
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        }
-        let out = n.run_until_idle(100_000);
-        assert_eq!(out.len(), 24, "no starvation under class QoS");
     }
 
     #[test]

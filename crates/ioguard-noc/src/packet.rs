@@ -123,21 +123,6 @@ pub struct Flit {
     pub is_tail: bool,
     /// Destination (replicated so body flits can be validated in tests).
     pub dst: NodeId,
-    /// Traffic class for QoS arbitration (0 = highest priority).
-    pub class: u8,
-}
-
-impl PacketKind {
-    /// Traffic class under the predictability-focused arbitration:
-    /// responses beat requests beat memory traffic, so the response path
-    /// stays pass-through even under background load (Sec. III-A).
-    pub const fn class(self) -> u8 {
-        match self {
-            PacketKind::IoResponse => 0,
-            PacketKind::IoRequest => 1,
-            PacketKind::Memory => 2,
-        }
-    }
 }
 
 impl Flit {
@@ -150,7 +135,6 @@ impl Flit {
                 seq,
                 is_tail: seq + 1 == total,
                 dst: packet.dst(),
-                class: packet.kind().class(),
             })
             .collect()
     }

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use ioguard_sim::time::Cycles;
 
 use crate::error::NocError;
-use crate::network::{Delivery, NetworkConfig, NetworkStats, NocFabric};
+use crate::network::{Delivery, NetworkConfig, NetworkStats, NocFabric, INJECTION_DEPTH};
 use crate::packet::{Flit, Packet};
 use crate::router::Router;
 use crate::topology::{Direction, Mesh, NodeId};
@@ -44,8 +44,6 @@ pub struct ReferenceNetwork {
     /// order is the id order — never hasher- or platform-dependent — on the
     /// path that feeds the deterministic simulator.
     in_flight: BTreeMap<u64, InFlight>,
-    injection_depth: usize,
-    class_aware: bool,
     now: Cycles,
     stats: NetworkStats,
     /// Failed unidirectional links as (router index, output direction
@@ -72,19 +70,15 @@ impl ReferenceNetwork {
             });
         }
         let mesh = Mesh::new(config.width, config.height);
-        let routers = (0..mesh.nodes())
-            .map(|_| Router::new(config.fifo_depth, config.arbiter))
-            .collect();
+        let routers = (0..mesh.nodes()).map(|_| Router::new()).collect();
         let injection = (0..mesh.nodes())
-            .map(|_| VecDeque::with_capacity(config.injection_depth))
+            .map(|_| VecDeque::with_capacity(INJECTION_DEPTH))
             .collect();
         Ok(Self {
             mesh,
             routers,
             injection,
             in_flight: BTreeMap::new(),
-            injection_depth: config.injection_depth,
-            class_aware: config.class_aware,
             now: Cycles::ZERO,
             stats: NetworkStats::default(),
             failed_links: BTreeSet::new(),
@@ -182,8 +176,8 @@ impl NocFabric for ReferenceNetwork {
         let flits = Flit::stream(&packet);
         // A packet longer than the whole NI buffer is admitted only into an
         // empty queue (it drains through the router as it injects).
-        if q.len() + flits.len() > self.injection_depth.max(flits.len())
-            || (!q.is_empty() && q.len() + flits.len() > self.injection_depth)
+        if q.len() + flits.len() > INJECTION_DEPTH.max(flits.len())
+            || (!q.is_empty() && q.len() + flits.len() > INJECTION_DEPTH)
         {
             return Err(NocError::InjectionQueueFull { node: packet.src() });
         }
@@ -215,34 +209,16 @@ impl NocFabric for ReferenceNetwork {
                     }
                     None => {
                         // Header arbitration: inputs whose head is a header
-                        // flit routed to `out_port`. Under class-aware QoS
-                        // only the best traffic class competes.
+                        // flit routed to `out_port`. With no request the
+                        // round robin grants nothing and keeps its pointer.
                         let mut requests = [false; 5];
-                        let mut classes = [u8::MAX; 5];
-                        let mut any = false;
-                        let mut best_class = u8::MAX;
                         for input in Direction::ALL {
                             if let Some(f) = self.routers[idx].head(input) {
-                                if f.is_head() && self.mesh.xy_route(here, f.dst) == out_port {
-                                    requests[input.index()] = true;
-                                    classes[input.index()] = f.class;
-                                    best_class = best_class.min(f.class);
-                                    any = true;
-                                }
+                                requests[input.index()] =
+                                    f.is_head() && self.mesh.xy_route(here, f.dst) == out_port;
                             }
                         }
-                        if any {
-                            if self.class_aware {
-                                for i in 0..5 {
-                                    if classes[i] != best_class {
-                                        requests[i] = false;
-                                    }
-                                }
-                            }
-                            self.routers[idx].arbitrate(out_port, &requests)
-                        } else {
-                            None
-                        }
+                        self.routers[idx].arbitrate(out_port, &requests)
                     }
                 };
                 let Some(input) = granted_input else { continue };

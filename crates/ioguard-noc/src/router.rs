@@ -14,7 +14,8 @@
 
 use std::collections::VecDeque;
 
-use crate::arbiter::{Arbiter, ArbiterKind};
+use crate::arbiter::RoundRobin;
+use crate::network::FIFO_DEPTH;
 use crate::packet::Flit;
 use crate::topology::Direction;
 
@@ -35,33 +36,25 @@ pub struct Router {
     inputs: [VecDeque<Flit>; 5],
     /// Per-output channel locks: which input currently owns the output.
     locks: [Option<Direction>; 5],
-    /// Per-output arbiters over the 5 inputs.
-    arbiters: Vec<Box<dyn Arbiter + Send>>,
-    depth: usize,
+    /// Per-output round-robin arbiters over the 5 inputs.
+    arbiters: [RoundRobin; 5],
     stats: RouterStats,
 }
 
 impl Router {
-    /// Creates a router with the given input FIFO depth and arbitration
-    /// policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn new(depth: usize, arbiter: ArbiterKind) -> Self {
-        assert!(depth > 0, "input fifo depth must be positive");
+    /// Creates an empty router with [`FIFO_DEPTH`]-flit input FIFOs.
+    pub fn new() -> Self {
         Self {
             inputs: Default::default(),
             locks: [None; 5],
-            arbiters: (0..5).map(|_| arbiter.build(5)).collect(),
-            depth,
+            arbiters: std::array::from_fn(|_| RoundRobin::new(5)),
             stats: RouterStats::default(),
         }
     }
 
     /// Remaining space in the input FIFO at `port`.
     pub fn space(&self, port: Direction) -> usize {
-        self.depth - self.inputs[port.index()].len()
+        FIFO_DEPTH - self.inputs[port.index()].len()
     }
 
     /// Pushes a flit into the input FIFO at `port`.
@@ -129,6 +122,12 @@ impl Router {
     }
 }
 
+impl Default for Router {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,13 +139,12 @@ mod tests {
             seq,
             is_tail: tail,
             dst: NodeId::new(0, 0),
-            class: 1,
         }
     }
 
     #[test]
     fn fifo_order_preserved() {
-        let mut r = Router::new(4, ArbiterKind::RoundRobin);
+        let mut r = Router::new();
         r.push(Direction::North, flit(1, 0, false));
         r.push(Direction::North, flit(1, 1, true));
         assert_eq!(r.head(Direction::North).unwrap().seq, 0);
@@ -158,26 +156,27 @@ mod tests {
 
     #[test]
     fn space_tracks_depth() {
-        let mut r = Router::new(2, ArbiterKind::RoundRobin);
-        assert_eq!(r.space(Direction::East), 2);
-        r.push(Direction::East, flit(1, 0, false));
-        assert_eq!(r.space(Direction::East), 1);
-        r.push(Direction::East, flit(1, 1, false));
+        let mut r = Router::new();
+        for seq in 0..FIFO_DEPTH as u32 {
+            assert_eq!(r.space(Direction::East), FIFO_DEPTH - seq as usize);
+            r.push(Direction::East, flit(1, seq, false));
+        }
         assert_eq!(r.space(Direction::East), 0);
-        assert_eq!(r.occupancy(), 2);
+        assert_eq!(r.occupancy(), FIFO_DEPTH);
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
-        let mut r = Router::new(1, ArbiterKind::RoundRobin);
-        r.push(Direction::Local, flit(1, 0, false));
-        r.push(Direction::Local, flit(1, 1, false));
+        let mut r = Router::new();
+        for seq in 0..=FIFO_DEPTH as u32 {
+            r.push(Direction::Local, flit(1, seq, false));
+        }
     }
 
     #[test]
     fn locks_acquire_release() {
-        let mut r = Router::new(2, ArbiterKind::RoundRobin);
+        let mut r = Router::new();
         assert_eq!(r.lock(Direction::South), None);
         r.acquire(Direction::South, Direction::Local);
         assert_eq!(r.lock(Direction::South), Some(Direction::Local));
@@ -187,7 +186,7 @@ mod tests {
 
     #[test]
     fn arbitration_rotates_per_output() {
-        let mut r = Router::new(2, ArbiterKind::RoundRobin);
+        let mut r = Router::new();
         let all = [true; 5];
         assert_eq!(r.arbitrate(Direction::East, &all), Some(Direction::North));
         assert_eq!(r.arbitrate(Direction::East, &all), Some(Direction::South));
@@ -197,15 +196,9 @@ mod tests {
 
     #[test]
     fn contention_counter() {
-        let mut r = Router::new(2, ArbiterKind::RoundRobin);
+        let mut r = Router::new();
         r.note_contention();
         r.note_contention();
         assert_eq!(r.stats().contention_cycles, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_depth_panics() {
-        let _ = Router::new(0, ArbiterKind::RoundRobin);
     }
 }

@@ -2,8 +2,8 @@
 //! bit-identical to the retained [`ReferenceNetwork`] cycle stepper —
 //! same delivery sequence (packets, injection/delivery cycles, corruption
 //! flags), same aggregate statistics (including contention counters), same
-//! clock — under seeded random traffic, link faults, class-aware QoS and
-//! every stepping mode (per-cycle, `run_until_idle`, `run_for` jumps).
+//! clock — under seeded random traffic, link faults and every stepping
+//! mode (per-cycle, `run_until_idle`, `run_for` jumps).
 //!
 //! The fault-plan and multi-thread differential runs live in the
 //! workspace-level `tests/` crate (they need `ioguard-faults` and
@@ -159,31 +159,6 @@ fn differential_8x8_with_link_faults() {
 }
 
 #[test]
-fn differential_class_aware_qos() {
-    let mut config = NetworkConfig::mesh(4, 4);
-    config.class_aware = true;
-    let stim = stimulus(29, 4, 4, 400, 0.10, false);
-    assert_equivalent(config, &stim, 30_000);
-}
-
-#[test]
-fn differential_fixed_priority_arbiter() {
-    let mut config = NetworkConfig::mesh(4, 4);
-    config.arbiter = ioguard_noc::arbiter::ArbiterKind::FixedPriority;
-    let stim = stimulus(31, 4, 4, 400, 0.08, false);
-    assert_equivalent(config, &stim, 30_000);
-}
-
-#[test]
-fn differential_shallow_fifos() {
-    // fifo_depth = 1 disables express transit and stresses backpressure.
-    let mut config = NetworkConfig::mesh(4, 4);
-    config.fifo_depth = 1;
-    let stim = stimulus(37, 4, 4, 300, 0.06, false);
-    assert_equivalent(config, &stim, 50_000);
-}
-
-#[test]
 fn differential_non_square_meshes() {
     // Both coordinate and downstream-port tables are built from the mesh
     // width; a square mesh cannot tell rows from columns.
@@ -195,30 +170,12 @@ fn differential_non_square_meshes() {
     }
 }
 
+/// The 8×8 mesh at 0.3 flits per node per cycle: the shape of the NoC
+/// benchmark's bursts.
 #[test]
-fn differential_class_aware_fixed_priority() {
-    let mut config = NetworkConfig::mesh(4, 4);
-    config.class_aware = true;
-    config.arbiter = ioguard_noc::arbiter::ArbiterKind::FixedPriority;
-    let stim = stimulus(59, 4, 4, 400, 0.10, false);
-    assert_equivalent(config, &stim, 30_000);
-}
-
-#[test]
-fn differential_class_aware_8x8_saturated() {
-    let mut config = NetworkConfig::mesh(8, 8);
-    config.class_aware = true;
+fn differential_8x8_saturated() {
     let stim = stimulus(61, 8, 8, 200, 0.3, false);
-    assert_equivalent(config, &stim, 60_000);
-}
-
-#[test]
-fn differential_class_aware_shallow_fifos() {
-    let mut config = NetworkConfig::mesh(4, 4);
-    config.class_aware = true;
-    config.fifo_depth = 1;
-    let stim = stimulus(67, 4, 4, 300, 0.08, false);
-    assert_equivalent(config, &stim, 50_000);
+    assert_equivalent(NetworkConfig::mesh(8, 8), &stim, 60_000);
 }
 
 #[test]

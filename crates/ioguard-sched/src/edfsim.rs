@@ -194,7 +194,7 @@ where
                 }
                 pending[best].started = true;
                 pending[best].remaining -= 1;
-                report.slots_used += 1;
+                report.slots_used = report.slots_used.saturating_add(1);
                 if pending[best].remaining == 0 {
                     report.completed += 1;
                     pending.remove(best);

@@ -88,6 +88,7 @@ pub fn theorem1_exact(
             limit: max_hyper_period,
         });
     }
+    // lint: allow(unchecked-arith) — an f64 comparison with a rounding margin, not slot arithmetic
     if bandwidth > sigma.free_fraction() + 1e-12 {
         // Find the violation constructively for the report: scan multiples.
         for (t, demand) in DemandSweep::servers(servers, hyper.saturating_mul(4)) {

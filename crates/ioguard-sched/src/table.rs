@@ -187,7 +187,7 @@ impl TimeSlotTable {
         let mut total = full_periods.saturating_mul(self.free_count);
         let rem = len % h;
         for off in 0..rem {
-            if self.is_free(start + off) {
+            if self.is_free(start.saturating_add(off)) {
                 total += 1;
             }
         }

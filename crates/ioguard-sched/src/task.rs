@@ -255,7 +255,7 @@ pub(crate) fn gcd(a: u64, b: u64) -> u64 {
 }
 
 /// Least common multiple with overflow detection. `lcm(0, x) = 0`.
-pub(crate) fn checked_lcm(a: u64, b: u64) -> Option<u64> {
+pub fn checked_lcm(a: u64, b: u64) -> Option<u64> {
     if a == 0 || b == 0 {
         return Some(0);
     }

@@ -3,6 +3,17 @@
 //! Every experiment in the reproduction is driven by a single `u64` seed.
 //! [`SplitMix64`] is used to derive independent streams (one per trial, per
 //! VM, per task) and [`Xoshiro256StarStar`] is the workhorse generator.
+//! [`mix64`], SplitMix64's output finalizer, hashes ids into well-spread
+//! words where a stream is not needed.
+
+/// SplitMix64's finalizer: a bijective mix of `z` whose every output bit
+/// depends on every input bit.
+#[inline]
+pub fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Sebastiano Vigna's SplitMix64 — used both as a tiny PRNG and as the seed
 /// expander for [`Xoshiro256StarStar`].
@@ -35,10 +46,7 @@ impl SplitMix64 {
     #[inline]
     pub fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Derives an independent child seed. Deriving with distinct `tag`s from

@@ -1,14 +1,16 @@
 //! Golden-trace regression tests for the observability layer.
 //!
-//! Three canonical scenarios — the healthy end-to-end run, the shrunk
+//! Five canonical scenarios — the healthy end-to-end run, the shrunk
 //! device-stall chaos trial and the stage → verify → commit → drain online
-//! reconfiguration from `ioguard_core::observe` — are rendered to
-//! text and compared **byte-for-byte** against goldens committed under
-//! `tests/goldens/`. Each scenario additionally runs as a batch of eight
-//! identical trials through the work-stealing engine at one and at eight
-//! worker threads: every copy must produce the same bytes, which pins down
-//! the thread-count independence of the whole observed pipeline (fault
-//! plans, hypervisor, NoC, trace sinks).
+//! reconfiguration from `ioguard_core::observe`, the fleet placement run
+//! and the serving scenario — are rendered to text and compared
+//! **byte-for-byte** against goldens committed under `tests/goldens/`, and
+//! so is the JSON snapshot that `trace-export` writes
+//! (`ioguard_core::observe::snapshot_json`). Each one additionally runs as
+//! a batch of eight identical trials through the work-stealing engine at
+//! one and at eight worker threads: every copy must produce the same bytes,
+//! which pins down the thread-count independence of the whole observed
+//! pipeline (fault plans, hypervisor, NoC, trace sinks).
 //!
 //! After an *intentional* trace change, regenerate the goldens with
 //!
@@ -21,9 +23,10 @@
 use ioguard_core::engine::run_indexed;
 use ioguard_core::observe::{
     chaos_observed, end_to_end_observed, reconfig_observed, render_reconfig_trace, render_trace,
+    snapshot_json,
 };
 
-/// The pinned seed both goldens were generated with.
+/// The pinned seed the goldens were generated with.
 const SEED: u64 = 0xD1CE;
 
 const GOLDEN_END_TO_END: &str = include_str!("../goldens/end_to_end.trace");
@@ -31,6 +34,7 @@ const GOLDEN_CHAOS: &str = include_str!("../goldens/chaos.trace");
 const GOLDEN_RECONFIG: &str = include_str!("../goldens/reconfig.trace");
 const GOLDEN_FLEET: &str = include_str!("../goldens/fleet.trace");
 const GOLDEN_SERVE: &str = include_str!("../goldens/serve.trace");
+const GOLDEN_OBS_SNAPSHOT: &str = include_str!("../goldens/obs_snapshot.json");
 
 fn end_to_end_trace(seed: u64) -> String {
     let run = end_to_end_observed(seed);
@@ -138,6 +142,11 @@ fn serve_trace_matches_golden_at_any_thread_count() {
     assert_matches_golden(GOLDEN_SERVE, "serve-mt", serve_trace_mt);
 }
 
+#[test]
+fn obs_snapshot_matches_golden_at_any_thread_count() {
+    assert_matches_golden(GOLDEN_OBS_SNAPSHOT, "obs_snapshot", snapshot_json);
+}
+
 /// The full serving differential: 1 vs 8 decode workers must agree on
 /// the trace bytes, the response-stream fold (counts + digest) and the
 /// per-client counter registry — not just the rendering.
@@ -161,7 +170,7 @@ fn serve_scenario_is_worker_count_independent() {
 }
 
 #[test]
-#[ignore = "writes tests/goldens/*.trace; run only after an intentional trace change"]
+#[ignore = "writes tests/goldens/; run only after an intentional trace change"]
 fn bless_goldens() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/goldens");
     std::fs::create_dir_all(dir).expect("create goldens dir");
@@ -172,4 +181,6 @@ fn bless_goldens() {
         .expect("write reconfig golden");
     std::fs::write(format!("{dir}/fleet.trace"), fleet_trace(SEED)).expect("write fleet golden");
     std::fs::write(format!("{dir}/serve.trace"), serve_trace(SEED)).expect("write serve golden");
+    std::fs::write(format!("{dir}/obs_snapshot.json"), snapshot_json(SEED))
+        .expect("write obs snapshot golden");
 }
