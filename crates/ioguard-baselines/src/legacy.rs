@@ -36,9 +36,9 @@ impl LegacyPlatform {
         }
     }
 
-    /// Slots in which the device stepped since construction (see
-    /// [`IoPlatform::advance_to`], which skips the slots where nothing
-    /// happens).
+    /// Device events since construction: one per job the device took in
+    /// or dropped, one per completion, whatever slots the platform was
+    /// advanced over.
     pub fn device_steps(&self) -> u64 {
         self.backend.device_steps()
     }

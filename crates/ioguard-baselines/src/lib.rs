@@ -22,16 +22,24 @@
 //!   `ioguard-hypervisor` crate.
 //!
 //! The three baselines share one backend in [`platform`]: a delay line in
-//! front of the deadline-unaware [`platform::FifoDevice`]. Each baseline
+//! front of a deadline-unaware, non-preemptive FIFO device. Each baseline
 //! sends a job with the delay its path adds (the router traversal for
 //! Legacy, the VMM latency for RT-XEN, none for BV), and the job joins the
 //! device queue in the slot it arrives.
 //!
-//! The case study drives every platform from one release to the next with
-//! [`IoPlatform::advance_to`]. Its default calls [`IoPlatform::step`] on
-//! every slot. The FIFO backend steps only the slots in which a job
-//! arrives, starts or completes and jumps over the rest in O(1); each
-//! baseline's `device_steps()` counts the slots it stepped.
+//! A FIFO that never preempts has a closed-form schedule, so the device is
+//! a recurrence over jobs, not a loop over slots. A job arriving in slot
+//! `a` is dropped when [`platform::DEFAULT_FIFO_CAPACITY`] accepted jobs
+//! that start at or after `a` already wait. Otherwise it starts when it
+//! arrives or when the job before it finishes, whichever is later, and
+//! finishes its service time later. The case study drives every platform
+//! from one release to the next with [`IoPlatform::advance_to`], whose
+//! default calls [`IoPlatform::step`] on every slot. The FIFO backend's
+//! `advance_to` takes in the jobs arriving before the target slot and
+//! completes those finished by it, in FIFO order; `step` is
+//! `advance_to(now + 1)`. So a trial costs O(jobs), not O(slots), and each
+//! baseline's `device_steps()` counts device events: one per job taken in
+//! or dropped, one per completion.
 //!
 //! # Example
 //!
@@ -43,7 +51,9 @@
 //! bv.submit(PlatformJob::new(0, 1, 0, 2, 100, 64, true));
 //! bv.advance_to(10);
 //! assert_eq!(bv.metrics().completed_on_time, 1);
-//! assert!(bv.device_steps() < 10);
+//! // The device took the job in and completed it: two events, not ten
+//! // slots.
+//! assert_eq!(bv.device_steps(), 2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -44,9 +44,9 @@ impl RtXenPlatform {
         }
     }
 
-    /// Slots in which the device stepped since construction (see
-    /// [`IoPlatform::advance_to`], which skips the slots where nothing
-    /// happens).
+    /// Device events since construction: one per job the device took in
+    /// or dropped, one per completion, whatever slots the platform was
+    /// advanced over.
     pub fn device_steps(&self) -> u64 {
         self.backend.device_steps()
     }
@@ -102,7 +102,6 @@ impl IoPlatform for RtXenPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::FifoDevice;
 
     fn job(task_id: u64, release: u64, wcet: u64, deadline: u64) -> PlatformJob {
         PlatformJob::new(0, task_id, release, wcet, deadline, 64, true)
@@ -152,19 +151,16 @@ mod tests {
         // raw (96 slots) but not inflated (~106 slots).
         let p = RtXenPlatform::new(8, 3);
         let run = |inflate: bool| {
-            let mut m = PlatformMetrics::default();
-            let mut dev = FifoDevice::new(64);
+            let mut fifo = FifoBackend::new();
             for i in 0..12 {
                 let mut j = job(i, 0, 8, 100);
                 if inflate {
                     j.wcet = p.inflated_wcet(&j);
                 }
-                dev.enqueue(j, &mut m);
+                fifo.send(j, 0);
             }
-            for t in 0..250 {
-                dev.step(t, &mut m);
-            }
-            m.missed
+            fifo.advance_to(250);
+            fifo.metrics().missed
         };
         assert_eq!(run(false), 0);
         assert!(run(true) > 0);

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use ioguard_baselines::bluevisor::BlueVisorPlatform;
 use ioguard_baselines::ioguard::IoGuardPlatform;
 use ioguard_baselines::legacy::LegacyPlatform;
-use ioguard_baselines::platform::{FifoDevice, IoPlatform, PlatformJob, PlatformMetrics};
+use ioguard_baselines::platform::{IoPlatform, PlatformJob, PlatformMetrics};
 use ioguard_baselines::rtxen::RtXenPlatform;
 use ioguard_hypervisor::gsched::GschedPolicy;
 use ioguard_hypervisor::hypervisor::PchannelReclaim;
@@ -172,41 +172,6 @@ fn metrics_at_releases(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// FIFO device: service strictly in arrival order — completion order
-    /// equals enqueue order, regardless of deadlines.
-    #[test]
-    fn fifo_completion_order_is_arrival_order(wcets in prop::collection::vec(1u64..6, 1..20)) {
-        let mut dev = FifoDevice::new(64);
-        let mut m = PlatformMetrics::default();
-        for (i, &w) in wcets.iter().enumerate() {
-            // Adversarial deadlines: later arrivals get tighter deadlines.
-            let deadline = 10_000 - i as u64 * 100;
-            dev.enqueue(
-                PlatformJob::new(0, i as u64, 0, w, deadline, 64, true),
-                &mut m,
-            );
-        }
-        let mut completions: Vec<(u64, u64)> = Vec::new(); // (finish, id)
-        let mut prev = 0u64;
-        for t in 0..10_000u64 {
-            dev.step(t, &mut m);
-            let done = m.completed_on_time + m.completed_late;
-            if done > prev {
-                prev = done;
-                completions.push((t, done));
-            }
-            if done == wcets.len() as u64 {
-                break;
-            }
-        }
-        // k-th completion happens exactly after the first k service times.
-        let mut acc = 0u64;
-        for (k, &w) in wcets.iter().enumerate() {
-            acc += w;
-            prop_assert_eq!(completions[k].0 + 1, acc, "job {} completion time", k);
-        }
-    }
 
     /// Metric conservation holds for all four platforms on arbitrary
     /// streams.

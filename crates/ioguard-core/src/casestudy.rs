@@ -8,8 +8,6 @@
 //! repeats trials over seeds; the full *figure* sweeps systems ×
 //! utilizations × VM-group sizes.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::engine::{self, EngineStats};
@@ -174,57 +172,63 @@ struct ReleaseOrder {
 }
 
 impl ReleaseOrder {
+    /// Bits of a sort key below the release slot: the task index.
+    const TASK_BITS: u32 = u16::BITS;
+
     fn new(workload: &TrialWorkload, phase_seed: u64, horizon_slots: u64) -> Self {
         let tasks = workload.tasks();
         // Deterministic per-task initial phases in [0, T).
         let mut phase_rng = Xoshiro256StarStar::new(SplitMix64::new(phase_seed).derive(0xFA5E));
-        let phases: Vec<u64> = tasks
+        let phases = tasks
             .iter()
             .map(|t| phase_rng.range_u64(0, t.task.period()))
             .collect();
-        let releases: u64 = tasks
-            .iter()
-            .zip(&phases)
-            .map(|(t, &phase)| {
-                horizon_slots
-                    .saturating_sub(phase)
-                    .div_ceil(t.task.period())
-            })
-            .sum();
-        // A calendar heap keyed `(release slot, task index)`: a due release
-        // is replaced in place by the task's next one. Keys are unique, so
-        // the order is total and does not depend on how the heap sifts.
-        let mut calendar: BinaryHeap<Reverse<(u64, u16)>> = phases
+        Self::from_phases(phases, |idx| tasks[idx].task.period(), horizon_slots)
+    }
+
+    /// The releases before `horizon_slots` of the tasks whose first
+    /// releases are `phases`, each task repeating at `period(task index)`.
+    fn from_phases(phases: Vec<u64>, period: impl Fn(usize) -> u64, horizon_slots: u64) -> Self {
+        assert!(
+            horizon_slots <= u64::MAX >> Self::TASK_BITS,
+            "a trial horizon fits {} bits",
+            u64::BITS - Self::TASK_BITS
+        );
+        let releases: u64 = phases
             .iter()
             .enumerate()
-            .map(|(idx, &phase)| {
-                let idx = u16::try_from(idx).expect("a trial workload has under 65 536 tasks");
-                Reverse((phase, idx))
-            })
-            .collect();
-        let mut order =
+            .map(|(idx, &phase)| horizon_slots.saturating_sub(phase).div_ceil(period(idx)))
+            .sum();
+        // One key `slot << 16 | task` per release. Keys are unique, so one
+        // sort gives the `(release slot, task index)` order.
+        let mut keys =
             Vec::with_capacity(usize::try_from(releases).expect("the release count fits memory"));
-        while let Some(mut due) = calendar.peek_mut() {
-            let Reverse((release, idx)) = *due;
-            if release >= horizon_slots {
-                break;
-            }
-            order.push(idx);
-            *due = Reverse((release + tasks[usize::from(idx)].task.period(), idx));
+        for (idx, &phase) in phases.iter().enumerate() {
+            let task = u16::try_from(idx).expect("a trial workload has under 65 536 tasks");
+            let period = usize::try_from(period(idx)).expect("a period fits usize");
+            keys.extend(
+                (phase..horizon_slots)
+                    .step_by(period)
+                    .map(|slot| slot << Self::TASK_BITS | u64::from(task)),
+            );
         }
+        keys.sort_unstable();
+        // lint: allow(cast-narrowing) — the low 16 bits of a key are its task index
+        let order = keys.iter().map(|&key| key as u16).collect();
         Self { phases, order }
     }
 
-    /// `(release slot, task index)` of every release, in order.
+    /// `(release slot, task index)` of every release, in order, for the
+    /// task periods the order was built with.
     fn releases<'a>(
         &'a self,
-        workload: &'a TrialWorkload,
+        period: impl Fn(usize) -> u64 + 'a,
     ) -> impl Iterator<Item = (u64, usize)> + 'a {
         let mut next = self.phases.clone();
         self.order.iter().map(move |&idx| {
             let idx = usize::from(idx);
             let slot = next[idx];
-            next[idx] += workload.tasks()[idx].task.period();
+            next[idx] += period(idx);
             (slot, idx)
         })
     }
@@ -292,11 +296,12 @@ fn drive(
     horizon_slots: u64,
 ) {
     let mut next_job_id = 1u64;
-    for (slot, idx) in releases.releases(workload) {
+    let tasks = workload.tasks();
+    for (slot, idx) in releases.releases(|idx| tasks[idx].task.period()) {
         if preloaded[idx] {
             continue;
         }
-        let task = &workload.tasks()[idx];
+        let task = &tasks[idx];
         platform.advance_to(slot);
         // Per-job actual execution time (deterministic in the ids).
         let frac = ACTUAL_EXEC_MIN
@@ -623,6 +628,9 @@ impl fmt::Display for Fig7Report {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
 
     fn quick_point(system: SystemUnderTest, util: f64) -> PointSummary {
@@ -867,6 +875,25 @@ mod tests {
             platform.step();
         }
         outcome(&platform.metrics(), horizon_slots)
+    }
+
+    /// Release orders worked out by hand. Task 0 has phase 2 and period 2,
+    /// task 1 phase 0 and period 4, task 2 phase 5 and period 10.
+    #[test]
+    fn release_order_sorts_by_slot_then_task() {
+        let periods = [2, 4, 10];
+        let order = |horizon| {
+            let order = ReleaseOrder::from_phases(vec![2, 0, 5], |idx| periods[idx], horizon);
+            order.releases(|idx| periods[idx]).collect::<Vec<_>>()
+        };
+        // Tasks 0 and 1 both release in slot 4: task 0 first. Task 2's
+        // phase is the last slot before the horizon, and its period is
+        // longer than the horizon, so it releases once.
+        assert_eq!(order(6), [(0, 1), (2, 0), (4, 0), (4, 1), (5, 2)]);
+        // One slot earlier, task 2 never releases.
+        assert_eq!(order(5), [(0, 1), (2, 0), (4, 0), (4, 1)]);
+        assert_eq!(order(1), [(0, 1)]);
+        assert_eq!(order(0), []);
     }
 
     #[test]

@@ -453,6 +453,18 @@ impl Hypervisor {
         self.outbox.push(event);
     }
 
+    /// [`Hypervisor::emit`], or inside the σ\* walk (`WALK`) only the fold:
+    /// the walk runs with no observer and discards its events, so it does
+    /// not queue them.
+    #[inline(always)]
+    fn record<const WALK: bool>(&mut self, event: HvEvent) {
+        if WALK {
+            self.metrics.fold(&event);
+        } else {
+            self.emit(event);
+        }
+    }
+
     /// Appends every event emitted since the last hand-off to `out`, in
     /// emission order — for callers between steps (submissions,
     /// [`Hypervisor::degrade`]).
@@ -565,13 +577,13 @@ impl Hypervisor {
     /// Expires `vm`'s buffered jobs whose deadline has passed (O(1) when
     /// nothing expired).
     #[inline(always)]
-    fn expire(&mut self, vm: usize) {
+    fn expire<const WALK: bool>(&mut self, vm: usize) {
         let missed = self.pools[vm].expire(self.now);
         if missed.is_empty() {
             return;
         }
         for job in missed {
-            self.emit(HvEvent::Missed { vm, job });
+            self.record::<WALK>(HvEvent::Missed { vm, job });
         }
         self.sync_shadow(vm);
     }
@@ -634,7 +646,7 @@ impl Hypervisor {
         }
         // The hardware sweep is continuous: expired entries free their
         // queue slots before a new job needs one.
-        self.expire(vm);
+        self.expire::<false>(vm);
         let inserted = self.pools[vm]
             .insert(job)
             .map_err(|_| RefuseReason::PoolFull);
@@ -696,8 +708,8 @@ impl Hypervisor {
     /// the events of the slots it passes (the metrics still fold them).
     ///
     /// When nothing watches a slot and nothing can deny one, it walks σ\*
-    /// one run at a time ([`Hypervisor::pass_to`]); otherwise it steps
-    /// every slot.
+    /// one run at a time, folding the runs' events into the metrics without
+    /// queueing them; otherwise it steps every slot.
     pub fn advance_to(&mut self, slot: u64) {
         if self.passes_runs() {
             self.pass_to(slot);
@@ -729,12 +741,16 @@ impl Hypervisor {
     /// and the free and reclaimed slots go to the winner in one R-channel
     /// grant, or idle. σ\* is read at a table cursor, so the timer is
     /// reduced modulo the hyper-period once per call. A pass leaves the
-    /// G-Sched clock, the healthy-slot count and the outbox where stepping
-    /// its slots would.
+    /// G-Sched clock, the healthy-slot count and the last dispatch where
+    /// stepping its slots would.
+    ///
+    /// Nothing observes the walk and stepping would discard its events, so
+    /// they fold into the metrics and are never queued; the dispatch edge
+    /// (the `Preempt` pool scan, the `Preempt` and `Dispatch` events) is
+    /// skipped, as no fold reads it. The outbox is cleared once, as the
+    /// first slot stepped would clear it, and stays empty.
     // lint: hot-path — one pass per job run of a trial
     fn pass_to(&mut self, slot: u64) {
-        // The first slot stepped would discard the events queued since the
-        // last hand-off; drop them before a run's events join them.
         if self.now < slot {
             self.outbox.clear();
         }
@@ -743,7 +759,7 @@ impl Hypervisor {
         while self.now < slot {
             let now = self.now;
             self.slot_passes = self.slot_passes.saturating_add(1);
-            self.sweep(now);
+            self.sweep::<true>(now);
             // The run ends where the winner has had its remaining slots (an
             // entry with no work left still takes one) or at its deadline
             // slot, where the next pass's sweep takes it. With nothing
@@ -755,9 +771,8 @@ impl Hypervisor {
                 }
                 None => (slot, u64::MAX),
             };
-            // Nothing observes these slots: the P-channel's events fold
-            // straight into the metrics. `free` counts the free and
-            // reclaimed slots, all of which go to the R-channel.
+            // `free` counts the free and reclaimed slots, all of which go to
+            // the R-channel.
             let mut t = now;
             let mut first = None;
             let mut free = 0;
@@ -767,7 +782,7 @@ impl Hypervisor {
                     .owner_at(index)
                     .and_then(|owner| self.pchannel_slot(owner));
                 match fired {
-                    Some(event) => self.metrics.fold(&event),
+                    Some(event) => self.record::<true>(event),
                     None => {
                         first.get_or_insert(t);
                         // lint: allow(unchecked-arith) — the loop runs while free < need, so free + 1 ≤ need
@@ -781,12 +796,11 @@ impl Hypervisor {
                 }
             }
             if let Some(first) = first {
-                self.rchannel_run(first, free, t, true);
+                self.rchannel_run::<true>(first, free, t, true);
             }
             self.gsched.tick(t - 1);
             self.healthy_slots = self.healthy_slots.saturating_add(t - now);
             self.now = t;
-            self.outbox.clear();
         }
     }
 
@@ -798,7 +812,7 @@ impl Hypervisor {
         let now = self.now;
         self.slot_passes = self.slot_passes.saturating_add(1);
         // 1. Deadline sweep.
-        self.sweep(now);
+        self.sweep::<false>(now);
         // 2. Server replenishment.
         self.gsched.tick(now);
         // 2b. Device health: emit fault/recovery edges and advance the
@@ -843,7 +857,7 @@ impl Hypervisor {
             // off the (possibly still faulty) device.
             self.emit(HvEvent::Backoff);
         } else {
-            self.rchannel_run(now, 1, now.saturating_add(1), device_ok);
+            self.rchannel_run::<false>(now, 1, now.saturating_add(1), device_ok);
         }
         // lint: allow(unchecked-arith) — one a slot: 2^64 slots of 50 µs outlast 29 million years
         self.now += 1;
@@ -855,7 +869,7 @@ impl Hypervisor {
     /// registers in VM order; the tree is refreshed only for pools that
     /// actually lost entries.
     #[inline(always)]
-    fn sweep(&mut self, now: u64) {
+    fn sweep<const WALK: bool>(&mut self, now: u64) {
         let expired = self
             .shadow_index
             .min()
@@ -863,7 +877,7 @@ impl Hypervisor {
         if expired {
             self.deadline_sweeps = self.deadline_sweeps.saturating_add(1);
             for vm in 0..self.pools.len() {
-                self.expire(vm);
+                self.expire::<WALK>(vm);
             }
         }
     }
@@ -914,19 +928,20 @@ impl Hypervisor {
     ///    Only [`Hypervisor::pass_to`] grants more than one slot: with
     ///    global EDF and no throttle window the winner keeps the root over
     ///    its run, and a run gives it no more slots than its remaining work
-    ///    (one when it has none). The first slot's disposition is emitted,
-    ///    the repeats fold in one add.
+    ///    (one when it has none). The first slot's disposition is recorded,
+    ///    the repeats fold in one add. In the walk (`WALK`) the events only
+    ///    fold, and the dispatch edge is not looked for.
     ///
     ///    A grant whose pool has no shadow entry would be a scheduler bug;
     ///    the slot then idles instead of bringing the model down.
     #[inline(always)]
-    fn rchannel_run(&mut self, now: u64, slots: u64, end: u64, device_ok: bool) {
+    fn rchannel_run<const WALK: bool>(&mut self, now: u64, slots: u64, end: u64, device_ok: bool) {
         if self.gsched.has_guards() {
             // Slot-denial accounting: VMs with buffered work that budget
             // enforcement or a throttle window holds back.
             for vm in 0..self.pools.len() {
                 if !self.pools[vm].is_empty() && self.gsched.is_blocked(vm) {
-                    self.emit(HvEvent::ThrottledSlot { vm });
+                    self.record::<WALK>(HvEvent::ThrottledSlot { vm });
                 }
             }
         }
@@ -939,7 +954,7 @@ impl Hypervisor {
                     .map(|e| (vm, e.task_id, e.remaining))
             });
         let Some((vm, task_id, remaining)) = granted else {
-            self.emit(HvEvent::Idle);
+            self.record::<WALK>(HvEvent::Idle);
             self.metrics.fold_free_run(false, slots - 1);
             return;
         };
@@ -956,14 +971,14 @@ impl Hypervisor {
             }
             return;
         }
-        self.emit(HvEvent::Grant {
+        self.record::<WALK>(HvEvent::Grant {
             vm,
             task_id,
             remaining,
         });
         self.metrics.fold_free_run(true, slots - 1);
         let running = (vm, task_id);
-        if self.last_dispatched != Some(running) {
+        if !WALK && self.last_dispatched != Some(running) {
             // A different job resumed while the previous one still has
             // work: a preemption.
             if let Some((pvm, ptask)) = self.last_dispatched {
@@ -995,7 +1010,7 @@ impl Hypervisor {
             // unreachable — the shadow register was read non-empty on this
             // same slot.)
             self.sync_shadow(vm);
-            self.emit(HvEvent::Completed {
+            self.record::<WALK>(HvEvent::Completed {
                 vm,
                 job,
                 finish: end,

@@ -11,9 +11,9 @@
 //! ([`HvMetrics::fold`]): the device updates them nowhere else, so folding
 //! the stream into fresh metrics reproduces the live ones exactly. The
 //! σ\* walk of `Hypervisor::advance_to` runs with no observer attached and
-//! discards its events as stepping does; it folds them here directly, and
-//! a run's repeated free-slot dispositions in one add
-//! ([`HvMetrics::fold_free_run`]).
+//! would discard its events as stepping does, so it never queues them: it
+//! folds them here directly, and a run's repeated free-slot dispositions in
+//! one add (`HvMetrics::fold_free_run`).
 
 use ioguard_sim::stats::OnlineStats;
 

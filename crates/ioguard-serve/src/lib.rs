@@ -6,10 +6,11 @@
 //! live stream of I/O requests from external clients, routes each one
 //! through the paper's admission machinery ([`ioguard_fleet::Shard`]
 //! ledger admission for connections, the hypervisor
-//! [`ioguard_hypervisor::AdmissionGuard`] for per-request rate policing),
-//! dispatches on the σ*-driven hypervisor, and streams typed responses
-//! back — completions with end-to-end latency, deadline misses, throttle
-//! verdicts, load shedding, and graceful-degradation mode changes.
+//! [`ioguard_hypervisor::hypervisor::AdmissionGuard`] for per-request
+//! rate policing), dispatches on the σ*-driven hypervisor, and streams
+//! typed responses back — completions with end-to-end latency, deadline
+//! misses, throttle verdicts, load shedding, and graceful-degradation mode
+//! changes.
 //!
 //! The crate is deliberately **deterministic end to end**:
 //!
