@@ -20,7 +20,10 @@
 //! pass walks σ\* over that run: the P-channel fires in the occupied
 //! slots, and the free and reclaimed ones go to the winner in one grant,
 //! or idle when nothing is buffered. Any other configuration steps slot by
-//! slot. [`Hypervisor::slot_passes`] counts the passes.
+//! slot. [`Hypervisor::slot_passes`] counts the passes. In that
+//! configuration with nothing buffered and nothing left to hand over, the
+//! hypervisor is [`Hypervisor::quiescent`]: a slot can only idle or fire
+//! σ\*, so a caller may skip slots and catch up with `advance_to`.
 //!
 //! Every decision — each submission verdict, each job's fate and one
 //! disposition per slot — leaves the device once, as a typed [`HvEvent`],
@@ -731,6 +734,21 @@ impl Hypervisor {
             && self.mode == HvMode::Normal
             && !self.device_fault_active
             && !self.device_faulty()
+    }
+
+    /// True when stepping can change nothing a caller reads but the clock
+    /// and the metrics: no job is buffered, the outbox is empty, and a run
+    /// of slots can be passed at once (no observer or watchdog, global EDF
+    /// with no throttle window, normal mode, a healthy device). Each slot
+    /// stepped from here emits only [`HvEvent::Idle`] or
+    /// [`HvEvent::PchannelSlot`] and leaves the hypervisor quiescent, and
+    /// [`Hypervisor::advance_to`] reaches the same state in one pass. A
+    /// caller that answers neither event may leave a quiescent hypervisor
+    /// behind its clock, as long as it calls `advance_to` before the next
+    /// submission, [`Hypervisor::degrade`] or
+    /// [`Hypervisor::inject_device_stall`].
+    pub fn quiescent(&self) -> bool {
+        self.shadow_index.min().is_none() && self.outbox.is_empty() && self.passes_runs()
     }
 
     /// [`Hypervisor::advance_to`]'s walk, one pass per run. After the
@@ -1451,6 +1469,93 @@ mod tests {
             advanced.metrics().vm(0).throttled_slots + advanced.metrics().vm(1).throttled_slots,
             throttled
         );
+    }
+
+    #[test]
+    fn a_fresh_or_drained_hypervisor_is_quiescent() {
+        let params = HypervisorParams::new(2).with_predefined(vec![predefined(1, 8, 2)]);
+        let mut hv = Hypervisor::new(params).unwrap();
+        assert!(hv.quiescent());
+        hv.submit(RtJob::new(0, 1, 0, 3, 100)).unwrap();
+        assert!(!hv.quiescent(), "a buffered job");
+        let mut events = Vec::new();
+        hv.drain_events(&mut events);
+        assert!(!hv.quiescent(), "a buffered job, outbox drained");
+        while hv.metrics().completed == 0 {
+            hv.step_into(&mut events);
+        }
+        assert!(hv.quiescent(), "completed and handed over");
+        hv.run(100);
+        assert!(hv.quiescent());
+    }
+
+    #[test]
+    fn an_undrained_outbox_is_not_quiescent() {
+        let mut hv = Hypervisor::new(HypervisorParams::new(1)).unwrap();
+        // A submission to a missing VM emits nothing.
+        let _ = hv.submit(RtJob::new(3, 1, 0, 1, 10));
+        assert!(hv.quiescent());
+        hv.submit(RtJob::new(0, 2, 0, 1, 10)).unwrap();
+        // A configuration switch carries the job away: nothing is
+        // buffered, but its `Admitted` event still waits for the caller.
+        assert_eq!(hv.drain_pools().len(), 1);
+        assert!(!hv.quiescent());
+        hv.drain_events(&mut Vec::new());
+        assert!(hv.quiescent());
+    }
+
+    #[test]
+    fn watching_or_denying_a_slot_ends_quiescence() {
+        let mut observed = Hypervisor::new(HypervisorParams::new(1)).unwrap();
+        observed.attach_obs(64);
+        assert!(!observed.quiescent(), "an observer");
+        let watchdog = HypervisorParams::new(1).with_watchdog(crate::driver::RetryPolicy {
+            timeout_slots: 2,
+            max_retries: 1,
+            backoff_base: 1,
+            backoff_cap: 2,
+        });
+        assert!(
+            !Hypervisor::new(watchdog).unwrap().quiescent(),
+            "a watchdog"
+        );
+        let servers = vec![PeriodicServer::new(10, 2).unwrap()];
+        let server_based = HypervisorParams::new(1).with_policy(GschedPolicy::ServerBased(servers));
+        assert!(
+            !Hypervisor::new(server_based).unwrap().quiescent(),
+            "server budgets"
+        );
+    }
+
+    #[test]
+    fn a_degraded_stalled_or_throttled_hypervisor_is_not_quiescent() {
+        let mut degraded = Hypervisor::new(HypervisorParams::new(1)).unwrap();
+        degraded.degrade();
+        degraded.drain_events(&mut Vec::new());
+        assert!(!degraded.quiescent(), "after degrade");
+
+        let mut stalled = Hypervisor::new(HypervisorParams::new(1)).unwrap();
+        stalled.inject_device_stall(5);
+        assert!(!stalled.quiescent(), "during a stall");
+        stalled.run(5);
+        // The stall is over, but the recovery edge is still to come.
+        assert!(!stalled.device_faulty() && !stalled.quiescent());
+        stalled.run(1);
+        assert!(stalled.quiescent());
+
+        let guard = AdmissionGuard {
+            window: 10,
+            max_submissions: 1,
+            throttle_slots: 4,
+        };
+        let mut throttled =
+            Hypervisor::new(HypervisorParams::new(1).with_admission_guard(guard)).unwrap();
+        assert!(throttled.quiescent(), "flood control alone denies no slot");
+        let _ = throttled.submit(RtJob::new(0, 1, 0, 1, 10));
+        let _ = throttled.submit(RtJob::new(0, 2, 0, 1, 10));
+        throttled.run(100);
+        assert!(throttled.pools()[0].is_empty());
+        assert!(!throttled.quiescent(), "a throttle window was opened");
     }
 
     #[test]

@@ -40,6 +40,42 @@ fn misses_on_deadline(fresh: &[HvEvent], now: u64) -> Result<(), TestCaseError> 
     Ok(())
 }
 
+/// Checks a quiescent `hv` over its next `slots` slots: a clone stepped
+/// one slot at a time emits only `Idle` and `PchannelSlot` and stays
+/// quiescent, and `advance_to` over the same slots reaches an equal
+/// hypervisor.
+fn quiescence_holds(hv: &Hypervisor, slots: u64) -> Result<(), TestCaseError> {
+    let to = hv.now() + slots;
+    let mut stepped = hv.clone();
+    let mut events = Vec::new();
+    while stepped.now() < to {
+        let from = events.len();
+        stepped.step_into(&mut events);
+        for event in &events[from..] {
+            prop_assert!(
+                matches!(event, HvEvent::Idle | HvEvent::PchannelSlot { .. }),
+                "slot {} of a quiescent hypervisor emitted {:?}",
+                stepped.now() - 1,
+                event
+            );
+        }
+        prop_assert!(
+            stepped.quiescent(),
+            "quiescence ended at slot {}",
+            stepped.now()
+        );
+    }
+    let mut advanced = hv.clone();
+    advanced.advance_to(to);
+    prop_assert_eq!(
+        &advanced,
+        &stepped,
+        "advance_to({}) diverged from stepping",
+        to
+    );
+    Ok(())
+}
+
 /// Advances `hv` to slot `to` and checks it against a clone that calls
 /// `step` until `to`: the whole hypervisor must be equal, and advancing
 /// must make no more slot passes than stepping.
@@ -456,6 +492,49 @@ proptest! {
             let _ = hv.submit(if critical { job } else { job.best_effort() });
         }
         advance_matches_stepping(&mut hv, release + 300)?;
+    }
+
+    /// Quiescence is closed under stepping: on the loads of
+    /// `advancing_equals_stepping_every_slot`, whenever the hypervisor is
+    /// quiescent at a release (or 300 slots after the last), stepping it
+    /// up to 300 slots emits only `Idle` and `PchannelSlot`, leaves it
+    /// quiescent and equals `advance_to` over the same slots. That is what
+    /// lets a serve shard with nothing to do sit slots out.
+    #[test]
+    fn a_quiescent_hypervisor_only_idles_and_fires_sigma_star(
+        tasks in arb_predefined_set(),
+        reclaim in any::<bool>(),
+        seed in any::<u64>(),
+        vms in 1usize..=8,
+        capacity in 1usize..=8,
+        jobs in prop::collection::vec((0u64..12, 0usize..8, 0u64..6, 0u64..40, any::<bool>()), 1..80),
+        horizon in 1u64..=300,
+    ) {
+        let mut params = HypervisorParams {
+            pool_capacity: capacity,
+            ..HypervisorParams::new(vms)
+        }
+        .with_predefined(tasks);
+        if reclaim {
+            params = params.with_reclaim(PchannelReclaim { seed, min_fraction: 0.5 });
+        }
+        let Ok(mut hv) = Hypervisor::new(params) else {
+            return Ok(()); // infeasible σ*: construction correctly refuses
+        };
+        let mut release = 0u64;
+        for (task_id, (gap, vm, wcet, window, critical)) in (0u64..).zip(jobs) {
+            release += gap;
+            hv.advance_to(release);
+            if hv.quiescent() {
+                quiescence_holds(&hv, horizon)?;
+            }
+            let job = RtJob::new(vm % vms, task_id, release, wcet, release + window);
+            let _ = hv.submit(if critical { job } else { job.best_effort() });
+        }
+        hv.advance_to(release + 300);
+        // Every job has completed or missed by now.
+        prop_assert!(hv.quiescent(), "not quiescent 300 slots after the last release");
+        quiescence_holds(&hv, horizon)?;
     }
 
     /// Server-based G-Sched never grants a VM more than its budget within

@@ -19,6 +19,7 @@
 //! pinned as `tests/goldens/serve.trace`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::{self, Write as _};
 
 use bytes::{Bytes, BytesMut};
 use ioguard_hypervisor::driver::RetryPolicy;
@@ -40,6 +41,17 @@ fn fnv_extend(mut state: u64, text: &str) -> u64 {
         state = (state ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
     }
     state
+}
+
+/// An FNV-1a state that formatted text is written into piece by piece:
+/// the same digest as hashing the whole rendering, with no `String`.
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.0 = fnv_extend(self.0, text);
+        Ok(())
+    }
 }
 
 /// Memory-bounded accumulator over a response stream: per-kind counts
@@ -68,13 +80,18 @@ impl ResponseFold {
         }
     }
 
-    /// Folds one response.
+    /// Folds one response: counts its kind and extends the digest by its
+    /// rendering `{resp}\n`, written straight into the FNV-1a state.
+    /// Allocates nothing.
     pub fn push(&mut self, resp: &Response) {
         let ordinal = usize::from(resp.kind_ordinal());
         if let Some(count) = self.counts.get_mut(ordinal.saturating_sub(1)) {
             *count = count.saturating_add(1);
         }
-        self.digest = fnv_extend(self.digest, &format!("{resp}\n"));
+        let mut digest = FnvWriter(self.digest);
+        // `FnvWriter` never fails and `Response`'s `Display` only writes.
+        let _ = writeln!(digest, "{resp}");
+        self.digest = digest.0;
         self.total = self.total.saturating_add(1);
     }
 
@@ -619,5 +636,90 @@ fn script_slot(state: &mut ScenarioShared, slot: u64) {
             let _ = wire::encode_request(&request, &mut buffer);
         }
         state.pending.push((2, buffer.freeze()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::RejectReason;
+
+    /// One response of every kind, every reject reason and both `Missed`
+    /// classes, with field values from zero to `u64::MAX`.
+    fn every_kind() -> Vec<Response> {
+        let mut all = vec![
+            Response::Connected {
+                client: 0,
+                shard: 3,
+            },
+            Response::Disconnected { client: u32::MAX },
+            Response::Accepted {
+                client: 7,
+                task_id: u64::MAX,
+            },
+            Response::Completed {
+                client: 7,
+                task_id: 42,
+                latency: 0,
+            },
+            Response::Missed {
+                client: 1,
+                task_id: 9,
+                critical: true,
+            },
+            Response::Missed {
+                client: 1,
+                task_id: 10,
+                critical: false,
+            },
+            Response::Throttled {
+                client: 2,
+                task_id: 11,
+                until: 1 << 40,
+            },
+            Response::Shed {
+                client: 2,
+                task_id: 0,
+            },
+            Response::ModeChange {
+                client: 4,
+                shard: 1,
+                mode: 2,
+            },
+        ];
+        for reason in [
+            RejectReason::Malformed,
+            RejectReason::NotSchedulable,
+            RejectReason::NoCapacity,
+            RejectReason::PoolFull,
+            RejectReason::Degraded,
+            RejectReason::UnknownClient,
+            RejectReason::AlreadyConnected,
+            RejectReason::NotConnected,
+        ] {
+            all.push(Response::ConnectRejected { client: 5, reason });
+            all.push(Response::Rejected {
+                client: 5,
+                task_id: 12,
+                reason,
+            });
+        }
+        all
+    }
+
+    #[test]
+    fn folding_in_place_digests_the_rendered_lines() {
+        let all = every_kind();
+        let kinds: BTreeSet<u8> = all.iter().map(Response::kind_ordinal).collect();
+        assert_eq!(kinds.len(), Response::KINDS, "every kind is folded");
+        let mut fold = ResponseFold::new();
+        let mut rendered = FNV_OFFSET;
+        for resp in &all {
+            fold.push(resp);
+            rendered = fnv_extend(rendered, &format!("{resp}\n"));
+            assert_eq!(fold.digest(), rendered, "digest after {resp}");
+        }
+        assert_eq!(fold.total(), all.len() as u64);
+        assert_eq!(fold.counts().iter().sum::<u64>(), fold.total());
     }
 }

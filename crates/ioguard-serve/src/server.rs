@@ -15,7 +15,17 @@
 //! ready list names the clients whose backlog went from empty to
 //! non-empty since the last slot, so a slot drains only the backlogs that
 //! hold work, in ascending client id: its cost follows the queued
-//! requests and the shards, not the connected clients.
+//! requests, not the connected clients.
+//!
+//! A slot likewise steps only the shards that hold work. A shard whose
+//! hypervisor is [`Hypervisor::quiescent`] (nothing buffered, nothing left
+//! to hand over, nothing watching or denying a slot) stays behind the
+//! serve clock. Every call that changes a shard's hypervisor (a
+//! submission, [`ServeCluster::degrade`],
+//! [`ServeCluster::inject_device_stall`]) first catches it up with
+//! `advance_to`. The slots it sat out could only idle or fire σ\*, which
+//! serve answers with nothing, so responses and trace are those of
+//! stepping every shard every slot.
 //!
 //! Every fate a request can meet comes back as exactly one typed
 //! [`Response`]: `Accepted` (admitted to the pool), `Completed` (with
@@ -158,6 +168,17 @@ struct ServeShard {
 }
 
 impl ServeShard {
+    /// The shard's hypervisor brought to serve slot `now`, for a call that
+    /// changes it. A shard [`ServeCluster::step`] left behind is
+    /// quiescent: `advance_to` reaches the state stepping the skipped slots
+    /// would have, and those slots could only emit `Idle` and
+    /// `PchannelSlot`, which serve answers with nothing. A shard at `now`
+    /// is left as it is.
+    fn at(&mut self, now: u64) -> &mut Hypervisor {
+        self.hv.advance_to(now);
+        &mut self.hv
+    }
+
     /// Returns the pools of disconnected clients that have drained to the
     /// free set.
     fn free_drained(&mut self) {
@@ -308,6 +329,14 @@ impl ServeCluster {
         self.backlog_visits
     }
 
+    /// Slot passes of every shard's hypervisor since construction
+    /// ([`Hypervisor::slot_passes`], summed): one per slot a shard holding
+    /// work is stepped, and one per catch-up over the slots a quiescent
+    /// shard skipped.
+    pub fn slot_passes(&self) -> u64 {
+        self.shards.iter().map(|s| s.hv.slot_passes()).sum()
+    }
+
     /// The degradation mode of `shard`.
     pub fn mode(&self, shard: usize) -> Option<HvMode> {
         self.shards.get(shard).map(|s| s.hv.mode())
@@ -316,7 +345,7 @@ impl ServeCluster {
     /// Injects a transient device stall on `shard` (fault testing).
     pub fn inject_device_stall(&mut self, shard: usize, slots: u64) {
         if let Some(s) = self.shards.get_mut(shard) {
-            s.hv.inject_device_stall(slots);
+            s.at(self.now_slot).inject_device_stall(slots);
         }
     }
 
@@ -326,8 +355,9 @@ impl ServeCluster {
     pub fn degrade(&mut self, shard: usize) -> Vec<Response> {
         let mut responses = Vec::new();
         if let Some(s) = self.shards.get_mut(shard) {
-            s.hv.degrade();
-            s.hv.drain_events(&mut self.events);
+            let hv = s.at(self.now_slot);
+            hv.degrade();
+            hv.drain_events(&mut self.events);
         }
         self.answer(shard, &mut responses);
         responses
@@ -550,7 +580,8 @@ impl ServeCluster {
             });
             return;
         };
-        let release = shard.hv.now();
+        let hv = shard.at(self.now_slot);
+        let release = hv.now();
         let mut job = RtJob::new(
             pool,
             request.task_id,
@@ -562,8 +593,8 @@ impl ServeCluster {
             job = job.best_effort();
         }
         let response_bytes = trace_idx(request.payload.len().max(1));
-        let verdict = shard.hv.submit_with_payload(job, response_bytes);
-        shard.hv.drain_events(&mut self.events);
+        let verdict = hv.submit_with_payload(job, response_bytes);
+        hv.drain_events(&mut self.events);
         // Admissions and refusals are answered from the stream, after any
         // misses the submit-time deadline sweep found.
         self.answer(idx, responses);
@@ -581,8 +612,11 @@ impl ServeCluster {
     /// One serve slot: answer the requests disconnects took out of their
     /// backlogs, drain the backlogs on the ready list into the hypervisors
     /// (ascending client id; the backlogs left out are empty), then step
-    /// every shard, answering each shard's events before its drained pools
-    /// return to the free set. Returns all responses produced this slot.
+    /// every shard whose hypervisor is not quiescent, answering each
+    /// shard's events before its drained pools return to the free set.
+    /// A quiescent shard holds no work and no pool left to drain; it
+    /// stays behind the serve clock until a submission, a stall or a
+    /// degradation brings it up. Returns all responses produced this slot.
     pub fn step(&mut self) -> Vec<Response> {
         let mut responses = std::mem::take(&mut self.owed);
         // Phase 1: submissions.
@@ -604,11 +638,20 @@ impl ServeCluster {
             }
         }
         self.ready = ready;
-        // Phase 2: dispatch.
+        // Phase 2: dispatch, on the shards that hold work. Only a quiescent
+        // shard falls behind, and it stays quiescent until a call brings it
+        // up, so every shard stepped here is at the serve clock.
+        let now = self.now_slot;
         for idx in 0..self.shards.len() {
-            if let Some(shard) = self.shards.get_mut(idx) {
-                shard.hv.step_into(&mut self.events);
+            let Some(shard) = self.shards.get_mut(idx) else {
+                continue;
+            };
+            if shard.hv.quiescent() {
+                debug_assert!(shard.draining.is_empty(), "shard {idx} skipped a drain");
+                continue;
             }
+            debug_assert_eq!(shard.hv.now(), now, "shard {idx} stepped off the clock");
+            shard.hv.step_into(&mut self.events);
             self.answer(idx, &mut responses);
             if let Some(shard) = self.shards.get_mut(idx) {
                 shard.free_drained();
@@ -772,6 +815,133 @@ mod tests {
             Response::Connected { shard, .. } => shard,
             other => panic!("expected a connection, got {other}"),
         }
+    }
+
+    /// A one-shard cluster with client 0 connected, stepped for 1 000
+    /// slots with nothing to do: its shard sits them all out.
+    fn idle_for_1000_slots() -> ServeCluster {
+        let mut cluster = ServeCluster::new(ServeConfig::new(1, 2)).expect("valid config");
+        assert_eq!(
+            shard_of(cluster.connect(0, server(64, 8), &TaskSet::new())),
+            0
+        );
+        for _ in 0..1_000 {
+            assert_eq!(cluster.step(), []);
+        }
+        assert_eq!(cluster.now(), 1_000);
+        assert_eq!(cluster.slot_passes(), 0, "an idle shard is not stepped");
+        cluster
+    }
+
+    /// Sends client 0's `(task_id, wcet, deadline_rel, critical)` requests
+    /// in one frame, then runs `slots` slots; returns each response with
+    /// the slot whose ingest or step returned it.
+    fn send_and_run(
+        cluster: &mut ServeCluster,
+        requests: &[(u64, u64, u64, bool)],
+        slots: u64,
+    ) -> Vec<(u64, Response)> {
+        let mut frame = bytes::BytesMut::new();
+        for &(task_id, wcet, deadline_rel, critical) in requests {
+            let request = Request {
+                client: 0,
+                task_id,
+                wcet,
+                deadline_rel,
+                critical,
+                payload: Bytes::new(),
+            };
+            wire::encode_request(&request, &mut frame).expect("valid request");
+        }
+        let slot = cluster.now();
+        let mut seen: Vec<(u64, Response)> = cluster
+            .ingest(&[(0, frame.freeze())], 1)
+            .into_iter()
+            .map(|r| (slot, r))
+            .collect();
+        for _ in 0..slots {
+            let slot = cluster.now();
+            seen.extend(cluster.step().into_iter().map(|r| (slot, r)));
+        }
+        seen
+    }
+
+    #[test]
+    fn a_stall_after_an_idle_stretch_starts_at_the_serve_clock() {
+        let mut cluster = idle_for_1000_slots();
+        // The stall covers serve slots 1 000–1 004, however long ago the
+        // shard last stepped.
+        cluster.inject_device_stall(0, 5);
+        assert_eq!(cluster.slot_passes(), 1, "one pass catches the shard up");
+        let seen = send_and_run(&mut cluster, &[(1, 2, 20, true)], 10);
+        // Released at 1 000, served in 1 005 and 1 006, done at the end of
+        // 1 006: a latency of 7.
+        let accepted = Response::Accepted {
+            client: 0,
+            task_id: 1,
+        };
+        let completed = Response::Completed {
+            client: 0,
+            task_id: 1,
+            latency: 7,
+        };
+        assert_eq!(seen, [(1_000, accepted), (1_006, completed)]);
+        let notes: Vec<(u64, ObsKind)> = cluster
+            .sink()
+            .iter()
+            .filter(|e| matches!(e.kind, ObsKind::Fault | ObsKind::Recovery))
+            .map(|e| (e.at, e.kind))
+            .collect();
+        assert_eq!(notes, [(1_000, ObsKind::Fault), (1_005, ObsKind::Recovery)]);
+    }
+
+    #[test]
+    fn a_degradation_after_an_idle_stretch_recovers_on_the_serve_clock() {
+        let mut cluster = idle_for_1000_slots();
+        let degraded = Response::ModeChange {
+            client: 0,
+            shard: 0,
+            mode: HvMode::Degraded.ordinal(),
+        };
+        assert_eq!(cluster.degrade(0), [degraded]);
+        // Degraded: the critical request runs in 1 000 and 1 001, the
+        // best-effort one is shed; 64 healthy slots from 1 000 on bring
+        // the shard back to normal in the step of slot 1 063.
+        let seen = send_and_run(&mut cluster, &[(1, 2, 20, true), (2, 1, 20, false)], 70);
+        let expected = [
+            (
+                1_000,
+                Response::Accepted {
+                    client: 0,
+                    task_id: 1,
+                },
+            ),
+            (
+                1_000,
+                Response::Shed {
+                    client: 0,
+                    task_id: 2,
+                },
+            ),
+            (
+                1_001,
+                Response::Completed {
+                    client: 0,
+                    task_id: 1,
+                    latency: 2,
+                },
+            ),
+            (
+                1_063,
+                Response::ModeChange {
+                    client: 0,
+                    shard: 0,
+                    mode: HvMode::Normal.ordinal(),
+                },
+            ),
+        ];
+        assert_eq!(seen, expected);
+        assert_eq!(cluster.mode(0), Some(HvMode::Normal));
     }
 
     #[test]

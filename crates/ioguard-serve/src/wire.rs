@@ -374,6 +374,9 @@ impl fmt::Display for Response {
 
 /// Encodes `req` onto `out`, validating the same invariants decoding
 /// enforces so that `decode(encode(req))` round-trips exactly.
+///
+/// The frame's [`REQ_HEADER_LEN`] + payload bytes are reserved once
+/// before the puts, so encoding into an empty buffer allocates once.
 pub fn encode_request(req: &Request, out: &mut BytesMut) -> Result<(), WireError> {
     if req.wcet == 0 {
         return Err(WireError::ZeroWcet);
@@ -390,6 +393,7 @@ pub fn encode_request(req: &Request, out: &mut BytesMut) -> Result<(), WireError
         .ok_or(WireError::PayloadTooLong {
             len: req.payload.len(),
         })?;
+    out.reserve(REQ_HEADER_LEN.saturating_add(usize::from(payload_len)));
     out.put_u16_le(REQ_MAGIC);
     out.put_u8(WIRE_VERSION);
     out.put_u8(if req.critical { FLAG_CRITICAL } else { 0 });
@@ -404,7 +408,7 @@ pub fn encode_request(req: &Request, out: &mut BytesMut) -> Result<(), WireError
 
 /// Encodes `req` into a standalone frame.
 pub fn encode_request_frame(req: &Request) -> Result<Bytes, WireError> {
-    let mut out = BytesMut::with_capacity(REQ_HEADER_LEN.saturating_add(req.payload.len()));
+    let mut out = BytesMut::new();
     encode_request(req, &mut out)?;
     Ok(out.freeze())
 }

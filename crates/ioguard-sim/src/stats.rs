@@ -19,13 +19,20 @@
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+/// The empty accumulator of [`OnlineStats::new`], extrema at ±∞.
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {
@@ -232,6 +239,17 @@ mod tests {
         assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        assert_eq!(OnlineStats::default(), OnlineStats::new());
+        for value in [5.0, -3.0, 0.0] {
+            let mut s = OnlineStats::default();
+            s.push(value);
+            assert_eq!(s.min(), Some(value));
+            assert_eq!(s.max(), Some(value));
+        }
     }
 
     #[test]

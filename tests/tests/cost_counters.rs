@@ -29,6 +29,13 @@
 //! * **Serve ready list.** A serve slot visits only the backlogs that
 //!   hold work: never more backlog visits than accepted requests, however
 //!   many clients are connected.
+//! * **Serve shard stepping.** A serve slot steps only the shards whose
+//!   hypervisor holds work, and a shard left idle catches up in one pass
+//!   when work next reaches it: at most `2·accepted + shards` hypervisor
+//!   passes, however many slots the replay runs.
+//! * **Serve allocations.** Folding a response of any kind into a
+//!   `ResponseFold` allocates nothing, and encoding a request into an
+//!   empty buffer allocates once.
 //!
 //! Allocations are counted per thread by the allocator below, so tests
 //! running in parallel never see each other's allocations.
@@ -36,7 +43,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use ioguard_baselines::bluevisor::BlueVisorPlatform;
 use ioguard_baselines::ioguard::IoGuardPlatform;
 use ioguard_baselines::legacy::LegacyPlatform;
@@ -54,8 +61,9 @@ use ioguard_noc::topology::NodeId;
 use ioguard_sched::ledger::{theorem1_frame, DemandLedger};
 use ioguard_sched::table::TimeSlotTable;
 use ioguard_sched::task::{PeriodicServer, SporadicTask, TaskSet};
+use ioguard_serve::replay::ResponseFold;
 use ioguard_serve::server::{ServeCluster, ServeConfig};
-use ioguard_serve::wire::{self, Request, Response};
+use ioguard_serve::wire::{self, RejectReason, Request, Response};
 use ioguard_sim::rng::Xoshiro256StarStar;
 use ioguard_workload::generator::{TrialConfig, TrialWorkload};
 
@@ -542,15 +550,16 @@ fn hypervisor_passes_each_run_once() {
     );
 }
 
+/// Shards of the serve cluster the two serve gates drive.
+const SERVE_SHARDS: usize = 4;
+
 /// 64 clients connected across four shards, of which client 63 alone
-/// sends one request every 16 slots for 8 000 slots. Each slot visits the
-/// backlogs that hold work, so each request costs one visit; walking every
-/// connected client's backlog would take 64 × 8 000 = 512 000.
-#[test]
-fn serve_step_visits_only_the_backlogs_that_hold_work() {
+/// sends one request every 16 slots for 8 000 slots. Returns the cluster
+/// and the requests it accepted.
+fn one_sender_among_64_clients() -> (ServeCluster, u64) {
     const CLIENTS: u32 = 64;
     const SENDER: u32 = CLIENTS - 1;
-    let mut cluster = ServeCluster::new(ServeConfig::new(4, 16)).expect("valid config");
+    let mut cluster = ServeCluster::new(ServeConfig::new(SERVE_SHARDS, 16)).expect("valid config");
     let server = PeriodicServer::new(64, 1).expect("valid server");
     for client in 0..CLIENTS {
         let resp = cluster.connect(client, server, &TaskSet::new());
@@ -583,9 +592,157 @@ fn serve_step_visits_only_the_backlogs_that_hold_work() {
             .count() as u64;
     }
     assert_eq!(accepted, 500, "every request is accepted");
+    (cluster, accepted)
+}
+
+/// Each slot visits the backlogs that hold work, so each request of
+/// [`one_sender_among_64_clients`] costs one visit; walking every
+/// connected client's backlog would take 64 × 8 000 = 512 000.
+#[test]
+fn serve_step_visits_only_the_backlogs_that_hold_work() {
+    let (cluster, accepted) = one_sender_among_64_clients();
     let visits = cluster.backlog_visits();
     assert!(
         visits <= accepted,
-        "{visits} backlog visits for {accepted} requests from one of {CLIENTS} connected clients"
+        "{visits} backlog visits for {accepted} requests from one of 64 connected clients"
     );
+}
+
+/// Each slot steps the shards whose hypervisor holds work. In
+/// [`one_sender_among_64_clients`] a request costs its shard one pass to
+/// catch up over the slots it sat out idle and one for the slot its job
+/// runs in, and the three shards no request reaches are never stepped;
+/// stepping every shard every slot would take 4 × 8 000 = 32 000.
+#[test]
+fn serve_steps_only_the_shards_that_hold_work() {
+    let (cluster, accepted) = one_sender_among_64_clients();
+    let bound = 2 * accepted + SERVE_SHARDS as u64;
+    let passes = cluster.slot_passes();
+    println!(
+        "{passes} hypervisor passes over {} slots on {SERVE_SHARDS} shards for {accepted} \
+         accepted requests; bound {bound}",
+        cluster.now()
+    );
+    assert!(
+        passes <= bound,
+        "{passes} passes for {accepted} accepted requests"
+    );
+}
+
+/// One response of every kind, every reject reason and both `Missed`
+/// classes.
+fn every_response_kind() -> Vec<Response> {
+    let mut all = vec![
+        Response::Connected {
+            client: 0,
+            shard: 3,
+        },
+        Response::Disconnected { client: u32::MAX },
+        Response::Accepted {
+            client: 7,
+            task_id: u64::MAX,
+        },
+        Response::Completed {
+            client: 7,
+            task_id: 42,
+            latency: 17,
+        },
+        Response::Missed {
+            client: 1,
+            task_id: 9,
+            critical: true,
+        },
+        Response::Missed {
+            client: 1,
+            task_id: 10,
+            critical: false,
+        },
+        Response::Throttled {
+            client: 2,
+            task_id: 11,
+            until: 1 << 40,
+        },
+        Response::Shed {
+            client: 2,
+            task_id: 0,
+        },
+        Response::ModeChange {
+            client: 4,
+            shard: 1,
+            mode: 2,
+        },
+    ];
+    for reason in [
+        RejectReason::Malformed,
+        RejectReason::NotSchedulable,
+        RejectReason::NoCapacity,
+        RejectReason::PoolFull,
+        RejectReason::Degraded,
+        RejectReason::UnknownClient,
+        RejectReason::AlreadyConnected,
+        RejectReason::NotConnected,
+    ] {
+        all.push(Response::ConnectRejected { client: 5, reason });
+        all.push(Response::Rejected {
+            client: 5,
+            task_id: 12,
+            reason,
+        });
+    }
+    all
+}
+
+/// The replay folds every response it sees into a `ResponseFold`, whose
+/// digest covers each response's rendering: the rendering is written
+/// into the digest state, never into a `String` (2.5 allocations per
+/// response when it was).
+#[test]
+fn folding_a_response_allocates_nothing() {
+    let responses = every_response_kind();
+    let kinds: std::collections::BTreeSet<u8> =
+        responses.iter().map(Response::kind_ordinal).collect();
+    assert_eq!(kinds.len(), Response::KINDS, "every kind is folded");
+    let mut fold = ResponseFold::new();
+    let (_, allocs) = counted(|| {
+        for resp in &responses {
+            fold.push(resp);
+        }
+    });
+    assert_eq!(fold.total(), responses.len() as u64);
+    assert_eq!(
+        allocs,
+        0,
+        "{allocs} allocations to fold {} responses",
+        responses.len()
+    );
+}
+
+/// The replay encodes each request into a fresh per-client buffer: the
+/// frame's header and payload are reserved at once, not grown in four
+/// steps.
+#[test]
+fn encoding_a_request_allocates_once_per_frame() {
+    const FRAMES: u64 = 64;
+    let requests: Vec<Request> = (1..=FRAMES)
+        .map(|task_id| Request {
+            client: 3,
+            task_id,
+            wcet: 2,
+            deadline_rel: 40,
+            critical: task_id % 3 == 0,
+            payload: Bytes::copy_from_slice(&task_id.to_le_bytes()),
+        })
+        .collect();
+    let mut buffers: Vec<BytesMut> = Vec::with_capacity(requests.len());
+    let (_, allocs) = counted(|| {
+        for request in &requests {
+            let mut buffer = BytesMut::new();
+            wire::encode_request(request, &mut buffer).expect("valid request encodes");
+            buffers.push(buffer);
+        }
+    });
+    for buffer in &buffers {
+        assert_eq!(buffer.len(), wire::REQ_HEADER_LEN + 8);
+    }
+    assert_eq!(allocs, FRAMES, "{allocs} allocations for {FRAMES} frames");
 }
